@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dcc import DccParams, fit_dcc, simulate_dcc_panel
+from .dcc import DccFit, DccParams, fit_dcc, simulate_dcc_panel
 from .distributions import FAMILIES, InnovationDist
 from .egarch import EgarchFit, EgarchParams, MeanParams, MeanSpec, fit_egarch
 from .market_data import (
@@ -230,8 +229,7 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
 # output plumbing
 
 class OutputCollector:
-    """Buffers every file for a command and writes them in one pass, so
-    parallel workers never interleave writes."""
+    """Buffers every file for a command and writes them in one pass."""
 
     def __init__(self) -> None:
         self._files: dict = {}
@@ -370,8 +368,9 @@ def _unit_root_tables(panel: ReturnPanel) -> tuple:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_describe(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
+def cmd_describe(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
+    if panel is None:
+        panel = _load_panel(cfg)
     out = OutputCollector()
     stats_csv, stats_json, stats = _stats_tables(panel, cfg.risk_free)
     corr_csv, corr_json = _correlation_tables(panel)
@@ -413,38 +412,52 @@ def _stars(estimate: float, se: float) -> str:
     return ""
 
 
-def _summary_block(fit: EgarchFit) -> list:
+def _fit_table(title: str, converged: bool, estimates, std_errors: dict,
+               loglik: float, aic: float, aic_per_obs: float) -> list:
     lines = [
-        f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  "
-        f"n={fit.n_obs}  converged={'yes' if fit.converged else 'NO'}",
+        f"{title}  converged={'yes' if converged else 'NO'}",
         f"  {'param':<12}{'estimate':>14}{'std.err':>14}",
     ]
-    for name, est in zip(fit.param_names, fit.estimates):
-        se = fit.std_errors[name]
+    for name, est in estimates:
+        se = std_errors[name]
         se_txt = _fmt(se) if math.isfinite(se) else "n/a"
         lines.append(f"  {name:<12}{_fmt(est):>14}{se_txt:>14}  {_stars(est, se)}".rstrip())
     lines.append(
-        f"  loglik {_fmt(fit.loglik, 4)}   aic {_fmt(fit.aic, 4)}"
-        f"   aic/obs {_fmt(fit.aic_per_obs)}"
+        f"  loglik {_fmt(loglik, 4)}   aic {_fmt(aic, 4)}   aic/obs {_fmt(aic_per_obs)}"
     )
     return lines
 
 
+def _summary_block(fit: EgarchFit) -> list:
+    return _fit_table(
+        f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  n={fit.n_obs}",
+        fit.converged, zip(fit.param_names, fit.estimates), fit.std_errors,
+        fit.loglik, fit.aic, fit.aic_per_obs,
+    )
+
+
+def _dcc_summary_block(joint: DccFit) -> list:
+    p = joint.params
+    return _fit_table(
+        f"joint dcc(1,1)  assets={','.join(joint.symbols)}  n={joint.n_obs}",
+        joint.converged,
+        (("alpha", p.alpha), ("beta", p.beta), ("joint_shape", p.joint_shape)),
+        joint.std_errors, joint.loglik_joint, joint.aic_joint, joint.aic_joint_per_obs,
+    )
+
+
 def _fit_stage1(cfg: RunConfig, panel: ReturnPanel) -> list:
     means = {a.symbol: a.mean for a in cfg.assets}
-
-    def fit_one(series):
+    fits = []
+    for series in panel.series:
         log.info("fitting %s", series.symbol)
-        return fit_egarch(series, mean=means[series.symbol], family=cfg.family)
-
-    # per-asset likelihoods release no GIL during the variance loop, but
-    # fits are small; threads keep ordering deterministic via map
-    with ThreadPoolExecutor(max_workers=min(8, len(panel.series))) as pool:
-        return list(pool.map(fit_one, panel.series))
+        fits.append(fit_egarch(series, mean=means[series.symbol], family=cfg.family))
+    return fits
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
+def cmd_fit(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
+    if panel is None:
+        panel = _load_panel(cfg)
     out = OutputCollector()
     fits = _fit_stage1(cfg, panel)
     summary = ["model fit summary", "================="]
@@ -457,26 +470,12 @@ def cmd_fit(cfg: RunConfig) -> int:
             code = EXIT_NONCONVERGED
             log.warning("%s: fit did not converge", fit.symbol)
     if len(fits) >= 2:
-        joint = fit_dcc(fits, family=cfg.family)
+        # the joint law of the standardized residuals is always the
+        # multivariate t, whatever the stage-1 innovation family
+        joint = fit_dcc(fits)
         out.add("dcc.json", _json(joint.to_dict(include_paths=False)))
         summary.append("")
-        summary.append(
-            f"joint dcc(1,1)  assets={','.join(joint.symbols)}  "
-            f"n={joint.n_obs}  converged={'yes' if joint.converged else 'NO'}"
-        )
-        summary.append(f"  {'param':<12}{'estimate':>14}{'std.err':>14}")
-        for name, est in (
-            ("alpha", joint.params.alpha),
-            ("beta", joint.params.beta),
-            ("joint_shape", joint.params.joint_shape),
-        ):
-            se = joint.std_errors[name]
-            se_txt = _fmt(se) if math.isfinite(se) else "n/a"
-            summary.append(f"  {name:<12}{_fmt(est):>14}{se_txt:>14}  {_stars(est, se)}".rstrip())
-        summary.append(
-            f"  loglik {_fmt(joint.loglik_joint, 4)}   aic {_fmt(joint.aic_joint, 4)}"
-            f"   aic/obs {_fmt(joint.aic_joint_per_obs)}"
-        )
+        summary.extend(_dcc_summary_block(joint))
         if not joint.converged:
             code = EXIT_NONCONVERGED
             log.warning("joint correlation fit did not converge")
@@ -487,8 +486,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     return code
 
 
-def cmd_risk(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
+def cmd_risk(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
+    if panel is None:
+        panel = _load_panel(cfg)
     spec = RiskSpec(levels=cfg.levels, amount=cfg.amount, periods=cfg.periods)
     report = risk_report(panel, spec)
     out = OutputCollector()
@@ -504,9 +504,10 @@ def cmd_risk(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    code = cmd_describe(cfg)
-    code = max(code, cmd_fit(cfg))
-    code = max(code, cmd_risk(cfg))
+    panel = _load_panel(cfg)
+    code = cmd_describe(cfg, panel)
+    code = max(code, cmd_fit(cfg, panel))
+    code = max(code, cmd_risk(cfg, panel))
     return code
 
 

@@ -132,13 +132,25 @@ def unconditional_corr(Z) -> np.ndarray:
 
 
 def _filter_core(Z: np.ndarray, alpha: float, beta: float, Qbar: np.ndarray):
+    # With x_0 = Qbar and x_t = C + alpha z_{t-1} z_{t-1}', the recursion
+    # Q_t = x_t + beta Q_{t-1} is first-order linear: Q_t is the sum over j
+    # of beta^j x_{t-j}.  A doubling scan gets there in log2(T) passes; after
+    # the pass with shift s, row t holds the sum over its last 2s terms.  It
+    # runs on the upper-triangle entries, one row per date, so each shifted
+    # slice is a single contiguous block.
     T, k = Z.shape
-    O = np.einsum("ti,tj->tij", Z, Z)
+    iu, ju = np.triu_indices(k)
+    Y = np.empty((T, iu.size))
+    Y[0] = Qbar[iu, ju]
+    Y[1:] = alpha * (Z[:-1, iu] * Z[:-1, ju])
+    Y[1:] += Qbar[iu, ju] * (1.0 - alpha - beta)
+    s = 1
+    while s < T:
+        Y[s:] += beta ** s * Y[:-s]
+        s *= 2
     Q = np.empty((T, k, k))
-    C = Qbar * (1.0 - alpha - beta)
-    Q[0] = Qbar
-    for t in range(1, T):
-        Q[t] = C + alpha * O[t - 1] + beta * Q[t - 1]
+    Q[:, iu, ju] = Y
+    Q[:, ju, iu] = Y
     d = np.sqrt(np.diagonal(Q, axis1=1, axis2=2))
     R = Q / (d[:, :, None] * d[:, None, :])
     idx = np.arange(k)
@@ -193,9 +205,42 @@ def dcc_loglik(Z, params: DccParams, Qbar) -> float:
     return ll if math.isfinite(ll) else -math.inf
 
 
+# smallest Cholesky pivot of the correlation target accepted as full rank;
+# pivot j is sqrt(1 - R^2) of residual series j regressed on series 0..j-1
+_MIN_PIVOT = 1e-6
+
+
+def _check_full_rank(Qbar: np.ndarray, symbols) -> None:
+    """Raise DataError naming the most-correlated pair when Qbar is singular.
+
+    Duplicate or collinear assets give identical standardized residuals,
+    and a correlation target the recursion cannot start from.
+    """
+    d = np.sqrt(np.diagonal(Qbar))
+    C = Qbar / np.outer(d, d)
+    try:
+        pivot = float(np.diagonal(np.linalg.cholesky(C)).min())
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot >= _MIN_PIVOT:
+        return
+    off = np.abs(C - np.eye(C.shape[0]))
+    i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+    i, j = min(i, j), max(i, j)
+    raise DataError(
+        f"{symbols[i]} and {symbols[j]} are collinear (residual correlation "
+        f"{C[i, j]:.6f}); the joint correlation target is singular, drop one of them"
+    )
+
+
 def fit_dcc(fits: Sequence[EgarchFit], family: str = "student_t") -> DccFit:
     """Maximize the joint likelihood over (alpha, beta, shape) with Qbar
-    fixed by covariance targeting.  Stage-1 fits are read, never mutated."""
+    fixed by covariance targeting.  Stage-1 fits are read, never mutated.
+
+    The joint law is the multivariate t whatever the stage-1 innovation
+    family, so ``family`` accepts only ``"student_t"``.  Duplicate or
+    collinear assets raise DataError.
+    """
     if family != "student_t":
         raise ValueError(f"joint density supports family 'student_t', got {family!r}")
     if len(fits) < 2:
@@ -206,6 +251,7 @@ def fit_dcc(fits: Sequence[EgarchFit], family: str = "student_t") -> DccFit:
             raise DataError(f"{f.symbol}: calendar differs from {fits[0].symbol}")
     Z = np.column_stack([f.z for f in fits])
     Qbar = unconditional_corr(Z)
+    _check_full_rank(Qbar, [f.symbol for f in fits])
 
     space = opt_mod.ParamSpace((
         ("alpha", ("pair_sum_lt_one", "beta")),

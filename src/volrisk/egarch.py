@@ -400,23 +400,34 @@ def garch11_params_from_vector(family: str, x) -> Garch11Params:
     )
 
 
+_GMAX_SETTLED = 1e-4
+_GMAX_CONVERGED = 1e-3
+
+
 def _cascade(neg, space, x0):
-    """Simplex then quasi-Newton, restarted while the optimum looks unsettled."""
-    best = opt_mod.minimize(neg, space, x0, method="simplex")
-    last_success = best.converged
-    for _ in range(3):
-        polish = opt_mod.minimize(neg, space, best.x_opt, method="quasi_newton")
-        if polish.f_opt <= best.f_opt:
-            best, last_success = polish, polish.converged
-        y = space.to_unconstrained(best.x_opt)
+    """Simplex, restarted from its best point while the optimum looks unsettled.
+
+    Returns ``(best, gmax, converged)``.  ``gmax`` is max |df/dy| at the
+    returned point, by central differences in the unconstrained space;
+    the simplex restarts (at most 3) until it falls below 1e-4 or a
+    restart no longer lowers f.  ``converged`` is ``gmax < 1e-3``.
+    """
+    def grad_max(x):
         wrapped = lambda yy: _finite_or_big(neg, space, yy)
-        gmax = float(np.max(np.abs(opt_mod.finite_diff_gradient(wrapped, y))))
-        if gmax < 1e-4:
-            return best, gmax, True
+        g = opt_mod.finite_diff_gradient(wrapped, space.to_unconstrained(x))
+        return float(np.max(np.abs(g)))
+
+    best = opt_mod.minimize(neg, space, x0, method="simplex")
+    gmax = grad_max(best.x_opt)
+    for _ in range(3):
+        if gmax < _GMAX_SETTLED:
+            break
         retry = opt_mod.minimize(neg, space, best.x_opt, method="simplex")
-        if retry.f_opt < best.f_opt:
-            best, last_success = retry, retry.converged
-    return best, gmax, last_success or gmax < 1e-3
+        if retry.f_opt >= best.f_opt:
+            break  # the simplex is deterministic: restarting again changes nothing
+        best = retry
+        gmax = grad_max(best.x_opt)
+    return best, gmax, gmax < _GMAX_CONVERGED
 
 
 def _finite_or_big(neg, space, y):

@@ -325,6 +325,45 @@ class TestFit:
         assert names == {"fit_SIM1.json", "summary.txt"}
 
 
+    def test_skew_t_panel_fits_joint_stage(self, sim_ws, sim_cfg, tmp_path):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["distribution"] = "skew_student_t"
+        cfg = _write_cfg(tmp_path / "skew.yaml", doc)
+        d = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(d)]) in (0, 1)
+        assert json.loads((d / "dcc.json").read_text())["symbols"] == ["SIM1", "SIM2"]
+        assert "egarch-skew_student_t" in (d / "summary.txt").read_text()
+
+    def test_duplicate_asset_is_input_error(self, sim_ws, tmp_path, capsys):
+        src = str(sim_ws / "sim_SIM1.csv")
+        doc = {"assets": [{"symbol": "ONE", "source": src},
+                          {"symbol": "TWO", "source": src}]}
+        cfg = _write_cfg(tmp_path / "dup.yaml", doc)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "ONE" in err and "TWO" in err
+
+
+class TestReport:
+    def test_loads_each_csv_once(self, sim_ws, sim_cfg, fit_dir, monkeypatch):
+        real = cli_mod.load_price_series
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "load_price_series", counting)
+        d = sim_ws / "report1"
+        assert main(["report", "--config", sim_cfg, "--out", str(d)]) == 0
+        assert sorted(sources) == [str(sim_ws / "sim_SIM1.csv"), str(sim_ws / "sim_SIM2.csv")]
+        # the fit outputs match those of the standalone command
+        _, fd = fit_dir
+        for name in ("fit_SIM1.json", "dcc.json", "summary.txt"):
+            assert (d / name).read_bytes() == (fd / name).read_bytes()
+        assert (d / "stats.csv").exists() and (d / "risk.csv").exists()
+
+
 class TestRisk:
     def test_outputs_and_drawdown_rows(self, sim_ws, sim_cfg):
         d = sim_ws / "risk1"

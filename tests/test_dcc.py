@@ -113,6 +113,38 @@ class TestFilter:
             dcc_filter(Z, DccParams(alpha=0.05, beta=0.9, joint_shape=8.0), np.eye(3))
 
 
+def _loop_filter(Z, alpha, beta, Qbar):
+    # reference: the correlation recursion one date at a time
+    T, k = Z.shape
+    Q = np.empty((T, k, k))
+    Q[0] = Qbar
+    for t in range(1, T):
+        Q[t] = Qbar * (1 - alpha - beta) + alpha * np.outer(Z[t - 1], Z[t - 1]) + beta * Q[t - 1]
+    return Q
+
+
+class TestScanMatchesLoop:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("T", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("alpha,beta", [
+        (0.05, 0.0), (0.05, 0.9), (0.02, 0.97), (0.0299, 0.97), (1e-6, 1 - 2e-6),
+    ])
+    def test_q_path(self, k, T, alpha, beta):
+        rng = np.random.default_rng(100 * k + T)
+        Z = rng.standard_normal((T, k))
+        Qbar = np.full((k, k), 0.3)
+        np.fill_diagonal(Qbar, 1.0)
+        Q, R = dcc_filter(Z, DccParams(alpha=alpha, beta=beta, joint_shape=8.0), Qbar)
+        ref = _loop_filter(Z, alpha, beta, Qbar)
+        # relative to each entry's scale sqrt(Q_ii Q_jj): off-diagonal
+        # entries pass through zero, where an entrywise ratio means nothing
+        d = np.sqrt(np.diagonal(ref, axis1=1, axis2=2))
+        scale = d[:, :, None] * d[:, None, :]
+        assert np.max(np.abs(Q - ref) / scale) < 1e-13
+        assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
+        np.testing.assert_allclose(R, ref / scale, rtol=0, atol=1e-13)
+
+
 class TestLoglik:
     def test_matches_per_step_oracle(self):
         _, Z = _panel(n=150, k=2, seed=4)
@@ -152,6 +184,14 @@ class TestFit:
         # stage-2 loglik is reproducible from the stored pieces
         Z = np.column_stack([f.z for f in fits])
         assert dcc_loglik(Z, p, joint.Qbar) == pytest.approx(joint.loglik_joint, abs=1e-9)
+
+    def test_duplicate_asset_names_the_pair(self):
+        returns, _ = _panel(n=300, k=2, seed=16)
+        a = fit_egarch(_series(returns[:, 0], "A0"))
+        b = fit_egarch(_series(returns[:, 1], "A1"))
+        twin = fit_egarch(_series(returns[:, 0], "A0_TWIN"))
+        with pytest.raises(DataError, match="A0 and A0_TWIN are collinear"):
+            fit_dcc([a, b, twin])
 
     def test_needs_two_fits(self):
         returns, _ = _panel(n=300, k=2, seed=7)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from volrisk.distributions import InnovationDist, abs_moment
 from volrisk.egarch import (
+    _cascade,
     EgarchParams,
     Garch11Params,
     MeanParams,
@@ -23,6 +24,7 @@ from volrisk.egarch import (
     simulate_garch11,
 )
 from volrisk.market_data import DegenerateSeriesError
+from volrisk.optimize import ParamSpace, finite_diff_gradient
 
 T7 = InnovationDist("student_t", shape=7.0)
 
@@ -245,6 +247,29 @@ class TestFit:
         est = dict(zip(fit.param_names, fit.estimates))
         assert "skew" in est
         assert est["skew"] < 1.1
+
+
+class TestCascade:
+    SPACE = ParamSpace((("a", "free"), ("b", "positive")))
+
+    def _gmax(self, neg, x):
+        g = finite_diff_gradient(lambda y: neg(self.SPACE.from_unconstrained(y)),
+                                 self.SPACE.to_unconstrained(x))
+        return float(np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("ripple", [0.0, 1e-3])
+    def test_converged_is_gradient_rule(self, ripple):
+        # a smooth bowl settles; a fine ripple keeps the difference gradient
+        # far above 1e-3 however well the simplex does
+        def neg(x):
+            return ((x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2
+                    + ripple * math.sin(1e6 * x[0]))
+
+        best, gmax, converged = _cascade(neg, self.SPACE, [0.0, 1.0])
+        assert gmax == self._gmax(neg, best.x_opt)
+        assert converged == (gmax < 1e-3)
+        assert converged == (ripple == 0.0)
+        assert best.x_opt[0] == pytest.approx(0.3, abs=1e-2)
 
 
 class TestParamValidation:
