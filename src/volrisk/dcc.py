@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import optimize as opt_mod
-from .egarch import EgarchFit, EgarchParams, _cascade, _std_errors, aic
+from .egarch import EgarchFit, EgarchParams, _fit, _scan, _std_errors, aic
 from .market_data import DataError, DegenerateSeriesError
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "unconditional_corr",
     "dcc_filter",
     "dcc_loglik",
+    "dcc_score",
     "fit_dcc",
     "conditional_covariance",
     "dynamic_correlation",
@@ -133,21 +134,16 @@ def unconditional_corr(Z) -> np.ndarray:
 
 def _filter_core(Z: np.ndarray, alpha: float, beta: float, Qbar: np.ndarray):
     # With x_0 = Qbar and x_t = C + alpha z_{t-1} z_{t-1}', the recursion
-    # Q_t = x_t + beta Q_{t-1} is first-order linear: Q_t is the sum over j
-    # of beta^j x_{t-j}.  A doubling scan gets there in log2(T) passes; after
-    # the pass with shift s, row t holds the sum over its last 2s terms.  It
-    # runs on the upper-triangle entries, one row per date, so each shifted
-    # slice is a single contiguous block.
+    # Q_t = x_t + beta Q_{t-1} is first-order linear, so it runs as a
+    # doubling scan on the upper-triangle entries, one row per date, so
+    # each shifted slice is a single contiguous block.
     T, k = Z.shape
     iu, ju = np.triu_indices(k)
     Y = np.empty((T, iu.size))
     Y[0] = Qbar[iu, ju]
     Y[1:] = alpha * (Z[:-1, iu] * Z[:-1, ju])
     Y[1:] += Qbar[iu, ju] * (1.0 - alpha - beta)
-    s = 1
-    while s < T:
-        Y[s:] += beta ** s * Y[:-s]
-        s *= 2
+    _scan(Y, beta)
     Q = np.empty((T, k, k))
     Q[:, iu, ju] = Y
     Q[:, ju, iu] = Y
@@ -180,18 +176,16 @@ def dcc_filter(Z, params: DccParams, Qbar) -> tuple:
     return Q, R
 
 
-def dcc_loglik(Z, params: DccParams, Qbar) -> float:
-    """Sum over t of the standardized multivariate-t log density at z_t
-    under R_t; non-finite trial values collapse to -inf."""
-    Z = _as_panel(Z)
-    nu = params.joint_shape
-    _, R = _filter_core(Z, params.alpha, params.beta, np.asarray(Qbar, dtype=float))
+def _mvt_terms(Z: np.ndarray, R: np.ndarray, nu: float) -> "tuple | None":
+    # (loglik, L, w, q) of the standardized multivariate t at z_t under R_t,
+    # with R_t = L_t L_t', w_t = L_t^{-1} z_t and q_t = w_t'w_t; None when a
+    # path is not finite or leaves the positive-definite cone
     if not np.all(np.isfinite(R)):
-        return -math.inf
+        return None
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
-        return -math.inf
+        return None
     T, k = Z.shape
     w = np.linalg.solve(L, Z[:, :, None])[:, :, 0]
     q = np.einsum("ti,ti->t", w, w)
@@ -202,7 +196,63 @@ def dcc_loglik(Z, params: DccParams, Qbar) -> float:
         - 0.5 * k * math.log((nu - 2.0) * math.pi)
     )
     ll = float(T * const - 0.5 * logdet.sum() - (nu + k) / 2.0 * np.log1p(q / (nu - 2.0)).sum())
-    return ll if math.isfinite(ll) else -math.inf
+    return (ll, L, w, q) if math.isfinite(ll) else None
+
+
+def dcc_loglik(Z, params: DccParams, Qbar) -> float:
+    """Sum over t of the standardized multivariate-t log density at z_t
+    under R_t; non-finite trial values collapse to -inf."""
+    Z = _as_panel(Z)
+    _, R = _filter_core(Z, params.alpha, params.beta, np.asarray(Qbar, dtype=float))
+    terms = _mvt_terms(Z, R, params.joint_shape)
+    return -math.inf if terms is None else terms[0]
+
+
+def dcc_score(Z, params: DccParams, Qbar) -> tuple:
+    """Joint log-likelihood and its exact gradient in (alpha, beta,
+    joint_shape), from one pass of the recursion.
+
+    dQ_t/dalpha and dQ_t/dbeta follow the same constant-beta recursion as
+    Q_t, with inputs z_{t-1} z_{t-1}' - Qbar and Q_{t-1} - Qbar.  Then
+    dR = dQ_ij / (d_i d_j) - R_ij (dQ_ii / Q_ii + dQ_jj / Q_jj) / 2 and
+    dl_t = -tr(R^{-1} dR) / 2 + (nu + k) (u' dR u) / (2 (nu - 2 + q_t))
+    with u = R^{-1} z_t.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    """
+    Z = _as_panel(Z)
+    Qbar = np.asarray(Qbar, dtype=float)
+    alpha, beta, nu = params.alpha, params.beta, params.joint_shape
+    Q, R = _filter_core(Z, alpha, beta, Qbar)
+    terms = _mvt_terms(Z, R, nu)
+    if terms is None:
+        return -math.inf, np.full(3, math.nan)
+    ll, L, w, q = terms
+    T, k = Z.shape
+    iu, ju = np.triu_indices(k)
+    m = iu.size
+    X = np.zeros((T, 2 * m))
+    X[1:, :m] = Z[:-1, iu] * Z[:-1, ju] - Qbar[iu, ju]
+    X[1:, m:] = Q[:-1, iu, ju] - Qbar[iu, ju]
+    dQ = _scan(X, beta).reshape(T, 2, m)
+    # dR_ii = 0, so only the strict upper triangle enters, twice each
+    diag = iu == ju
+    i, j = iu[~diag], ju[~diag]
+    Qd = np.diagonal(Q, axis1=1, axis2=2)
+    rel = dQ[:, :, diag] / Qd[:, None, :]
+    dR = (dQ[:, :, ~diag] / np.sqrt(Qd[:, i] * Qd[:, j])[:, None, :]
+          - 0.5 * R[:, None, i, j] * (rel[:, :, i] + rel[:, :, j]))
+    LinvT = np.swapaxes(np.linalg.inv(L), 1, 2)
+    Rinv = LinvT @ np.swapaxes(LinvT, 1, 2)
+    u = (LinvT @ w[:, :, None])[:, :, 0]
+    W = -Rinv[:, i, j] + ((nu + k) / (nu - 2.0 + q))[:, None] * u[:, i] * u[:, j]
+    g = np.empty(3)
+    g[:2] = np.einsum("tpm,tm->p", dR, W)
+    g[2] = (
+        T * (0.5 * (_special.digamma((nu + k) / 2.0) - _special.digamma(nu / 2.0))
+             - 0.5 * k / (nu - 2.0))
+        - 0.5 * np.log1p(q / (nu - 2.0)).sum()
+        + 0.5 * (nu + k) * (q / ((nu - 2.0) * (nu - 2.0 + q))).sum()
+    )
+    return ll, g
 
 
 # smallest Cholesky pivot of the correlation target accepted as full rank;
@@ -233,16 +283,13 @@ def _check_full_rank(Qbar: np.ndarray, symbols) -> None:
     )
 
 
-def fit_dcc(fits: Sequence[EgarchFit], family: str = "student_t") -> DccFit:
+def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
     """Maximize the joint likelihood over (alpha, beta, shape) with Qbar
     fixed by covariance targeting.  Stage-1 fits are read, never mutated.
 
     The joint law is the multivariate t whatever the stage-1 innovation
-    family, so ``family`` accepts only ``"student_t"``.  Duplicate or
-    collinear assets raise DataError.
+    family.  Duplicate or collinear assets raise DataError.
     """
-    if family != "student_t":
-        raise ValueError(f"joint density supports family 'student_t', got {family!r}")
     if len(fits) < 2:
         raise DataError(f"need at least 2 stage-1 fits, got {len(fits)}")
     dates = fits[0].dates
@@ -266,7 +313,15 @@ def fit_dcc(fits: Sequence[EgarchFit], family: str = "student_t") -> DccFit:
             return math.inf
         return -dcc_loglik(Z, params, Qbar)
 
-    best, _, converged = _cascade(neg, space, [0.05, 0.90, 8.0])
+    def neg_score(x):
+        try:
+            params = DccParams(alpha=float(x[0]), beta=float(x[1]), joint_shape=float(x[2]))
+        except ValueError:
+            return math.inf, np.zeros(3)
+        ll, g = dcc_score(Z, params, Qbar)
+        return -ll, -g
+
+    best, _, converged = _fit(neg, neg_score, space, [0.05, 0.90, 8.0])
     params = DccParams(*map(float, best.x_opt))
     Q_path, R_path = dcc_filter(Z, params, Qbar)
     ll = dcc_loglik(Z, params, Qbar)
@@ -283,7 +338,8 @@ def fit_dcc(fits: Sequence[EgarchFit], family: str = "student_t") -> DccFit:
         loglik_joint=ll,
         aic_joint=a,
         aic_joint_per_obs=a / n,
-        std_errors=_std_errors(neg, space, best.x_opt),
+        std_errors=_std_errors(lambda x: neg_score(x)[1], space, best.x_opt,
+                               "joint correlation fit"),
         converged=converged,
         symbols=tuple(f.symbol for f in fits),
         dates=dates,

@@ -16,7 +16,7 @@ correlation estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize as _sopt
@@ -27,6 +27,8 @@ __all__ = [
     "logpdf",
     "cdf",
     "abs_moment",
+    "logpdf_grad",
+    "abs_moment_grad",
     "quantile",
     "mvt_logpdf",
     "sample",
@@ -95,6 +97,16 @@ def _t_abs_moment(nu: float) -> float:
     return 2.0 * (nu - 2.0) * g0 / (nu - 1.0)
 
 
+def _t_dlogpdf_dnu(z, nu: float):
+    z2 = np.asarray(z, dtype=float) ** 2
+    return (
+        0.5 * (_special.digamma((nu + 1.0) / 2.0) - _special.digamma(nu / 2.0))
+        - 0.5 / (nu - 2.0)
+        - 0.5 * np.log1p(z2 / (nu - 2.0))
+        + 0.5 * (nu + 1.0) * z2 / ((nu - 2.0) * (nu - 2.0 + z2))
+    )
+
+
 def _t_partial_first(u: float, nu: float) -> float:
     # int_{-inf}^u x g(x) dx, closed form from d/dx[-(nu-2+x^2)/(nu-1) g(x)] = x g(x)
     return -(nu - 2.0 + u * u) / (nu - 1.0) * math.exp(float(_t_logpdf(u, nu)))
@@ -159,6 +171,57 @@ def abs_moment(d: InnovationDist) -> float:
         pos_part = k * lam * lam * (_t_partial_first(c / lam, nu) - _t_partial_first(0.0, nu))
         p1 = neg_half + pos_part
     return 2.0 * (c * cdf_c - p1) / sig_x
+
+
+# relative step of the central differences in (shape, skew) for the skewed family
+_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
+
+def _central_in_params(fn, d: InnovationDist) -> list:
+    # d fn / d (shape, skew) at fixed z, never stepping below shape 2
+    out = []
+    for name in ("shape", "skew"):
+        v = getattr(d, name)
+        step = _FD_STEP * v
+        if name == "shape":
+            step = min(step, 0.5 * (v - 2.0))
+        hi = fn(replace(d, **{name: v + step}))
+        lo = fn(replace(d, **{name: v - step}))
+        out.append((hi - lo) / (2.0 * step))
+    return out
+
+
+def logpdf_grad(d: InnovationDist, z) -> tuple:
+    """Log density at ``z`` with its derivatives.
+
+    Returns ``(logpdf, dz, dparams)``: the derivative in z, and an array of
+    shape (n, m) holding the derivatives in the law's parameters at fixed
+    z, m = 1 (shape) for ``student_t`` and m = 2 (shape, skew) for
+    ``skew_student_t``.  The symmetric family is differentiated in closed
+    form; the skewed family's parameters by central differences.
+    """
+    z = np.asarray(z, dtype=float)
+    nu, lam = d.shape, d.skew
+    if d.family == "student_t":
+        lp = _t_logpdf(z, nu)
+        dz = -(nu + 1.0) * z / (nu - 2.0 + z * z)
+        return lp, dz, _t_dlogpdf_dnu(z, nu)[:, None]
+    mu_x, sig_x = _skew_moments(nu, lam)
+    x = sig_x * z + mu_x
+    slope = np.where(x >= 0.0, 1.0 / lam, lam)
+    arg = x * slope
+    dz = -(nu + 1.0) * arg / (nu - 2.0 + arg * arg) * slope * sig_x
+    dparams = np.column_stack(_central_in_params(lambda e: logpdf(e, z), d))
+    return logpdf(d, z), dz, dparams
+
+
+def abs_moment_grad(d: InnovationDist) -> np.ndarray:
+    """Derivative of E|Z| in the law's parameters, ordered as in ``logpdf_grad``."""
+    nu = d.shape
+    if d.family == "student_t":
+        dlog = 1.0 / (nu - 2.0) - 1.0 / (nu - 1.0) + float(_t_dlogpdf_dnu(0.0, nu))
+        return np.array([_t_abs_moment(nu) * dlog])
+    return np.array(_central_in_params(abs_moment, d))
 
 
 def _ppf(p, d: InnovationDist) -> np.ndarray:

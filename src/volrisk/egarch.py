@@ -9,8 +9,9 @@ coefficient xi captures asymmetric response to shocks.  A constant-mean
 GARCH(1,1) baseline (h_t = alpha0 + alpha1 eps_{t-1}^2 + gamma1 h_{t-1})
 shares the same fitting and reporting machinery.
 
-Fits are pure functions of their inputs; callers may run several in
-parallel with no coordination.
+Each likelihood has an exact score from the same pass of its filter, and
+every fit runs BFGS on it.  Fits are pure functions of their inputs;
+callers may run several in parallel with no coordination.
 """
 from __future__ import annotations
 
@@ -35,8 +36,10 @@ __all__ = [
     "mean_filter",
     "egarch_filter",
     "egarch_loglik",
+    "egarch_score",
     "garch11_filter",
     "garch11_loglik",
+    "garch11_score",
     "simulate_egarch",
     "simulate_garch11",
     "fit_egarch",
@@ -163,24 +166,81 @@ class EgarchFit:
 # ---------------------------------------------------------------------------
 # filters
 
-def _mean_resid(values, mu: float, ar: Sequence[float], ma: Sequence[float]) -> np.ndarray:
+def _scan(Y: np.ndarray, beta: float) -> np.ndarray:
+    """Y_t += beta Y_{t-1} down axis 0, in place; returns Y.
+
+    The first-order linear recursion with a constant coefficient, as a
+    doubling scan: after the pass with shift s, row t holds the sum over
+    its last 2s terms, so log2(T) vectorized passes replace the loop.
+    """
+    T = Y.shape[0]
+    s = 1
+    while s < T:
+        Y[s:] += beta ** s * Y[:-s]
+        s *= 2
+    return Y
+
+
+def _scan_varying(c: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """D_0 = V_0 and D_t = c_t D_{t-1} + V_t for rows t >= 1, where c
+    holds c_1..c_{T-1}.
+
+    The same doubling scan as ``_scan`` with a time-varying coefficient:
+    each row carries the product of the coefficients its partial sum spans.
+    """
+    T = V.shape[0]
+    P = np.empty(T)
+    P[0] = 0.0
+    P[1:] = c
+    S = np.array(V, dtype=float)
+    s = 1
+    while s < T:
+        S[s:] += P[s:, None] * S[:-s]
+        P[s:] *= P[:-s]
+        s *= 2
+    return S
+
+
+def _mean_resid(values, mu: float, ar: Sequence[float], ma: Sequence[float],
+                grad: bool = False):
+    # with grad, also returns d eps_t / d(mu, ar..., ma...) as an (n, 1+p+q) array
     p, q = len(ar), len(ma)
     if p == 0 and q == 0:
-        return np.asarray(values, dtype=float) - mu
+        eps = np.asarray(values, dtype=float) - mu
+        return (eps, np.full((eps.size, 1), -1.0)) if grad else eps
     vals = list(map(float, values))
     presample = sum(vals) / len(vals)  # r_t for t <= 0; eps_t there is 0
     eps: list = []
+    deps: list = []
     for t in range(len(vals)):
         acc = vals[t] - mu
+        lags = [vals[t - 1 - i] if t - 1 - i >= 0 else presample for i in range(p)]
         for i in range(p):
-            k = t - 1 - i
-            acc -= ar[i] * (vals[k] if k >= 0 else presample)
+            acc -= ar[i] * lags[i]
         for j in range(q):
             k = t - 1 - j
             if k >= 0:
                 acc -= ma[j] * eps[k]
         eps.append(acc)
-    return np.asarray(eps)
+        if grad:
+            row = [-1.0] + [-v for v in lags] + [
+                -eps[t - 1 - j] if t - 1 - j >= 0 else 0.0 for j in range(q)]
+            for j in range(q):
+                k = t - 1 - j
+                if k >= 0:
+                    row = [a - ma[j] * b for a, b in zip(row, deps[k])]
+            deps.append(row)
+    return (np.asarray(eps), np.asarray(deps)) if grad else np.asarray(eps)
+
+
+def _checked_resid(r: ReturnSeries, mean: MeanParams, grad: bool = False):
+    p, q = len(mean.ar), len(mean.ma)
+    n = len(r)
+    if n <= p + q + 10:
+        raise DataError(
+            f"{r.symbol}: mean filter of order ({p}, {q}) needs n > {p + q + 10}, got {n}"
+        )
+    return _mean_resid(r.values, mean.mu, mean.ar, mean.ma, grad)
 
 
 def mean_filter(r: ReturnSeries, mean: MeanParams) -> np.ndarray:
@@ -188,13 +248,7 @@ def mean_filter(r: ReturnSeries, mean: MeanParams) -> np.ndarray:
 
     Pre-sample convention: r_t = sample mean and eps_t = 0 for t <= 0.
     """
-    p, q = len(mean.ar), len(mean.ma)
-    n = len(r)
-    if n <= p + q + 10:
-        raise DataError(
-            f"{r.symbol}: mean filter of order ({p}, {q}) needs n > {p + q + 10}, got {n}"
-        )
-    return _mean_resid(r.values, mean.mu, mean.ar, mean.ma)
+    return _checked_resid(r, mean)
 
 
 def _egarch_h(eps_list, omega: float, a_mag: float, xi: float, b_pers: float,
@@ -242,14 +296,10 @@ def garch11_filter(eps, params: Garch11Params) -> np.ndarray:
     h0 = float(eps.var())
     if not h0 > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
-    a0, a1, g1 = params.alpha0, params.alpha1, params.gamma1
-    prev = h0
-    h = [h0]
-    push = h.append
-    for e in eps.tolist()[:-1]:
-        prev = a0 + a1 * e * e + g1 * prev
-        push(prev)
-    return np.asarray(h)
+    h = np.empty(eps.size)
+    h[0] = h0
+    h[1:] = params.alpha0 + params.alpha1 * eps[:-1] ** 2
+    return _scan(h, params.gamma1)
 
 
 def _path_loglik(eps: np.ndarray, h: np.ndarray, d: InnovationDist) -> float:
@@ -271,6 +321,78 @@ def garch11_loglik(r: ReturnSeries, params: Garch11Params) -> float:
     eps = r.values - params.mu
     h = garch11_filter(eps, params)
     return _path_loglik(eps, h, params.dist)
+
+
+def _path_score(eps, h, deps, dlogh, d: InnovationDist) -> tuple:
+    # loglik = sum_t logpdf(z_t) - 0.5 log h_t with z_t = eps_t h_t^(-1/2), so
+    # d loglik = sum_t psi_t / sqrt(h_t) d eps_t - 0.5 (1 + psi_t z_t) d log h_t
+    # + d logpdf / d(law) at fixed z, psi = d logpdf / dz; deps and dlogh
+    # are (n, m) derivatives in the first m parameters, the law's come last
+    sq = np.sqrt(h)
+    z = eps / sq
+    lp, psi, dlaw = dist_mod.logpdf_grad(d, z)
+    ll = float(lp.sum() - 0.5 * np.log(h).sum())
+    g = dlogh.T @ (-0.5 * (1.0 + psi * z))
+    g[: deps.shape[1]] += deps.T @ (psi / sq)
+    g[-dlaw.shape[1]:] += dlaw.sum(axis=0)
+    return ll, g
+
+
+def egarch_score(r: ReturnSeries, params: EgarchParams) -> tuple:
+    """Log-likelihood and its exact gradient, from one pass of the filter.
+
+    The gradient is ordered (mu, ar..., ma..., omega, a_mag, xi, b_pers,
+    shape[, skew]).  Given the filtered path, D_t = d log h_t / d theta
+    follows the linear recursion D_t = c_t D_{t-1} + v_t with
+    c_t = b_pers - (a_mag |z_{t-1}| + xi z_{t-1}) / 2, which runs as a
+    doubling scan.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    """
+    m = params.mean
+    d = params.dist
+    eps, deps = _checked_resid(r, m, grad=True)
+    h = egarch_filter(eps, params)
+    nm = deps.shape[1]
+    dez = dist_mod.abs_moment_grad(d)
+    n = nm + 4 + dez.size
+    if not np.all(np.isfinite(h)) or float(h.min()) <= 0.0:
+        return -math.inf, np.full(n, math.nan)
+    sq = np.sqrt(h[:-1])
+    z = eps[:-1] / sq
+    az = np.abs(z)
+    a, xi = params.a_mag, params.xi
+    V = np.zeros((eps.size, n))
+    # D_0 = d log var(eps): zero for a constant mean
+    V[0, :nm] = 2.0 * ((eps - eps.mean()) @ deps) / (eps.size * h[0])
+    V[1:, :nm] = ((a * np.sign(z) + xi) / sq)[:, None] * deps[:-1]
+    V[1:, nm] = 1.0
+    V[1:, nm + 1] = az - dist_mod.abs_moment(d)
+    V[1:, nm + 2] = z
+    V[1:, nm + 3] = np.log(h[:-1])
+    V[1:, nm + 4:] = -a * dez
+    D = _scan_varying(params.b_pers - 0.5 * (a * az + xi * z), V)
+    return _path_score(eps, h, deps, D, d)
+
+
+def garch11_score(r: ReturnSeries, params: Garch11Params) -> tuple:
+    """Log-likelihood and its exact gradient, ordered (mu, alpha0, alpha1,
+    gamma1, shape[, skew]).
+
+    d h_t / d theta = x_t + gamma1 d h_{t-1} / d theta runs on the same
+    scan as the filter.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    """
+    eps = r.values - params.mu
+    h = garch11_filter(eps, params)
+    n = 4 + (1 if params.dist.family == "student_t" else 2)
+    if not np.all(np.isfinite(h)) or float(h.min()) <= 0.0:
+        return -math.inf, np.full(n, math.nan)
+    X = np.zeros((eps.size, 4))
+    X[1:, 0] = -2.0 * params.alpha1 * eps[:-1]
+    X[1:, 1] = 1.0
+    X[1:, 2] = eps[:-1] ** 2
+    X[1:, 3] = h[:-1]
+    dlogh = np.zeros((eps.size, n))
+    dlogh[:, :4] = _scan(X, params.gamma1) / h[:, None]
+    return _path_score(eps, h, np.full((eps.size, 1), -1.0), dlogh, params.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +522,34 @@ def garch11_params_from_vector(family: str, x) -> Garch11Params:
     )
 
 
-_GMAX_SETTLED = 1e-4
 _GMAX_CONVERGED = 1e-3
+# BFGS stops once max |df/dy| of the exact score falls below this
+_G_TOL = 1e-5
 
 
-def _cascade(neg, space, x0):
-    """Simplex, restarted from its best point while the optimum looks unsettled.
+def _fit(neg, neg_score, space, x0):
+    """BFGS from ``x0`` on the exact score.
 
-    Returns ``(best, gmax, converged)``.  ``gmax`` is max |df/dy| at the
-    returned point, by central differences in the unconstrained space;
-    the simplex restarts (at most 3) until it falls below 1e-4 or a
-    restart no longer lowers f.  ``converged`` is ``gmax < 1e-3``.
+    ``neg(x)`` is the negative loglik and ``neg_score(x)`` returns it with
+    its gradient in x from one pass of the filter; the value and the
+    gradient BFGS asks for at one point share that pass.  Returns
+    ``(best, gmax, converged)``: ``gmax`` is max |df/dy| at the returned
+    point by central differences of ``neg`` in the unconstrained space,
+    and ``converged`` is ``gmax < 1e-3``.
     """
-    def grad_max(x):
-        wrapped = lambda yy: _finite_or_big(neg, space, yy)
-        g = opt_mod.finite_diff_gradient(wrapped, space.to_unconstrained(x))
-        return float(np.max(np.abs(g)))
+    last: list = [None, None]
 
-    best = opt_mod.minimize(neg, space, x0, method="simplex")
-    gmax = grad_max(best.x_opt)
-    for _ in range(3):
-        if gmax < _GMAX_SETTLED:
-            break
-        retry = opt_mod.minimize(neg, space, best.x_opt, method="simplex")
-        if retry.f_opt >= best.f_opt:
-            break  # the simplex is deterministic: restarting again changes nothing
-        best = retry
-        gmax = grad_max(best.x_opt)
+    def scored(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if last[0] != key:
+            last[:] = key, neg_score(x)
+        return last[1]
+
+    best = opt_mod.minimize(lambda x: scored(x)[0], space, x0, method="quasi_newton",
+                            gradient=lambda x: scored(x)[1], g_tol=_G_TOL)
+    wrapped = lambda yy: _finite_or_big(neg, space, yy)
+    g = opt_mod.finite_diff_gradient(wrapped, space.to_unconstrained(best.x_opt))
+    gmax = float(np.max(np.abs(g)))
     return best, gmax, gmax < _GMAX_CONVERGED
 
 
@@ -435,27 +558,35 @@ def _finite_or_big(neg, space, y):
     return v if math.isfinite(v) else 1e100
 
 
-def _std_errors(neg, space, x_opt):
-    """Asymptotic standard errors from the inverse numerical Hessian.
+def _std_errors(grad, space, x_opt, label: str) -> dict:
+    """Asymptotic standard errors from the inverse Hessian of the negative loglik.
 
-    The Hessian is taken in the transformed space (always feasible) and
-    mapped back through the numerical Jacobian of the transform.
+    ``grad(x)`` is the exact gradient in x.  The Hessian is taken in the
+    unconstrained space (always feasible) by central differences of that
+    gradient, symmetrized, and mapped back through the transform's
+    Jacobian.  A singular Hessian gives NaN standard errors and a warning
+    naming ``label``.
     """
     y = space.to_unconstrained(x_opt)
-    wrapped = lambda yy: _finite_or_big(neg, space, yy)
-    H = opt_mod.finite_diff_hessian(wrapped, y)
-    try:
-        cov_y = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        cov_y = np.linalg.pinv(H)
     n = y.size
-    J = np.empty((n, n))
-    hstep = 1e-6
+    # the step of a second-difference Hessian: mu's curvature depends on it,
+    # since the |z| kinks make the loglik only piecewise smooth in the mean
+    eta = np.finfo(float).eps ** 0.25
+    H = np.empty((n, n))
     for j in range(n):
-        yp = y.copy(); yp[j] += hstep
-        ym = y.copy(); ym[j] -= hstep
-        J[:, j] = (space.from_unconstrained(yp) - space.from_unconstrained(ym)) / (2.0 * hstep)
-    cov_x = J @ cov_y @ J.T
+        step = eta * max(0.1, abs(y[j]))
+        cols = []
+        for sign in (1.0, -1.0):
+            yy = y.copy()
+            yy[j] += sign * step
+            cols.append(space.jacobian(yy).T @ grad(space.from_unconstrained(yy)))
+        H[:, j] = (cols[0] - cols[1]) / (2.0 * step)
+    H = 0.5 * (H + H.T)
+    if not np.all(np.isfinite(H)) or np.linalg.matrix_rank(H) < n:
+        log.warning("%s: singular Hessian; standard errors are NaN", label)
+        return {name: math.nan for name in space.names}
+    J = space.jacobian(y)
+    cov_x = J @ np.linalg.inv(H) @ J.T
     diag = np.diagonal(cov_x)
     return {
         name: (math.sqrt(v) if v > 0.0 and math.isfinite(v) else math.nan)
@@ -463,7 +594,7 @@ def _std_errors(neg, space, x_opt):
     }
 
 
-def _finish_fit(r, model, params, eps, h, neg, space, x_opt, converged) -> EgarchFit:
+def _finish_fit(r, model, params, eps, h, neg_score, space, x_opt, converged) -> EgarchFit:
     z = eps / np.sqrt(h)
     ll = _path_loglik(eps, h, params.dist)
     k = space.dimension
@@ -476,7 +607,7 @@ def _finish_fit(r, model, params, eps, h, neg, space, x_opt, converged) -> Egarc
         loglik=ll,
         aic=a,
         aic_per_obs=a / len(r),
-        std_errors=_std_errors(neg, space, x_opt),
+        std_errors=_std_errors(lambda x: neg_score(x)[1], space, x_opt, r.symbol),
         converged=converged,
         n_obs=len(r),
         k_params=k,
@@ -538,6 +669,16 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
             return -egarch_loglik(series, params)
         return neg
 
+    def make_neg_score(series):
+        def neg_score(x):
+            try:
+                params = egarch_params_from_vector(mean, family, x)
+            except ValueError:
+                return math.inf, np.zeros(space.dimension)
+            ll, g = egarch_score(series, params)
+            return -ll, -(g if mean.include_constant else g[1:])
+        return neg_score
+
     x0 = []
     if mean.include_constant:
         x0.append(float(scaled.values.mean()))
@@ -546,12 +687,12 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
     if family == "skew_student_t":
         x0.append(1.0)
 
-    best, _gmax, converged = _cascade(make_neg(scaled), space, x0)
+    best, _gmax, converged = _fit(make_neg(scaled), make_neg_score(scaled), space, x0)
     x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "egarch")
     params = egarch_params_from_vector(mean, family, x_opt)
     eps = mean_filter(r, params.mean)
     h = egarch_filter(eps, params)
-    return _finish_fit(r, "egarch", params, eps, h, make_neg(r), space, x_opt, converged)
+    return _finish_fit(r, "egarch", params, eps, h, make_neg_score(r), space, x_opt, converged)
 
 
 def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
@@ -571,16 +712,26 @@ def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
             return -garch11_loglik(series, params)
         return neg
 
+    def make_neg_score(series):
+        def neg_score(x):
+            try:
+                params = garch11_params_from_vector(family, x)
+            except ValueError:
+                return math.inf, np.zeros(space.dimension)
+            ll, g = garch11_score(series, params)
+            return -ll, -g
+        return neg_score
+
     x0 = [float(scaled.values.mean()), 0.05, 0.05, 0.90, 8.0]
     if family == "skew_student_t":
         x0.append(1.0)
 
-    best, _gmax, converged = _cascade(make_neg(scaled), space, x0)
+    best, _gmax, converged = _fit(make_neg(scaled), make_neg_score(scaled), space, x0)
     x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "garch11")
     params = garch11_params_from_vector(family, x_opt)
     eps = r.values - params.mu
     h = garch11_filter(eps, params)
-    return _finish_fit(r, "garch11", params, eps, h, make_neg(r), space, x_opt, converged)
+    return _finish_fit(r, "garch11", params, eps, h, make_neg_score(r), space, x_opt, converged)
 
 
 def aic(loglik: float, k: int) -> float:

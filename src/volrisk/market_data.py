@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import urllib.request
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
@@ -204,9 +203,6 @@ _OPTIONAL_FIELDS = ("open", "high", "low", "volume")
 
 
 def _read_text(source: str) -> str:
-    if isinstance(source, str) and source.startswith(("http://", "https://")):
-        with urllib.request.urlopen(source, timeout=60) as resp:
-            return resp.read().decode("utf-8")
     try:
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -220,7 +216,7 @@ def _parse_date(text: str) -> Date:
 
 
 def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "str | None" = None) -> PriceSeries:
-    """Load a PriceSeries from a CSV file path or plain-GET URL.
+    """Load a PriceSeries from a local CSV file.
 
     ``columns`` maps the logical fields (date, close, and optionally
     open/high/low/volume) to the header names used in the file.  Rows are

@@ -141,6 +141,34 @@ class ParamSpace:
                     x[j] = s * (1.0 - frac)
         return x
 
+    def jacobian(self, y: Sequence[float]) -> np.ndarray:
+        """Matrix dx/dy of ``from_unconstrained`` at ``y``.
+
+        A gradient g taken in the constrained coordinates maps to
+        ``jacobian(y).T @ g`` in the unconstrained ones.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.dimension,):
+            raise ValueError(f"expected {self.dimension} parameters, got shape {y.shape}")
+        J = np.zeros((y.size, y.size))
+        for i, (name, kind) in enumerate(self.params):
+            if kind == "free":
+                J[i, i] = 1.0
+            elif kind == "positive":
+                J[i, i] = math.exp(min(max(y[i], -700.0), 700.0))
+            elif kind[0] == "interval":
+                p = _clip01(expit(y[i]))
+                J[i, i] = (kind[2] - kind[1]) * p * (1.0 - p)
+            else:  # pair_sum_lt_one: x_i = s f, x_j = s (1 - f)
+                j = self._index(kind[1])
+                if i < j:
+                    s = _clip01(expit(y[i]))
+                    frac = _clip01(expit(y[j]))
+                    ds, dfrac = s * (1.0 - s), frac * (1.0 - frac)
+                    J[i, i], J[i, j] = ds * frac, s * dfrac
+                    J[j, i], J[j, j] = ds * (1.0 - frac), -s * dfrac
+        return J
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -162,6 +190,17 @@ def _wrap(objective: Callable, space: ParamSpace) -> Callable:
     return wrapped
 
 
+def _wrap_gradient(gradient: Callable, space: ParamSpace) -> Callable:
+    # chain rule into the unconstrained space; a non-finite gradient belongs
+    # to a rejected step, whose value is already _BIG
+    def wrapped(y: np.ndarray) -> np.ndarray:
+        g = np.asarray(gradient(space.from_unconstrained(y)), dtype=float)
+        g = space.jacobian(y).T @ g
+        return g if np.all(np.isfinite(g)) else np.zeros_like(g)
+
+    return wrapped
+
+
 def minimize(
     objective: Callable,
     space: ParamSpace,
@@ -172,12 +211,16 @@ def minimize(
     f_tol: float = 1e-8,
     x_tol: float = 1e-8,
     g_tol: float = 1e-8,
+    gradient: "Callable | None" = None,
 ) -> OptResult:
     """Minimize a pure objective over the constrained space.
 
     ``method`` is ``"simplex"`` (derivative-free) or ``"quasi_newton"``
-    (BFGS with finite-difference gradients).  The iteration cap is returned
-    as ``converged = False``, never raised.
+    (BFGS).  ``gradient``, used by ``"quasi_newton"`` only, maps a point to
+    the exact gradient of the objective in the constrained coordinates;
+    without it BFGS takes central differences.  The objective itself stays
+    scalar-valued.  The iteration cap is returned as ``converged = False``,
+    never raised.
     """
     if method not in ("simplex", "quasi_newton"):
         raise ValueError(f"unknown method {method!r}")
@@ -203,7 +246,8 @@ def minimize(
             wrapped,
             y0,
             method="BFGS",
-            jac=lambda y: finite_diff_gradient(wrapped, y),
+            jac=(_wrap_gradient(gradient, space) if gradient is not None
+                 else lambda y: finite_diff_gradient(wrapped, y)),
             options={"maxiter": cap, "gtol": g_tol},
         )
         grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else None

@@ -414,6 +414,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "input error" in err and "X" in err
 
+    def test_url_source_is_unreadable_file(self, tmp_path, capsys):
+        # sources are local files only; a URL is read as a path that does not exist
+        url = "http://example.invalid/x.csv"
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "X", "source": url}]})
+        assert main(["describe", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and url in err
+
     def test_validate_short_circuits(self, sim_cfg, capsys):
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from volrisk.dcc import (
     conditional_covariance,
     dcc_filter,
     dcc_loglik,
+    dcc_score,
     dynamic_correlation,
     fit_dcc,
     simulate_dcc_panel,
@@ -17,6 +18,7 @@ from volrisk.dcc import (
 )
 from volrisk.egarch import EgarchParams, MeanParams, fit_egarch
 from volrisk.market_data import DataError, ReturnSeries
+from volrisk.optimize import finite_diff_gradient
 
 D8 = InnovationDist("student_t", shape=8.0)
 
@@ -159,6 +161,29 @@ class TestLoglik:
         bad_qbar = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular target
         p = DccParams(alpha=0.01, beta=0.01, joint_shape=8.0)
         assert dcc_loglik(Z, p, bad_qbar) == -math.inf
+
+
+class TestScore:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_matches_differences(self, k):
+        _, Z = _panel(n=500, k=k, seed=10 + k)
+        Qbar = unconditional_corr(Z)
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            alpha = rng.uniform(0.01, 0.1)
+            x = np.array([alpha, rng.uniform(0.5, 0.98 - alpha), rng.uniform(4.0, 15.0)])
+            value = lambda xx: dcc_loglik(Z, DccParams(*xx), Qbar)
+            ll, g = dcc_score(Z, DccParams(*x), Qbar)
+            fd = finite_diff_gradient(value, x)
+            assert ll == value(x)
+            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5 * np.max(np.abs(fd)))
+
+    def test_infeasible_path(self):
+        Z = np.random.default_rng(5).standard_normal((60, 2))
+        bad_qbar = np.array([[1.0, 1.0], [1.0, 1.0]])
+        ll, g = dcc_score(Z, DccParams(alpha=0.01, beta=0.01, joint_shape=8.0), bad_qbar)
+        assert ll == -math.inf
+        assert np.all(np.isnan(g))
 
 
 class TestFit:

@@ -6,7 +6,9 @@ from scipy import stats
 
 from volrisk.distributions import InnovationDist, abs_moment
 from volrisk.egarch import (
-    _cascade,
+    _fit,
+    _scan_varying,
+    _std_errors,
     EgarchParams,
     Garch11Params,
     MeanParams,
@@ -15,10 +17,14 @@ from volrisk.egarch import (
     egarch_filter,
     egarch_loglik,
     egarch_param_space,
+    egarch_params_from_vector,
+    egarch_score,
     fit_egarch,
     fit_garch11,
     garch11_filter,
     garch11_loglik,
+    garch11_params_from_vector,
+    garch11_score,
     mean_filter,
     simulate_egarch,
     simulate_garch11,
@@ -249,7 +255,7 @@ class TestFit:
         assert est["skew"] < 1.1
 
 
-class TestCascade:
+class TestFitRule:
     SPACE = ParamSpace((("a", "free"), ("b", "positive")))
 
     def _gmax(self, neg, x):
@@ -259,17 +265,147 @@ class TestCascade:
 
     @pytest.mark.parametrize("ripple", [0.0, 1e-3])
     def test_converged_is_gradient_rule(self, ripple):
-        # a smooth bowl settles; a fine ripple keeps the difference gradient
-        # far above 1e-3 however well the simplex does
+        # BFGS runs on the smooth bowl's score; a fine ripple in the objective
+        # keeps its difference gradient far above 1e-3, as a kink the score
+        # does not see would, so the fit settles but does not converge
         def neg(x):
             return ((x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2
                     + ripple * math.sin(1e6 * x[0]))
 
-        best, gmax, converged = _cascade(neg, self.SPACE, [0.0, 1.0])
+        def neg_score(x):
+            return neg(x), np.array([2.0 * (x[0] - 0.3), 2.0 * (math.log(x[1]) - 0.5) / x[1]])
+
+        best, gmax, converged = _fit(neg, neg_score, self.SPACE, [0.0, 1.0])
         assert gmax == self._gmax(neg, best.x_opt)
         assert converged == (gmax < 1e-3)
         assert converged == (ripple == 0.0)
         assert best.x_opt[0] == pytest.approx(0.3, abs=1e-2)
+
+
+class TestStdErrors:
+    SPACE = ParamSpace((("a", "free"), ("b", "positive")))
+
+    def test_quadratic_curvature(self):
+        # f = (a - 0.3)^2 / (2 s^2) has standard error s in a
+        def grad(x):
+            return np.array([(x[0] - 0.3) / 0.04, 2.0 * (math.log(x[1]) - 0.5) / x[1]])
+
+        se = _std_errors(grad, self.SPACE, np.array([0.3, math.exp(0.5)]), "bowl")
+        assert se["a"] == pytest.approx(0.2, rel=1e-6)
+        # b = exp(y) with curvature 2 in y: se(b) = exp(0.5) / sqrt(2)
+        assert se["b"] == pytest.approx(math.exp(0.5) / math.sqrt(2.0), rel=1e-6)
+
+    def test_flat_direction_gives_nan_and_warns(self, caplog):
+        import logging
+
+        def grad(x):
+            return np.array([2.0 * (x[0] - 0.3), 0.0])  # nothing depends on b
+
+        with caplog.at_level(logging.WARNING, logger="volrisk.egarch"):
+            se = _std_errors(grad, self.SPACE, np.array([0.3, 1.0]), "FLAT")
+        assert all(math.isnan(v) for v in se.values())
+        assert any("FLAT" in m and "singular" in m for m in caplog.messages)
+
+
+def _loop_varying(c, V):
+    D = np.array(V, dtype=float)
+    for t in range(1, D.shape[0]):
+        D[t] += c[t - 1] * D[t - 1]
+    return D
+
+
+def _assert_score(score, value, x, rtol=1e-5):
+    ll, g = score(x)
+    fd = finite_diff_gradient(value, np.asarray(x, dtype=float))
+    assert ll == value(x)
+    # relative to each component, with the vector's size as the floor
+    np.testing.assert_allclose(g, fd, rtol=rtol, atol=rtol * np.max(np.abs(fd)))
+
+
+class TestScore:
+    @pytest.mark.parametrize("T", [1, 2, 7, 1000])
+    def test_varying_scan_matches_loop(self, T):
+        # error measured on the loop run with |c| and |V|, the scale of the
+        # sums before any cancellation
+        rng = np.random.default_rng(T)
+        c = rng.uniform(-1.1, 1.1, size=T - 1)
+        V = rng.standard_normal((T, 4))
+        got = _scan_varying(c, V)
+        scale = _loop_varying(np.abs(c), np.abs(V))
+        assert np.all(np.abs(got - _loop_varying(c, V)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("gamma1", [0.0, 0.5, 0.9, 0.999])
+    def test_garch_filter_matches_loop(self, gamma1):
+        rng = np.random.default_rng(5)
+        eps = rng.standard_normal(3000)
+        p = Garch11Params(mu=0.0, alpha0=0.05, alpha1=0.0009, gamma1=gamma1, dist=T7)
+        prev = float(eps.var())
+        loop = [prev]
+        for e in eps[:-1]:
+            prev = 0.05 + 0.0009 * e * e + gamma1 * prev
+            loop.append(prev)
+        np.testing.assert_allclose(garch11_filter(eps, p), loop, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("family,spec", [
+        ("student_t", MeanSpec()),
+        ("skew_student_t", MeanSpec()),
+        ("student_t", MeanSpec(ar_order=1, ma_order=1)),
+    ])
+    def test_egarch_score_matches_differences(self, make_series, family, spec):
+        rng = np.random.default_rng(11)
+        vals = simulate_egarch(_egarch(), 800, seed=31)
+        r = make_series(vals / vals.std())
+        for _ in range(3):
+            x = [rng.uniform(-0.05, 0.05)]
+            x += list(rng.uniform(-0.2, 0.2, size=spec.ar_order + spec.ma_order))
+            x += [rng.uniform(-0.05, 0.05), rng.uniform(0.05, 0.2),
+                  rng.uniform(-0.1, 0.0), rng.uniform(0.85, 0.97), rng.uniform(4.0, 12.0)]
+            if family == "skew_student_t":
+                x.append(rng.uniform(0.7, 1.3))
+            _assert_score(
+                lambda xx: egarch_score(r, egarch_params_from_vector(spec, family, xx)),
+                lambda xx: egarch_loglik(r, egarch_params_from_vector(spec, family, xx)),
+                x,
+            )
+
+    def test_garch_score_matches_differences(self, make_series):
+        rng = np.random.default_rng(12)
+        truth = Garch11Params(mu=0.0, alpha0=0.02, alpha1=0.08, gamma1=0.9, dist=T7)
+        vals = simulate_garch11(truth, 800, seed=32)
+        r = make_series(vals / vals.std())
+        for family in ("student_t", "skew_student_t"):
+            a1 = rng.uniform(0.03, 0.15)
+            x = [rng.uniform(-0.05, 0.05), rng.uniform(0.01, 0.1), a1,
+                 rng.uniform(0.6, 0.97 - a1), rng.uniform(4.0, 12.0)]
+            if family == "skew_student_t":
+                x.append(rng.uniform(0.7, 1.3))
+            _assert_score(
+                lambda xx: garch11_score(r, garch11_params_from_vector(family, xx)),
+                lambda xx: garch11_loglik(r, garch11_params_from_vector(family, xx)),
+                x,
+            )
+
+    def test_mu_score_jumps_at_a_return(self, make_series):
+        # with mu exactly at one return, z_t = 0 sits on the |z| kink of the
+        # recursion: the score's mu component differs across mu +- 1e-9 by
+        # the kink's own size, which central differences straddle
+        vals = simulate_egarch(_egarch(), 1000, seed=33)
+        vals = vals / vals.std()
+        r = make_series(vals)
+        space = egarch_param_space(MeanSpec(), "student_t")
+        x = np.array([vals[500], 0.0, 0.15, -0.08, 0.95, 7.0])
+        g = []
+        for mu in (vals[500] - 1e-9, vals[500] + 1e-9):
+            x[0] = mu
+            g.append(egarch_score(r, egarch_params_from_vector(MeanSpec(), "student_t", x))[1][0])
+        assert space.names[0] == "mu"
+        assert abs(g[1] - g[0]) > 1e-3
+
+    def test_divergent_path_score(self, make_series):
+        r = make_series(np.resize([5.0, -5.0], 80))
+        ll, g = egarch_score(r, _egarch(omega=60.0, a_mag=40.0, b_pers=0.999))
+        assert ll == -math.inf
+        assert np.all(np.isnan(g))
 
 
 class TestParamValidation:

@@ -74,6 +74,16 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="kind"):
             ParamSpace(params=(("x", ("simplex",)),))
 
+    def test_jacobian_matches_differences(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            y = FULL_SPACE.to_unconstrained(_random_feasible(rng))
+            fd = np.column_stack([
+                finite_diff_gradient(lambda yy: FULL_SPACE.from_unconstrained(yy)[i], y)
+                for i in range(5)
+            ]).T
+            np.testing.assert_allclose(FULL_SPACE.jacobian(y), fd, rtol=1e-7, atol=1e-9)
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             FULL_SPACE.to_unconstrained([0.0, 1.0])
@@ -99,6 +109,24 @@ class TestMinimize:
         assert res.converged
         np.testing.assert_allclose(res.x_opt, center, atol=1e-4)
         assert res.f_opt < 1e-7
+
+    def test_exact_gradient_through_transforms(self):
+        # the gradient is given in x; minimize maps it into y by the chain rule
+        center = np.array([0.5, 2.0, -0.3, 0.2, 0.5])
+
+        def f(x):
+            return float(np.sum((np.asarray(x) - center) ** 2))
+
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return 2.0 * (np.asarray(x) - center)
+
+        res = minimize(f, FULL_SPACE, [0.0, 1.0, 0.0, 0.1, 0.1], method="quasi_newton",
+                       gradient=grad)
+        np.testing.assert_allclose(res.x_opt, center, atol=1e-5)
+        assert calls
 
     def test_rosenbrock(self):
         space = ParamSpace(params=(("x", "free"), ("y", "free")))
