@@ -211,12 +211,16 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
         seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: bad seed: {exc}") from exc
+    try:
+        amount = float(raw.get("portfolio_amount", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: bad portfolio_amount: {exc}") from exc
     fields = {
         "assets": assets,
         "periods": _parse_periods(raw.get("periods")),
         "family": str(raw.get("distribution", "student_t")),
         "levels": levels,
-        "amount": float(raw.get("portfolio_amount", 1.0)),
+        "amount": amount,
         "out_dir": str(raw.get("output_dir", "out")),
         "seed": seed,
         "risk_free": risk_free,
@@ -494,10 +498,11 @@ def cmd_risk(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
     out = OutputCollector()
     out.add("risk.csv", report.to_csv())
     out.add("risk.json", _json(report.to_dict()))
+    iso = [d.isoformat() for d in panel.dates]
     for s in panel.series:
         series, _ = drawdown(s)
         lines = ["date,drawdown"]
-        lines.extend(f"{d.isoformat()},{v:.8f}" for d, v in series)
+        lines.extend(f"{d},{v:.8f}" for d, (_, v) in zip(iso, series))
         out.add(f"drawdown_{_slug(s.symbol)}.csv", "\n".join(lines) + "\n")
     out.write(cfg.out_dir)
     return EXIT_OK

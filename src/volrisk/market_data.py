@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
@@ -42,6 +43,12 @@ class DegenerateSeriesError(DataError):
     """A computation requires nonzero variance and the series has none."""
 
 
+def _check_increasing(name: str, dates: tuple) -> None:
+    if not all(map(operator.lt, dates, dates[1:])):
+        cur = next(cur for prev, cur in zip(dates, dates[1:]) if not cur > prev)
+        raise DataError(f"{name}: dates not strictly increasing at {cur}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -70,9 +77,7 @@ class PriceSeries:
             raise DataError(f"{self.symbol}: need at least 2 observations, got {n}")
         if self.close.shape != (n,):
             raise DataError(f"{self.symbol}: {n} dates but {self.close.shape[0]} closes")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if not cur > prev:
-                raise DataError(f"{self.symbol}: dates not strictly increasing at {cur}")
+        _check_increasing(self.symbol, self.dates)
         if not np.all(np.isfinite(self.close)) or np.any(self.close <= 0.0):
             raise DataError(f"{self.symbol}: close prices must be positive and finite")
 
@@ -114,6 +119,8 @@ class ReturnPanel:
         for s in self.series:
             if s.dates != self.dates:
                 raise DataError(f"{s.symbol}: dates differ from the panel calendar")
+        # period slicing bisects the calendar
+        _check_increasing("panel", self.dates)
 
     @property
     def symbols(self) -> tuple:
@@ -206,13 +213,8 @@ def _read_text(source: str) -> str:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
-
-
-def _parse_date(text: str) -> Date:
-    # intraday timestamps truncated to the calendar day
-    return Date.fromisoformat(text.strip()[:10])
 
 
 def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "str | None" = None) -> PriceSeries:
@@ -221,60 +223,76 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     ``columns`` maps the logical fields (date, close, and optionally
     open/high/low/volume) to the header names used in the file.  Rows are
     sorted by date; malformed rows and duplicate dates are rejected with
-    the offending row reported.
+    the offending row reported.  The first line is the header; blank lines
+    after it are skipped and not counted as rows, cells missing from a
+    short row read as absent, and a header name given twice refers to its
+    last column.
     """
     mapping = dict(_DEFAULT_COLUMNS)
     if columns:
         mapping.update(columns)
-    text = _read_text(source)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise DataError(f"{source}: empty file, header row required")
-    for logical in ("date", "close"):
-        if mapping[logical] not in reader.fieldnames:
-            raise DataError(
-                f"{source}: missing column {mapping[logical]!r} "
-                f"(have {reader.fieldnames})"
-            )
-    extras_present = [
-        f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in reader.fieldnames
-    ]
-
-    rows = []
-    for idx, row in enumerate(reader, start=2):  # header is row 1
-        raw_date = row.get(mapping["date"])
-        raw_close = row.get(mapping["close"])
-        if raw_date is None or raw_close is None or raw_close.strip() == "":
-            raise DataError(f"{source}: malformed row {idx}")
-        try:
-            d = _parse_date(raw_date)
-            c = float(raw_close)
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-        if not math.isfinite(c) or c <= 0.0:
-            raise DataError(f"{source}: non-positive price at row {idx}")
-        extra_vals = {}
-        for f in extras_present:
+    reader = csv.reader(io.StringIO(_read_text(source)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{source}: empty file, header row required")
+        for logical in ("date", "close"):
+            if mapping[logical] not in header:
+                raise DataError(
+                    f"{source}: missing column {mapping[logical]!r} (have {header})"
+                )
+        col = {name: i for i, name in enumerate(header)}
+        di, ci = col[mapping["date"]], col[mapping["close"]]
+        extras = [
+            (f, col[mapping[f]])
+            for f in _OPTIONAL_FIELDS
+            if mapping.get(f) and mapping[f] in header
+        ]
+        dates, closes = [], []
+        extra_vals = [[] for _ in extras]
+        idx = 1  # header is row 1
+        for row in reader:
+            if not row:
+                continue
+            idx += 1
+            n = len(row)
+            raw_date = row[di] if di < n else None
+            raw_close = row[ci] if ci < n else None
+            if raw_date is None or raw_close is None or raw_close.strip() == "":
+                raise DataError(f"{source}: malformed row {idx}")
             try:
-                extra_vals[f] = float(row[mapping[f]])
-            except (ValueError, TypeError) as exc:
+                # intraday timestamps truncated to the calendar day
+                d = Date.fromisoformat(raw_date.strip()[:10])
+                c = float(raw_close)
+            except ValueError as exc:
                 raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-        rows.append((d, idx, c, extra_vals))
+            if not math.isfinite(c) or c <= 0.0:
+                raise DataError(f"{source}: non-positive price at row {idx}")
+            for (_, j), vals in zip(extras, extra_vals):
+                try:
+                    vals.append(float(row[j] if j < n else None))
+                except (ValueError, TypeError) as exc:
+                    raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
+            dates.append(d)
+            closes.append(c)
+    except csv.Error as exc:
+        raise DataError(f"{source}: unreadable CSV at line {reader.line_num}: {exc}") from exc
 
-    rows.sort(key=lambda t: (t[0], t[1]))
-    for (d1, _, _, _), (d2, i2, _, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"{source}: duplicate date {d2} at row {i2}")
+    # a stable sort keeps equal dates in file order, so the second of the
+    # first duplicate pair is the row reported
+    ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=len(dates))
+    order = np.argsort(ords, kind="stable")
+    ords = ords[order]
+    dup = np.flatnonzero(ords[1:] == ords[:-1])
+    if dup.size:
+        i = int(order[dup[0] + 1])
+        raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
 
-    name = symbol if symbol is not None else _infer_symbol(source)
-    kwargs = {}
-    for f in extras_present:
-        kwargs[f] = np.array([r[3][f] for r in rows])
     return PriceSeries(
-        symbol=name,
-        dates=tuple(r[0] for r in rows),
-        close=np.array([r[2] for r in rows]),
-        **kwargs,
+        symbol=symbol if symbol is not None else _infer_symbol(source),
+        dates=[dates[i] for i in order.tolist()],
+        close=np.array(closes)[order],
+        **{f: np.array(vals)[order] for (f, _), vals in zip(extras, extra_vals)},
     )
 
 
@@ -295,12 +313,19 @@ def log_returns(p: PriceSeries) -> ReturnSeries:
 
 
 def align_panel(series: Sequence[ReturnSeries], policy: str = "intersection") -> ReturnPanel:
-    """Restrict every series to the dates present in all of them."""
+    """Restrict every series to the dates present in all of them.
+
+    Every series of the panel holds the panel's own ``dates`` tuple.
+    """
     if policy != "intersection":
         raise ValueError(f"unknown alignment policy {policy!r}")
     if len(series) < 2:
         raise DataError("alignment needs at least 2 series")
-    common = set(series[0].dates)
+    dates = series[0].dates
+    if all(s.dates == dates for s in series[1:]):
+        aligned = [ReturnSeries(symbol=s.symbol, dates=dates, values=s.values) for s in series]
+        return ReturnPanel(series=tuple(aligned), dates=dates)
+    common = set(dates)
     for s in series[1:]:
         common &= set(s.dates)
     if not common:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,21 +175,27 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     return -(stats.mean + z_cf * stats.std) * amount
 
 
+def _empirical_quantiles(r: ReturnSeries, levels) -> list:
+    """Empirical (1-level)-quantiles of the returns for every level, by
+    linear interpolation between order statistics in one pass."""
+    n = len(r)
+    for level in levels:
+        _check_level(level)
+        if n < 10:
+            raise DataError(f"{r.symbol}: need at least 10 observations, got {n}")
+        needed = 1.0 / (1.0 - level)
+        if n < needed:
+            log.warning(
+                "%s: %d observations is thin for level %g (want >= %.0f)",
+                r.symbol, n, level, needed,
+            )
+    return np.quantile(r.values, [1.0 - lv for lv in levels]).tolist()
+
+
 def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     """-(empirical (1-level)-quantile of returns) W, linear interpolation
     between order statistics."""
-    _check_level(level)
-    n = len(r)
-    if n < 10:
-        raise DataError(f"{r.symbol}: need at least 10 observations, got {n}")
-    needed = 1.0 / (1.0 - level)
-    if n < needed:
-        log.warning(
-            "%s: %d observations is thin for level %g (want >= %.0f)",
-            r.symbol, n, level, needed,
-        )
-    q = float(np.quantile(r.values, 1.0 - level))
-    return -q * amount
+    return -_empirical_quantiles(r, (level,))[0] * amount
 
 
 def drawdown(r: ReturnSeries) -> tuple:
@@ -201,23 +208,17 @@ def drawdown(r: ReturnSeries) -> tuple:
     wealth = np.exp(np.cumsum(r.values))
     peak = np.maximum.accumulate(wealth)
     dd = wealth / peak - 1.0
-    series = tuple(zip(r.dates, (float(v) for v in dd)))
+    series = tuple(zip(r.dates, dd.tolist()))
     return series, float(dd.min())
 
 
 def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":
-    idx = [
-        i
-        for i, d in enumerate(r.dates)
-        if (start is None or d >= start) and (end is None or d <= end)
-    ]
-    if not idx:
+    # r is a panel series, so its dates are strictly increasing
+    lo = 0 if start is None else bisect_left(r.dates, start)
+    hi = len(r.dates) if end is None else bisect_right(r.dates, end)
+    if lo >= hi:
         return None
-    return ReturnSeries(
-        symbol=r.symbol,
-        dates=tuple(r.dates[i] for i in idx),
-        values=r.values[idx],
-    )
+    return ReturnSeries(symbol=r.symbol, dates=r.dates[lo:hi], values=r.values[lo:hi])
 
 
 def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
@@ -237,11 +238,12 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
             cell_stats = describe(sub)
             stats[(s.symbol, name)] = cell_stats
             dds[(s.symbol, name)] = drawdown(sub)
-            for lv in spec.levels:
+            quantiles = _empirical_quantiles(sub, spec.levels)
+            for lv, q in zip(spec.levels, quantiles):
                 var[(s.symbol, name, lv)] = {
                     "gaussian": gaussian_var(cell_stats, lv, spec.amount),
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": empirical_var(sub, lv, spec.amount),
+                    "empirical": -q * spec.amount,
                 }
     return RiskReport(
         spec=spec,

@@ -422,6 +422,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "input error" in err and url in err
 
+    def test_non_utf8_source_is_2(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        src.write_bytes(b"date,close\n2020-01-02,1\xff\n")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "X", "source": str(src)}]})
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "input error: X: cannot read" in err and str(src) in err
+
+    def test_field_over_csv_limit_is_2(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        src.write_text('date,close\n2020-01-02,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "X", "source": str(src)}]})
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "input error: X:" in err and str(src) in err and "field larger" in err
+
+    def test_bad_portfolio_amount_is_3(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, portfolio_amount="abc"))
+        assert main(["describe", "--config", cfg, "--validate"]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "portfolio_amount" in err
+
     def test_validate_short_circuits(self, sim_cfg, capsys):
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,226 @@
+"""Property test of the CSV price loader against a reference loader.
+
+``reference_load_price_series`` is the ``csv.DictReader`` loader that
+``load_price_series`` replaced, kept verbatim.  On any CSV text both must
+return an equal PriceSeries or raise DataError with the same message.
+"""
+import csv
+import io
+import math
+from datetime import date, timedelta
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from volrisk.market_data import (
+    _DEFAULT_COLUMNS,
+    _OPTIONAL_FIELDS,
+    DataError,
+    PriceSeries,
+    _infer_symbol,
+    _read_text,
+    load_price_series,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference loader
+
+
+def _parse_date(text: str) -> date:
+    # intraday timestamps truncated to the calendar day
+    return date.fromisoformat(text.strip()[:10])
+
+
+def reference_load_price_series(source, columns=None, *, symbol=None):
+    mapping = dict(_DEFAULT_COLUMNS)
+    if columns:
+        mapping.update(columns)
+    text = _read_text(source)
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise DataError(f"{source}: empty file, header row required")
+    for logical in ("date", "close"):
+        if mapping[logical] not in reader.fieldnames:
+            raise DataError(
+                f"{source}: missing column {mapping[logical]!r} "
+                f"(have {reader.fieldnames})"
+            )
+    extras_present = [
+        f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in reader.fieldnames
+    ]
+
+    rows = []
+    for idx, row in enumerate(reader, start=2):  # header is row 1
+        raw_date = row.get(mapping["date"])
+        raw_close = row.get(mapping["close"])
+        if raw_date is None or raw_close is None or raw_close.strip() == "":
+            raise DataError(f"{source}: malformed row {idx}")
+        try:
+            d = _parse_date(raw_date)
+            c = float(raw_close)
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
+        if not math.isfinite(c) or c <= 0.0:
+            raise DataError(f"{source}: non-positive price at row {idx}")
+        extra_vals = {}
+        for f in extras_present:
+            try:
+                extra_vals[f] = float(row[mapping[f]])
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
+        rows.append((d, idx, c, extra_vals))
+
+    rows.sort(key=lambda t: (t[0], t[1]))
+    for (d1, _, _, _), (d2, i2, _, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise DataError(f"{source}: duplicate date {d2} at row {i2}")
+
+    name = symbol if symbol is not None else _infer_symbol(source)
+    kwargs = {}
+    for f in extras_present:
+        kwargs[f] = np.array([r[3][f] for r in rows])
+    return PriceSeries(
+        symbol=name,
+        dates=tuple(r[0] for r in rows),
+        close=np.array([r[2] for r in rows]),
+        **kwargs,
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSV text generator
+
+_BASE = date(2020, 1, 1)
+_NAMES = ("date", "close", "volume", "open", "adj", "note")
+_COLUMNS = (
+    None,
+    {"volume": "volume"},
+    {"volume": "volume", "open": "open"},
+    {"close": "adj"},
+    {"date": "note", "high": "adj"},
+)
+
+
+def _valid_date_cells(d):
+    iso = d.isoformat()
+    return (iso, iso, f"{iso}T09:30:00", f"{iso} 16:00", f" {iso} ")
+
+
+@st.composite
+def _date_cell(draw):
+    d = _BASE + timedelta(days=draw(st.integers(0, 40)))
+    junk = ("not-a-date", "", "2020-13-01", "20200101")
+    return draw(st.sampled_from(_valid_date_cells(d) + junk))
+
+
+_NUMBER_CELL = st.one_of(
+    st.floats(0.01, 1e6).map(repr),
+    st.sampled_from(("nan", "inf", "-inf", "0", "-1.5", "", " ", "abc", "1e3", " 7 ")),
+)
+_TEXT_CELL = st.text(alphabet="ab ,\"1.-", max_size=6)
+_RARELY = st.sampled_from((False,) * 9 + (True,))
+
+
+@st.composite
+def _row(draw, header):
+    cells = []
+    for name in header:
+        if name == "date" or (name == "note" and draw(st.booleans())):
+            cells.append(draw(_date_cell()))
+        elif name in ("close", "adj", "volume", "open"):
+            cells.append(draw(_NUMBER_CELL))
+        else:
+            cells.append(draw(_TEXT_CELL))
+    shape = draw(st.sampled_from(("full", "full", "full", "short", "long", "blank")))
+    if shape == "short":
+        cells = cells[:draw(st.integers(0, len(cells)))]
+    elif shape == "long":
+        cells += draw(st.lists(_TEXT_CELL, min_size=1, max_size=2))
+    elif shape == "blank":
+        cells = []
+    return cells
+
+
+@st.composite
+def _clean_rows(draw, header):
+    # cells parse unless a row is cut short; dates are shuffled and distinct unless ``unique``
+    # is off, so that most examples load or fail on a duplicate date
+    unique = draw(st.booleans())
+    offsets = draw(st.lists(st.integers(0, 40), max_size=10, unique=unique))
+    rows = []
+    for k in offsets:
+        cells = _valid_date_cells(_BASE + timedelta(days=k))
+        row = [
+            draw(st.sampled_from(cells)) if name in ("date", "note")
+            else repr(draw(st.floats(0.01, 1e6)))
+            for name in header
+        ]
+        if draw(_RARELY):
+            row = row[:draw(st.integers(0, len(row)))]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def csv_text(draw):
+    if not draw(_RARELY):
+        header = ["date", "close"] + draw(st.lists(st.sampled_from(_NAMES), max_size=3))
+        header = draw(st.permutations(header))
+    else:
+        header = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows = draw(_clean_rows(header))
+    else:
+        rows = draw(st.lists(_row(header), max_size=12))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
+    if draw(_RARELY):
+        writer.writerow([])  # a blank first line is read as the header
+    if not draw(_RARELY):
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _outcome(loader, path, columns):
+    try:
+        p = loader(path, columns)
+    except DataError as exc:
+        return ("error", str(exc))
+    extras = {
+        f: getattr(p, f).tobytes()
+        for f in ("open", "high", "low", "volume")
+        if getattr(p, f) is not None
+    }
+    return ("ok", p.symbol, p.dates, p.close.tobytes(), extras)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=csv_text(), columns=st.sampled_from(_COLUMNS))
+@example(text="date,close,volume\n2020-01-02,1,5\n2020-01-03,2\n", columns={"volume": "volume"})
+@example(text="date,close,close\n2020-01-02,1,5\n2020-01-03,2\n", columns=None)
+@example(text="date,close,close\n2020-01-02,1,5\n2020-01-03,2,6,7\n", columns=None)
+@example(text="\ndate,close\n2020-01-02,1\n2020-01-03,2\n", columns=None)
+@example(text="date,close\n2020-01-03,1\n\n2020-01-02,2\n2020-01-03T10:00,3\n", columns=None)
+def test_loader_matches_reference(tmp_path_factory, text, columns):
+    path = tmp_path_factory.getbasetemp() / "ASSET.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _outcome(reference_load_price_series, str(path), columns)
+    assert _outcome(load_price_series, str(path), columns) == expected
+
+
+def test_generator_reaches_both_outcomes(tmp_path):
+    # the property above is vacuous unless some examples load and some fail
+    path = tmp_path / "A.csv"
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(text=csv_text(), columns=st.sampled_from(_COLUMNS))
+    def probe(text, columns):
+        path.write_text(text, encoding="utf-8", newline="")
+        seen.add(_outcome(load_price_series, str(path), columns)[0])
+
+    probe()
+    assert seen == {"ok", "error"}

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -76,6 +78,17 @@ class TestLoadPriceSeries:
         with pytest.raises(DataError, match="duplicate"):
             load_price_series(write_csv("dup.csv", text))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"date,close\n2020-01-02,1\n2020-01-03,2\xff\n")
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+            load_price_series(str(path))
+
+    def test_field_over_csv_limit(self, write_csv):
+        path = write_csv("wide.csv", 'date,close\n2020-01-02,1\n2020-01-03,"' + "9" * 200_000 + '"\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}: unreadable CSV at line 3: field larger")):
+            load_price_series(path)
+
     def test_too_short(self, write_csv):
         with pytest.raises(DataError):
             load_price_series(write_csv("one.csv", "date,close\n2020-01-02,1\n"))
@@ -112,6 +125,7 @@ class TestAlign:
         b = make_series([0.1, 0.2, 0.3], symbol="b", start=date(2020, 1, 2))
         panel = align_panel([a, b])
         assert panel.dates == (date(2020, 1, 2), date(2020, 1, 3))
+        assert all(s.dates is panel.dates for s in panel.series)
         np.testing.assert_allclose(panel.series[0].values, [0.02, 0.03])
         np.testing.assert_allclose(panel.series[1].values, [0.1, 0.2])
         assert panel.symbols == ("a", "b")
@@ -125,6 +139,16 @@ class TestAlign:
     def test_needs_two(self, make_series):
         with pytest.raises(DataError):
             align_panel([make_series([0.01, 0.02])])
+
+    def test_series_share_the_panel_calendar(self, make_series):
+        # equal calendars skip the intersection; every series keeps one tuple
+        a = make_series([0.01, 0.02, 0.03], symbol="a")
+        b = make_series([0.1, 0.2, 0.3], symbol="b")
+        assert a.dates == b.dates and a.dates is not b.dates
+        panel = align_panel([a, b])
+        assert panel.dates == a.dates
+        assert all(s.dates is panel.dates for s in panel.series)
+        np.testing.assert_array_equal(panel.series[1].values, b.values)
 
     def test_unknown_policy(self, make_series):
         a = make_series([0.01, 0.02], symbol="a")
@@ -300,6 +324,15 @@ def test_return_series_rejects_non_finite():
             dates=(date(2020, 1, 1), date(2020, 1, 2)),
             values=np.array([0.01, math.nan]),
         )
+
+
+def test_panel_calendar_must_increase():
+    dates = (date(2020, 1, 2), date(2020, 1, 1))
+    s = ReturnSeries(symbol="x", dates=dates, values=np.array([0.01, 0.02]))
+    with pytest.raises(DataError, match="panel: dates not strictly increasing at 2020-01-01"):
+        ReturnPanel(series=(s,), dates=dates)
+    with pytest.raises(DataError, match="not strictly increasing"):
+        align_panel([s, dataclasses.replace(s, symbol="y")])
 
 
 def test_panel_calendar_mismatch(make_series):

@@ -2,7 +2,7 @@ import csv
 import io
 import logging
 import math
-from datetime import date
+from datetime import date, timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +14,13 @@ from volrisk.market_data import (
     DegenerateSeriesError,
     DescriptiveStats,
     ReturnPanel,
+    ReturnSeries,
     describe,
 )
 from volrisk.risk import (
     RiskReport,
     RiskSpec,
+    _restrict,
     cf_var,
     cornish_fisher_z,
     drawdown,
@@ -296,3 +298,80 @@ class TestRiskReport:
             for field in row[2:]:
                 float(field)
                 assert len(field.split(".")[1]) == 3
+
+
+def _weekday_series(n=60, symbol="WKD"):
+    # business days only, so weekends are gaps inside the calendar
+    rng = np.random.default_rng(5)
+    dates, d = [], date(2021, 1, 4)
+    while len(dates) < n:
+        if d.weekday() < 5:
+            dates.append(d)
+        d += timedelta(days=1)
+    return ReturnSeries(symbol=symbol, dates=dates, values=0.01 * rng.standard_normal(n))
+
+
+def _filter_reference(r, start, end):
+    idx = [
+        i
+        for i, d in enumerate(r.dates)
+        if (start is None or d >= start) and (end is None or d <= end)
+    ]
+    if not idx:
+        return None
+    return tuple(r.dates[i] for i in idx), r.values[idx]
+
+
+class TestRestrict:
+    def test_bisection_equals_date_filter(self):
+        r = _weekday_series()
+        first, last = r.dates[0], r.dates[-1]
+        day = timedelta(days=1)
+        bounds = [None, first - 30 * day, first - day, first, r.dates[17], date(2021, 1, 9),
+                  date(2021, 1, 10), last, last + day, last + 30 * day]
+        rng = np.random.default_rng(9)
+        bounds += [first + int(k) * day for k in rng.integers(-5, 95, size=20)]
+        for start in bounds:
+            for end in bounds:
+                if start is not None and end is not None and start > end:
+                    continue
+                sub = _restrict(r, start, end)
+                ref = _filter_reference(r, start, end)
+                if ref is None:
+                    assert sub is None, (start, end)
+                else:
+                    assert sub.dates == ref[0], (start, end)
+                    assert np.array_equal(sub.values, ref[1]), (start, end)
+
+    def test_single_day(self):
+        r = _weekday_series()
+        sub = _restrict(r, r.dates[5], r.dates[5])
+        assert sub.dates == (r.dates[5],)
+        assert sub.values.tolist() == [r.values[5]]
+
+    def test_weekend_period_has_no_observations(self):
+        r = _weekday_series()
+        saturday, sunday = date(2021, 1, 9), date(2021, 1, 10)
+        assert _restrict(r, saturday, sunday) is None
+        panel = ReturnPanel(series=(r,), dates=r.dates)
+        spec = RiskSpec(periods=(("weekend", saturday, sunday),))
+        with pytest.raises(DataError, match="no observations for WKD"):
+            risk_report(panel, spec)
+
+
+class TestBatchedEmpirical:
+    def test_equals_per_level_calls(self, make_series, caplog):
+        # 60 returns are thin for 0.99 and 0.999 but not for 0.9 or 0.95
+        levels = (0.9, 0.95, 0.99, 0.999)
+        rng = np.random.default_rng(21)
+        r = make_series(list(0.01 * rng.standard_t(4, size=60)), symbol="TAIL")
+        panel = ReturnPanel(series=(r,), dates=r.dates)
+        with caplog.at_level(logging.WARNING, logger="volrisk.risk"):
+            rep = risk_report(panel, RiskSpec(levels=levels, amount=250.0))
+        thin = [m for m in caplog.messages if "thin" in m]
+        assert len(thin) == 2
+        assert "level 0.99 " in thin[0] and "level 0.999 " in thin[1]
+        for lv in levels:
+            got = rep.var[("TAIL", "full", lv)]["empirical"]
+            assert got == empirical_var(r, lv, 250.0)
+            assert got == -float(np.quantile(r.values, 1.0 - lv)) * 250.0
