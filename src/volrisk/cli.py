@@ -121,6 +121,14 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
 
 
+def _int_key(section: dict, key: str, default: int, where: str) -> int:
+    v = section.get(key, default)
+    # bool is a subclass of int, but `true` is neither an order nor a seed
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def _parse_asset(raw, idx: int) -> AssetConfig:
     where = f"assets[{idx}]"
     if not isinstance(raw, dict):
@@ -138,13 +146,16 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
     if not isinstance(mean_raw, dict):
         raise ConfigError(f"{where}: mean must be a mapping")
     _check_keys(mean_raw, {"ar", "ma", "constant"}, f"{where}.mean")
+    constant = mean_raw.get("constant", True)
+    if not isinstance(constant, bool):
+        raise ConfigError(f"{where}.mean: 'constant' must be true or false, got {constant!r}")
     try:
         mean = MeanSpec(
-            ar_order=int(mean_raw.get("ar", 0)),
-            ma_order=int(mean_raw.get("ma", 0)),
-            include_constant=bool(mean_raw.get("constant", True)),
+            ar_order=_int_key(mean_raw, "ar", 0, f"{where}.mean"),
+            ma_order=_int_key(mean_raw, "ma", 0, f"{where}.mean"),
+            include_constant=constant,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}.mean: {exc}") from exc
     return AssetConfig(symbol=raw["symbol"], source=raw["source"], columns=columns, mean=mean)
 
@@ -207,10 +218,7 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
             risk_free = float(risk_free)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config: bad risk_free_rate: {exc}") from exc
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: bad seed: {exc}") from exc
+    seed = _int_key(raw, "seed", 0, "config")
     try:
         amount = float(raw.get("portfolio_amount", 1.0))
     except (TypeError, ValueError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import optimize as opt_mod
-from .egarch import EgarchFit, EgarchParams, _fit, _scan, _std_errors, aic
+from .egarch import EgarchFit, EgarchParams, _fit, _objectives, _scan, _std_errors, aic
 from .market_data import DataError, DegenerateSeriesError
 
 __all__ = [
@@ -306,21 +306,10 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
         ("joint_shape", ("interval", 2.0, 500.0)),
     ))
 
-    def neg(x):
-        try:
-            params = DccParams(alpha=float(x[0]), beta=float(x[1]), joint_shape=float(x[2]))
-        except ValueError:
-            return math.inf
-        return -dcc_loglik(Z, params, Qbar)
-
-    def neg_score(x):
-        try:
-            params = DccParams(alpha=float(x[0]), beta=float(x[1]), joint_shape=float(x[2]))
-        except ValueError:
-            return math.inf, np.zeros(3)
-        ll, g = dcc_score(Z, params, Qbar)
-        return -ll, -g
-
+    neg, neg_score = _objectives(lambda x: DccParams(*map(float, x)),
+                                 lambda params: dcc_loglik(Z, params, Qbar),
+                                 lambda params: dcc_score(Z, params, Qbar),
+                                 space.dimension)
     best, _, converged = _fit(neg, neg_score, space, [0.05, 0.90, 8.0])
     params = DccParams(*map(float, best.x_opt))
     Q_path, R_path = dcc_filter(Z, params, Qbar)

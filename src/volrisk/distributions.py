@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as _sopt
 from scipy import special as _special
 
 __all__ = [
@@ -241,24 +240,10 @@ def _ppf(p, d: InnovationDist) -> np.ndarray:
 
 
 def quantile(d: InnovationDist, p: float) -> float:
-    """Quantile of the standardized law, solved by bracketed root-finding on the cdf."""
+    """Quantile of the standardized law, by the closed-form inverse cdf."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
-    guess = float(_ppf(p, d))
-
-    def f(z: float) -> float:
-        return float(cdf(d, z)) - p
-
-    width = 1e-3 * max(1.0, abs(guess))
-    lo, hi = guess - width, guess + width
-    for _ in range(200):
-        if f(lo) <= 0.0 <= f(hi):
-            break
-        width *= 4.0
-        lo, hi = guess - width, guess + width
-    else:  # pragma: no cover - cdf is monotone, bracket always found
-        raise RuntimeError("failed to bracket quantile")
-    return float(_sopt.brentq(f, lo, hi, xtol=1e-12))
+    return float(_ppf(p, d))
 
 
 def mvt_logpdf(z, R, shape: float) -> float:

@@ -277,10 +277,15 @@ def _egarch_h(eps_list, omega: float, a_mag: float, xi: float, b_pers: float,
 def egarch_filter(eps, params: EgarchParams) -> np.ndarray:
     """Conditional-variance path of the log-variance recursion.
 
-    h_0 is the unconditional sample variance of eps.
+    h_0 is the unconditional sample variance of eps.  Residuals that an
+    explosive ARMA point drives out of range give an infinite path, which
+    the likelihood rejects.
     """
     eps = np.asarray(eps, dtype=float)
-    h0 = float(eps.var())
+    if not np.all(np.isfinite(eps)):
+        return np.full(eps.size, math.inf)
+    with np.errstate(over="ignore"):
+        h0 = float(eps.var())
     if not h0 > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
     ez = dist_mod.abs_moment(params.dist)
@@ -523,8 +528,33 @@ def garch11_params_from_vector(family: str, x) -> Garch11Params:
 
 
 _GMAX_CONVERGED = 1e-3
-# BFGS stops once max |df/dy| of the exact score falls below this
-_G_TOL = 1e-5
+
+
+def _objectives(unpack, loglik, score, dim: int) -> tuple:
+    """``(neg, neg_score)``: the negative loglik and the negative score of a
+    fit as functions of its parameter vector.
+
+    ``unpack(x)`` builds the model's parameters and raises ValueError at an
+    infeasible x; ``loglik(params)`` is the loglik and ``score(params)``
+    returns it with its gradient in x.  A rejected x scores inf, with a
+    zero gradient of length ``dim`` from ``neg_score``.
+    """
+    def neg(x):
+        try:
+            params = unpack(x)
+        except ValueError:
+            return math.inf
+        return -loglik(params)
+
+    def neg_score(x):
+        try:
+            params = unpack(x)
+        except ValueError:
+            return math.inf, np.zeros(dim)
+        ll, g = score(params)
+        return -ll, -g
+
+    return neg, neg_score
 
 
 def _fit(neg, neg_score, space, x0):
@@ -545,17 +575,12 @@ def _fit(neg, neg_score, space, x0):
             last[:] = key, neg_score(x)
         return last[1]
 
-    best = opt_mod.minimize(lambda x: scored(x)[0], space, x0, method="quasi_newton",
-                            gradient=lambda x: scored(x)[1], g_tol=_G_TOL)
-    wrapped = lambda yy: _finite_or_big(neg, space, yy)
-    g = opt_mod.finite_diff_gradient(wrapped, space.to_unconstrained(best.x_opt))
+    best = opt_mod.minimize(lambda x: scored(x)[0], space, x0,
+                            gradient=lambda x: scored(x)[1])
+    g = opt_mod.finite_diff_gradient(opt_mod._wrap(neg, space),
+                                     space.to_unconstrained(best.x_opt))
     gmax = float(np.max(np.abs(g)))
     return best, gmax, gmax < _GMAX_CONVERGED
-
-
-def _finite_or_big(neg, space, y):
-    v = float(neg(space.from_unconstrained(y)))
-    return v if math.isfinite(v) else 1e100
 
 
 def _std_errors(grad, space, x_opt, label: str) -> dict:
@@ -660,24 +685,14 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
     scaled, sample_var = _unit_scale(r)
     space = egarch_param_space(mean, family)
 
-    def make_neg(series):
-        def neg(x):
-            try:
-                params = egarch_params_from_vector(mean, family, x)
-            except ValueError:
-                return math.inf
-            return -egarch_loglik(series, params)
-        return neg
-
-    def make_neg_score(series):
-        def neg_score(x):
-            try:
-                params = egarch_params_from_vector(mean, family, x)
-            except ValueError:
-                return math.inf, np.zeros(space.dimension)
+    def objectives(series):
+        def score(params):
+            # the score always leads with mu, which a mean without a constant lacks
             ll, g = egarch_score(series, params)
-            return -ll, -(g if mean.include_constant else g[1:])
-        return neg_score
+            return ll, (g if mean.include_constant else g[1:])
+        return _objectives(lambda x: egarch_params_from_vector(mean, family, x),
+                           lambda params: egarch_loglik(series, params),
+                           score, space.dimension)
 
     x0 = []
     if mean.include_constant:
@@ -687,12 +702,12 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
     if family == "skew_student_t":
         x0.append(1.0)
 
-    best, _gmax, converged = _fit(make_neg(scaled), make_neg_score(scaled), space, x0)
+    best, _gmax, converged = _fit(*objectives(scaled), space, x0)
     x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "egarch")
     params = egarch_params_from_vector(mean, family, x_opt)
     eps = mean_filter(r, params.mean)
     h = egarch_filter(eps, params)
-    return _finish_fit(r, "egarch", params, eps, h, make_neg_score(r), space, x_opt, converged)
+    return _finish_fit(r, "egarch", params, eps, h, objectives(r)[1], space, x_opt, converged)
 
 
 def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
@@ -703,35 +718,22 @@ def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
     scaled, sample_var = _unit_scale(r)
     space = garch11_param_space(family)
 
-    def make_neg(series):
-        def neg(x):
-            try:
-                params = garch11_params_from_vector(family, x)
-            except ValueError:
-                return math.inf
-            return -garch11_loglik(series, params)
-        return neg
-
-    def make_neg_score(series):
-        def neg_score(x):
-            try:
-                params = garch11_params_from_vector(family, x)
-            except ValueError:
-                return math.inf, np.zeros(space.dimension)
-            ll, g = garch11_score(series, params)
-            return -ll, -g
-        return neg_score
+    def objectives(series):
+        return _objectives(lambda x: garch11_params_from_vector(family, x),
+                           lambda params: garch11_loglik(series, params),
+                           lambda params: garch11_score(series, params),
+                           space.dimension)
 
     x0 = [float(scaled.values.mean()), 0.05, 0.05, 0.90, 8.0]
     if family == "skew_student_t":
         x0.append(1.0)
 
-    best, _gmax, converged = _fit(make_neg(scaled), make_neg_score(scaled), space, x0)
+    best, _gmax, converged = _fit(*objectives(scaled), space, x0)
     x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "garch11")
     params = garch11_params_from_vector(family, x_opt)
     eps = r.values - params.mu
     h = garch11_filter(eps, params)
-    return _finish_fit(r, "garch11", params, eps, h, make_neg_score(r), space, x_opt, converged)
+    return _finish_fit(r, "garch11", params, eps, h, objectives(r)[1], space, x_opt, converged)
 
 
 def aic(loglik: float, k: int) -> float:

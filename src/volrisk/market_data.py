@@ -211,7 +211,8 @@ _OPTIONAL_FIELDS = ("open", "high", "low", "volume")
 
 def _read_text(source: str) -> str:
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheets write
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
@@ -312,13 +313,11 @@ def log_returns(p: PriceSeries) -> ReturnSeries:
     return ReturnSeries(symbol=p.symbol, dates=p.dates[1:], values=values)
 
 
-def align_panel(series: Sequence[ReturnSeries], policy: str = "intersection") -> ReturnPanel:
+def align_panel(series: Sequence[ReturnSeries]) -> ReturnPanel:
     """Restrict every series to the dates present in all of them.
 
     Every series of the panel holds the panel's own ``dates`` tuple.
     """
-    if policy != "intersection":
-        raise ValueError(f"unknown alignment policy {policy!r}")
     if len(series) < 2:
         raise DataError("alignment needs at least 2 series")
     dates = series[0].dates

@@ -2,9 +2,10 @@
 
 Constrained likelihood parameters are mapped to an open unconstrained
 space (log for positivity, scaled logistic for intervals, a joint logistic
-pair for two nonnegative parameters summing below one) and the search runs
-there.  Objectives must be pure; a non-finite value at a trial point is
-treated as a rejected step, never an error.
+pair for two nonnegative parameters summing below one) and BFGS searches
+there on the objective's exact gradient.  Objectives must be pure; a
+non-finite value at a trial point is treated as a rejected step, never an
+error.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ __all__ = [
     "OptResult",
     "minimize",
     "finite_diff_gradient",
-    "finite_diff_hessian",
 ]
 
 # large finite stand-in for +inf: rejects the step without breaking line searches
@@ -181,11 +181,8 @@ class OptResult:
 
 def _wrap(objective: Callable, space: ParamSpace) -> Callable:
     def wrapped(y: np.ndarray) -> float:
-        v = objective(space.from_unconstrained(y))
-        v = float(v)
-        if not math.isfinite(v):
-            return _BIG
-        return v
+        v = float(objective(space.from_unconstrained(y)))
+        return v if math.isfinite(v) else _BIG
 
     return wrapped
 
@@ -201,57 +198,33 @@ def _wrap_gradient(gradient: Callable, space: ParamSpace) -> Callable:
     return wrapped
 
 
+# BFGS stops after this many iterations, or once max |df/dy| falls below _G_TOL
+_MAX_ITER = 500
+_G_TOL = 1e-5
+
+
 def minimize(
     objective: Callable,
     space: ParamSpace,
     x0: Sequence[float],
-    method: str = "simplex",
     *,
-    max_iter: "int | None" = None,
-    f_tol: float = 1e-8,
-    x_tol: float = 1e-8,
-    g_tol: float = 1e-8,
-    gradient: "Callable | None" = None,
+    gradient: Callable,
 ) -> OptResult:
-    """Minimize a pure objective over the constrained space.
+    """Minimize a pure objective over the constrained space by BFGS.
 
-    ``method`` is ``"simplex"`` (derivative-free) or ``"quasi_newton"``
-    (BFGS).  ``gradient``, used by ``"quasi_newton"`` only, maps a point to
-    the exact gradient of the objective in the constrained coordinates;
-    without it BFGS takes central differences.  The objective itself stays
-    scalar-valued.  The iteration cap is returned as ``converged = False``,
-    never raised.
+    ``gradient`` maps a point to the exact gradient of the objective in the
+    constrained coordinates; the objective itself stays scalar-valued.  The
+    iteration cap or a failed line search is returned as
+    ``converged = False``, never raised.
     """
-    if method not in ("simplex", "quasi_newton"):
-        raise ValueError(f"unknown method {method!r}")
     x0 = np.asarray(x0, dtype=float)
     f0 = float(objective(x0))
     if not math.isfinite(f0):
         raise ValueError("objective is non-finite at x0")
     y0 = space.to_unconstrained(x0)
-    wrapped = _wrap(objective, space)
-
-    if method == "simplex":
-        cap = 2000 if max_iter is None else max_iter
-        res = _sopt.minimize(
-            wrapped,
-            y0,
-            method="Nelder-Mead",
-            options={"maxiter": cap, "xatol": x_tol, "fatol": f_tol},
-        )
-        grad_norm = None
-    else:
-        cap = 500 if max_iter is None else max_iter
-        res = _sopt.minimize(
-            wrapped,
-            y0,
-            method="BFGS",
-            jac=(_wrap_gradient(gradient, space) if gradient is not None
-                 else lambda y: finite_diff_gradient(wrapped, y)),
-            options={"maxiter": cap, "gtol": g_tol},
-        )
-        grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else None
-
+    res = _sopt.minimize(_wrap(objective, space), y0, (), "BFGS",
+                         jac=_wrap_gradient(gradient, space),
+                         options={"maxiter": _MAX_ITER, "gtol": _G_TOL})
     y_opt, f_opt = res.x, float(res.fun)
     if f_opt > f0:  # optimizer never reports a point worse than the start
         y_opt, f_opt = y0, f0
@@ -262,77 +235,28 @@ def minimize(
         f_opt=f_opt,
         iterations=max(1, int(res.nit)),
         converged=bool(res.success) and math.isfinite(f_opt),
-        gradient_norm=grad_norm,
+        gradient_norm=float(np.max(np.abs(res.jac))),
     )
 
 
-def finite_diff_gradient(
-    objective: Callable,
-    x: Sequence[float],
-    rel_step: "float | None" = None,
-    floor: float = 1.0,
-    scheme: str = "central",
-) -> np.ndarray:
-    """Finite-difference gradient with per-coordinate relative steps.
+def finite_diff_gradient(objective: Callable, x: Sequence[float]) -> np.ndarray:
+    """Central-difference gradient with per-coordinate relative steps.
 
-    Step for coordinate i is ``rel_step * max(floor, |x_i|)``; the floor
-    keeps near-zero coordinates measurable.  ``scheme`` is ``"central"``
-    (default) or ``"forward"`` for cross-checking.
+    The step for coordinate i is ``eps**(1/3) * max(1, |x_i|)``; the floor
+    keeps near-zero coordinates measurable.
     """
-    if scheme not in ("central", "forward"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     x = np.asarray(x, dtype=float)
-    eta = rel_step if rel_step is not None else np.finfo(float).eps ** (1.0 / 3.0)
+    eta = np.finfo(float).eps ** (1.0 / 3.0)
     g = np.empty_like(x)
-    f0 = None
-    if scheme == "forward":
-        f0 = float(objective(x))
-        if not math.isfinite(f0):
-            raise ValueError("objective is non-finite at x")
     for i in range(x.size):
-        h = eta * max(floor, abs(x[i]))
+        h = eta * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
         fp = float(objective(xp))
-        if scheme == "central":
-            xm = x.copy()
-            xm[i] -= h
-            fm = float(objective(xm))
-            if not (math.isfinite(fp) and math.isfinite(fm)):
-                raise ValueError(f"objective is non-finite near x (coordinate {i})")
-            g[i] = (fp - fm) / (2.0 * h)
-        else:
-            if not math.isfinite(fp):
-                raise ValueError(f"objective is non-finite near x (coordinate {i})")
-            g[i] = (fp - f0) / h
+        fm = float(objective(xm))
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise ValueError(f"objective is non-finite near x (coordinate {i})")
+        g[i] = (fp - fm) / (2.0 * h)
     return g
-
-
-def finite_diff_hessian(
-    objective: Callable,
-    x: Sequence[float],
-    rel_step: "float | None" = None,
-    floor: float = 0.1,
-) -> np.ndarray:
-    """Central-difference Hessian; used for asymptotic standard errors."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    eta = rel_step if rel_step is not None else np.finfo(float).eps ** 0.25
-    steps = np.array([eta * max(floor, abs(x[i])) for i in range(n)])
-    f0 = float(objective(x))
-    H = np.empty((n, n))
-
-    def at(delta):
-        return float(objective(x + delta))
-
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        H[i, i] = (at(ei) - 2.0 * f0 + at(-ei)) / (steps[i] * steps[i])
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            H[i, j] = H[j, i] = (
-                at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return H

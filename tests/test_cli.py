@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -125,6 +126,24 @@ class TestConfigParsing:
     def test_bad_distribution(self, tmp_path):
         doc = dict(MINIMAL, distribution="cauchy")
         with pytest.raises(ConfigError, match="distribution"):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+
+    @pytest.mark.parametrize("value", [1.7, True, "7", None])
+    def test_seed_must_be_integer(self, tmp_path, value):
+        doc = dict(MINIMAL, seed=value)
+        with pytest.raises(ConfigError, match="'seed' must be an integer"):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+
+    @pytest.mark.parametrize("key,value", [("ar", 1.5), ("ma", 1.0), ("ar", True), ("ma", "1")])
+    def test_arma_orders_must_be_integers(self, tmp_path, key, value):
+        doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": {key: value}}]}
+        with pytest.raises(ConfigError, match=rf"assets\[0\]\.mean: '{key}' must be an integer"):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_constant_must_be_bool(self, tmp_path, value):
+        doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": {"constant": value}}]}
+        with pytest.raises(ConfigError, match=r"assets\[0\]\.mean: 'constant' must be true or false"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
 
     def test_period_validation(self, tmp_path):
@@ -334,6 +353,24 @@ class TestFit:
         assert json.loads((d / "dcc.json").read_text())["symbols"] == ["SIM1", "SIM2"]
         assert "egarch-skew_student_t" in (d / "summary.txt").read_text()
 
+    def test_explosive_arma_trial_points_rejected(self, tmp_path):
+        # BFGS line searches try MA points whose residuals overflow; they
+        # must be rejected steps, not a "zero variance" input error
+        ws = tmp_path / "ws"
+        assert main(["simulate", "--out", str(ws), "--seed", "1001",
+                     "--assets", "3", "--length", "1000"]) == 0
+        doc = yaml.safe_load((ws / "sim_config.yaml").read_text(encoding="utf-8"))
+        for asset in doc["assets"]:
+            asset["mean"] = {"ar": 1, "ma": 1}
+        cfg = _write_cfg(tmp_path / "arma.yaml", doc)
+        d = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--config", cfg, "--out", str(d)]) in (0, 1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert {p.name for p in d.iterdir()} == {
+            "fit_SIM1.json", "fit_SIM2.json", "fit_SIM3.json", "dcc.json", "summary.txt"}
+
     def test_duplicate_asset_is_input_error(self, sim_ws, tmp_path, capsys):
         src = str(sim_ws / "sim_SIM1.csv")
         doc = {"assets": [{"symbol": "ONE", "source": src},
@@ -407,6 +444,11 @@ class TestExitCodes:
         cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, wrong=1))
         assert main(["describe", "--config", cfg]) == 3
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_fractional_seed_is_3(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, seed=1.7))
+        assert main(["describe", "--config", cfg, "--validate"]) == 3
+        assert "config error: config: 'seed' must be an integer, got 1.7" in capsys.readouterr().err
 
     def test_missing_data_is_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.yaml", MINIMAL)

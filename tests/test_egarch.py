@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from volrisk.distributions import InnovationDist, abs_moment
 from volrisk.egarch import (
     _fit,
+    _objectives,
     _scan_varying,
     _std_errors,
     EgarchParams,
@@ -136,6 +138,18 @@ class TestLoglik:
         r = make_series(np.resize([5.0, -5.0], 80))
         p = _egarch(omega=60.0, a_mag=40.0, b_pers=0.999)
         assert egarch_loglik(r, p) == -math.inf
+
+    def test_explosive_ma_is_minus_inf(self, make_series):
+        # |theta| > 1 makes the MA residuals grow like theta^t until they
+        # overflow: a trial point to reject, not a degenerate series
+        r = make_series(np.random.default_rng(4).standard_normal(1000))
+        p = _egarch(mean=MeanParams(mu=0.0, ma=(3.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert egarch_loglik(r, p) == -math.inf
+            ll, g = egarch_score(r, p)
+        assert ll == -math.inf
+        assert g.shape == (7,) and np.all(np.isnan(g))
 
     def test_scale_equivariance_identity(self, make_series):
         # r -> c r maps (mu, omega) -> (c mu, omega + (1-b) log c^2) with
@@ -280,6 +294,36 @@ class TestFitRule:
         assert converged == (gmax < 1e-3)
         assert converged == (ripple == 0.0)
         assert best.x_opt[0] == pytest.approx(0.3, abs=1e-2)
+
+
+class TestObjectives:
+    SPEC = MeanSpec()
+
+    def _objectives(self, r):
+        return _objectives(lambda x: egarch_params_from_vector(self.SPEC, "student_t", x),
+                           lambda p: egarch_loglik(r, p),
+                           lambda p: egarch_score(r, p), 6)
+
+    def test_rejected_vector_scores_inf(self, make_series):
+        r = make_series(np.random.default_rng(5).standard_normal(300))
+        neg, neg_score = self._objectives(r)
+        for x in ([0.0, -0.1, 0.1, -0.05, 1.0, 8.0],    # b_pers on the bound
+                  [0.0, -0.1, 0.1, -0.05, 0.9, 2.0]):   # shape on the bound
+            with pytest.raises(ValueError):
+                egarch_params_from_vector(self.SPEC, "student_t", x)
+            assert neg(x) == math.inf
+            f, g = neg_score(x)
+            assert f == math.inf
+            np.testing.assert_array_equal(g, np.zeros(6))
+
+    def test_feasible_vector_negates(self, make_series):
+        r = make_series(np.random.default_rng(5).standard_normal(300))
+        neg, neg_score = self._objectives(r)
+        x = [0.0, -0.1, 0.1, -0.05, 0.9, 8.0]
+        ll, g = egarch_score(r, egarch_params_from_vector(self.SPEC, "student_t", x))
+        f, ng = neg_score(x)
+        assert neg(x) == f == -ll
+        np.testing.assert_array_equal(ng, -g)
 
 
 class TestStdErrors:

@@ -212,11 +212,13 @@ def test_loader_matches_reference(tmp_path_factory, text, columns):
 
 
 def test_generator_reaches_both_outcomes(tmp_path):
-    # the property above is vacuous unless some examples load and some fail
+    # the property above is vacuous unless some examples load and some fail;
+    # about 5% of 100-example runs drew no loadable file, so the probe draws
+    # as many examples as the property does
     path = tmp_path / "A.csv"
     seen = set()
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=400, deadline=None, database=None)
     @given(text=csv_text(), columns=st.sampled_from(_COLUMNS))
     def probe(text, columns):
         path.write_text(text, encoding="utf-8", newline="")

@@ -84,6 +84,14 @@ class TestLoadPriceSeries:
         with pytest.raises(DataError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
             load_price_series(str(path))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading BOM before the header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,close\n2020-01-02,100\n2020-01-03,101\n")
+        p = load_price_series(str(path))
+        assert [d.isoformat() for d in p.dates] == ["2020-01-02", "2020-01-03"]
+        assert list(p.close) == [100.0, 101.0]
+
     def test_field_over_csv_limit(self, write_csv):
         path = write_csv("wide.csv", 'date,close\n2020-01-02,1\n2020-01-03,"' + "9" * 200_000 + '"\n')
         with pytest.raises(DataError, match=re.escape(f"{path}: unreadable CSV at line 3: field larger")):
@@ -149,12 +157,6 @@ class TestAlign:
         assert panel.dates == a.dates
         assert all(s.dates is panel.dates for s in panel.series)
         np.testing.assert_array_equal(panel.series[1].values, b.values)
-
-    def test_unknown_policy(self, make_series):
-        a = make_series([0.01, 0.02], symbol="a")
-        b = make_series([0.01, 0.02], symbol="b")
-        with pytest.raises(ValueError):
-            align_panel([a, b], policy="union")
 
 
 class TestDescribe:
