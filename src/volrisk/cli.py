@@ -129,6 +129,13 @@ def _int_key(section: dict, key: str, default: int, where: str) -> int:
     return v
 
 
+def _float_key(v, key: str, where: str) -> float:
+    # a quoted "0.95" or a `true` is a typo, not a number to coerce
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: {key!r} must be a number, got {v!r}")
+    return float(v)
+
+
 def _parse_asset(raw, idx: int) -> AssetConfig:
     where = f"assets[{idx}]"
     if not isinstance(raw, dict):
@@ -208,30 +215,17 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
     levels = raw.get("levels", _DEFAULT_LEVELS)
     if not isinstance(levels, (list, tuple)) or not levels:
         raise ConfigError("config: 'levels' must be a non-empty list")
-    try:
-        levels = tuple(float(v) for v in levels)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: bad levels: {exc}") from exc
     risk_free = raw.get("risk_free_rate")
-    if risk_free is not None:
-        try:
-            risk_free = float(risk_free)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config: bad risk_free_rate: {exc}") from exc
-    seed = _int_key(raw, "seed", 0, "config")
-    try:
-        amount = float(raw.get("portfolio_amount", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: bad portfolio_amount: {exc}") from exc
     fields = {
         "assets": assets,
         "periods": _parse_periods(raw.get("periods")),
         "family": str(raw.get("distribution", "student_t")),
-        "levels": levels,
-        "amount": amount,
+        "levels": tuple(_float_key(v, "levels", "config") for v in levels),
+        "amount": _float_key(raw.get("portfolio_amount", 1.0), "portfolio_amount", "config"),
         "out_dir": str(raw.get("output_dir", "out")),
-        "seed": seed,
-        "risk_free": risk_free,
+        "seed": _int_key(raw, "seed", 0, "config"),
+        "risk_free": (None if risk_free is None
+                      else _float_key(risk_free, "risk_free_rate", "config")),
     }
     fields.update(overrides or {})
     return RunConfig(**fields)
@@ -484,7 +478,13 @@ def cmd_fit(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
     if len(fits) >= 2:
         # the joint law of the standardized residuals is always the
         # multivariate t, whatever the stage-1 innovation family
-        joint = fit_dcc(fits)
+        try:
+            joint = fit_dcc(fits)
+        except DataError:
+            # the stage-1 fits stand on their own: write them, then fail
+            out.add("summary.txt", "\n".join(summary) + "\n")
+            out.write(cfg.out_dir)
+            raise
         out.add("dcc.json", _json(joint.to_dict(include_paths=False)))
         summary.append("")
         summary.extend(_dcc_summary_block(joint))
@@ -559,11 +559,12 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
         if d.weekday() < 5:
             dates.append(d)
         d += datetime.timedelta(days=1)
+    iso = [dt.isoformat() for dt in dates]
     out = OutputCollector()
     for j, sym in enumerate(symbols):
         prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(scale * returns[:, j]))))
         lines = ["date,close"]
-        lines.extend(f"{dt.isoformat()},{p:.10f}" for dt, p in zip(dates, prices))
+        lines.extend(f"{dt},{p:.10f}" for dt, p in zip(iso, prices))
         out.add(f"sim_{sym}.csv", "\n".join(lines) + "\n")
     root = Path(out_dir).resolve()
     cfg_doc = {
@@ -576,7 +577,7 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
             for sym in symbols
         ],
         "periods": {
-            "full": {"start": dates[1].isoformat(), "end": dates[-1].isoformat()},
+            "full": {"start": iso[1], "end": iso[-1]},
         },
     }
     out.add("sim_config.yaml", yaml.safe_dump(cfg_doc, sort_keys=True))

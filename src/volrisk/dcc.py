@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _special
 
-from . import optimize as opt_mod
-from .egarch import EgarchFit, EgarchParams, _fit, _objectives, _scan, _std_errors, aic
+from .distributions import _t_const, _t_const_dnu
+from .egarch import EgarchFit, EgarchParams, _egarch_shocks, aic
 from .market_data import DataError, DegenerateSeriesError
+from .optimize import ParamSpace, _fit, _objectives, _scan, _std_errors
 
 __all__ = [
     "DccParams",
@@ -190,12 +190,8 @@ def _mvt_terms(Z: np.ndarray, R: np.ndarray, nu: float) -> "tuple | None":
     w = np.linalg.solve(L, Z[:, :, None])[:, :, 0]
     q = np.einsum("ti,ti->t", w, w)
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-    const = (
-        _special.gammaln((nu + k) / 2.0)
-        - _special.gammaln(nu / 2.0)
-        - 0.5 * k * math.log((nu - 2.0) * math.pi)
-    )
-    ll = float(T * const - 0.5 * logdet.sum() - (nu + k) / 2.0 * np.log1p(q / (nu - 2.0)).sum())
+    ll = float(T * _t_const(nu, k) - 0.5 * logdet.sum()
+               - (nu + k) / 2.0 * np.log1p(q / (nu - 2.0)).sum())
     return (ll, L, w, q) if math.isfinite(ll) else None
 
 
@@ -247,8 +243,7 @@ def dcc_score(Z, params: DccParams, Qbar) -> tuple:
     g = np.empty(3)
     g[:2] = np.einsum("tpm,tm->p", dR, W)
     g[2] = (
-        T * (0.5 * (_special.digamma((nu + k) / 2.0) - _special.digamma(nu / 2.0))
-             - 0.5 * k / (nu - 2.0))
+        T * _t_const_dnu(nu, k)
         - 0.5 * np.log1p(q / (nu - 2.0)).sum()
         + 0.5 * (nu + k) * (q / ((nu - 2.0) * (nu - 2.0 + q))).sum()
     )
@@ -300,7 +295,7 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
     Qbar = unconditional_corr(Z)
     _check_full_rank(Qbar, [f.symbol for f in fits])
 
-    space = opt_mod.ParamSpace((
+    space = ParamSpace((
         ("alpha", ("pair_sum_lt_one", "beta")),
         ("beta", ("pair_sum_lt_one", "alpha")),
         ("joint_shape", ("interval", 2.0, 500.0)),
@@ -382,8 +377,6 @@ def simulate_dcc_panel(
     with g standard normal, W chi-square(nu), L_t the factor of R_t.
     Returns (returns, innovations), each (n, k).
     """
-    from . import distributions as dist_mod
-
     k = len(asset_params)
     if k < 2:
         raise ValueError(f"panel simulation needs >= 2 assets, got {k}")
@@ -398,14 +391,11 @@ def simulate_dcc_panel(
     rng = np.random.default_rng(seed)
     total = n + burn
 
-    ez = [dist_mod.abs_moment(p.dist) for p in asset_params]
-    logh = [p.omega / (1.0 - p.b_pers) for p in asset_params]
     Q = Qbar.copy()
     C = Qbar * (1.0 - alpha - beta)
     scale = math.sqrt(nu - 2.0)
 
     Z = np.empty((total, k))
-    returns = np.empty((total, k))
     for t in range(total):
         d = np.sqrt(np.diagonal(Q))
         R = Q / np.outer(d, d)
@@ -415,10 +405,9 @@ def simulate_dcc_panel(
         w = rng.chisquare(nu)
         z = (L @ g) * (scale / math.sqrt(w))
         Z[t] = z
-        for i, p in enumerate(asset_params):
-            h = math.exp(logh[i])
-            returns[t, i] = p.mean.mu + z[i] * math.sqrt(h)
-            logh[i] = (p.omega + p.a_mag * (abs(z[i]) - ez[i])
-                       + p.xi * z[i] + p.b_pers * logh[i])
         Q = C + alpha * np.outer(z, z) + beta * Q
+    # the correlation path never sees the returns, so each asset's
+    # log-variance recursion runs on its finished column of innovations
+    returns = np.column_stack([p.mean.mu + _egarch_shocks(p, Z[:, i])
+                               for i, p in enumerate(asset_params)])
     return returns[burn:], Z[burn:]

@@ -67,14 +67,21 @@ class InnovationDist:
 # ---------------------------------------------------------------------------
 # base standardized t (unit variance)
 
+def _t_const(nu: float, k: int):
+    # log normalizing constant of the standardized k-variate t density
+    return (_special.gammaln((nu + k) / 2.0) - _special.gammaln(nu / 2.0)
+            - 0.5 * k * math.log((nu - 2.0) * math.pi))
+
+
+def _t_const_dnu(nu: float, k: int):
+    # d _t_const(nu, k) / d nu
+    return (0.5 * (_special.digamma((nu + k) / 2.0) - _special.digamma(nu / 2.0))
+            - 0.5 * k / (nu - 2.0))
+
+
 def _t_logpdf(z, nu: float):
     z = np.asarray(z, dtype=float)
-    out = (
-        _special.gammaln((nu + 1.0) / 2.0)
-        - _special.gammaln(nu / 2.0)
-        - 0.5 * math.log((nu - 2.0) * math.pi)
-        - (nu + 1.0) / 2.0 * np.log1p(z * z / (nu - 2.0))
-    )
+    out = _t_const(nu, 1) - (nu + 1.0) / 2.0 * np.log1p(z * z / (nu - 2.0))
     return np.where(np.isfinite(z), out, -np.inf)
 
 
@@ -99,8 +106,7 @@ def _t_abs_moment(nu: float) -> float:
 def _t_dlogpdf_dnu(z, nu: float):
     z2 = np.asarray(z, dtype=float) ** 2
     return (
-        0.5 * (_special.digamma((nu + 1.0) / 2.0) - _special.digamma(nu / 2.0))
-        - 0.5 / (nu - 2.0)
+        _t_const_dnu(nu, 1)
         - 0.5 * np.log1p(z2 / (nu - 2.0))
         + 0.5 * (nu + 1.0) * z2 / ((nu - 2.0) * (nu - 2.0 + z2))
     )
@@ -270,14 +276,8 @@ def mvt_logpdf(z, R, shape: float) -> float:
     w = np.linalg.solve(L, z)
     q = float(w @ w)
     logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
-    nu = shape
-    return float(
-        _special.gammaln((nu + k) / 2.0)
-        - _special.gammaln(nu / 2.0)
-        - 0.5 * k * math.log((nu - 2.0) * math.pi)
-        - 0.5 * logdet
-        - (nu + k) / 2.0 * math.log1p(q / (nu - 2.0))
-    )
+    return float(_t_const(shape, k) - 0.5 * logdet
+                 - (shape + k) / 2.0 * math.log1p(q / (shape - 2.0)))
 
 
 def sample(d: InnovationDist, n: int, seed: int) -> np.ndarray:

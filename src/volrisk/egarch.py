@@ -26,6 +26,7 @@ from . import distributions as dist_mod
 from . import optimize as opt_mod
 from .distributions import InnovationDist
 from .market_data import DegenerateSeriesError, DataError, ReturnSeries
+from .optimize import _scan, _scan_lags, _scan_varying
 
 __all__ = [
     "MeanSpec",
@@ -166,71 +167,35 @@ class EgarchFit:
 # ---------------------------------------------------------------------------
 # filters
 
-def _scan(Y: np.ndarray, beta: float) -> np.ndarray:
-    """Y_t += beta Y_{t-1} down axis 0, in place; returns Y.
-
-    The first-order linear recursion with a constant coefficient, as a
-    doubling scan: after the pass with shift s, row t holds the sum over
-    its last 2s terms, so log2(T) vectorized passes replace the loop.
-    """
-    T = Y.shape[0]
-    s = 1
-    while s < T:
-        Y[s:] += beta ** s * Y[:-s]
-        s *= 2
-    return Y
-
-
-def _scan_varying(c: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """D_0 = V_0 and D_t = c_t D_{t-1} + V_t for rows t >= 1, where c
-    holds c_1..c_{T-1}.
-
-    The same doubling scan as ``_scan`` with a time-varying coefficient:
-    each row carries the product of the coefficients its partial sum spans.
-    """
-    T = V.shape[0]
-    P = np.empty(T)
-    P[0] = 0.0
-    P[1:] = c
-    S = np.array(V, dtype=float)
-    s = 1
-    while s < T:
-        S[s:] += P[s:, None] * S[:-s]
-        P[s:] *= P[:-s]
-        s *= 2
-    return S
+def _lags(x: np.ndarray, k: int, pre: float) -> list:
+    # the columns x_{t-1}, ..., x_{t-k}, reading pre before the first row
+    padded = np.concatenate((np.full(k, pre), x))
+    return [padded[k - 1 - i: k - 1 - i + x.size] for i in range(k)]
 
 
 def _mean_resid(values, mu: float, ar: Sequence[float], ma: Sequence[float],
                 grad: bool = False):
-    # with grad, also returns d eps_t / d(mu, ar..., ma...) as an (n, 1+p+q) array
+    # with grad, also returns d eps_t / d(mu, ar..., ma...) as an (n, 1+p+q)
+    # array; eps and each derivative column follow Y_t = U_t - sum_j ma_j Y_{t-j}
     p, q = len(ar), len(ma)
     if p == 0 and q == 0:
         eps = np.asarray(values, dtype=float) - mu
         return (eps, np.full((eps.size, 1), -1.0)) if grad else eps
-    vals = list(map(float, values))
-    presample = sum(vals) / len(vals)  # r_t for t <= 0; eps_t there is 0
-    eps: list = []
-    deps: list = []
-    for t in range(len(vals)):
-        acc = vals[t] - mu
-        lags = [vals[t - 1 - i] if t - 1 - i >= 0 else presample for i in range(p)]
-        for i in range(p):
-            acc -= ar[i] * lags[i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc -= ma[j] * eps[k]
-        eps.append(acc)
-        if grad:
-            row = [-1.0] + [-v for v in lags] + [
-                -eps[t - 1 - j] if t - 1 - j >= 0 else 0.0 for j in range(q)]
-            for j in range(q):
-                k = t - 1 - j
-                if k >= 0:
-                    row = [a - ma[j] * b for a, b in zip(row, deps[k])]
-            deps.append(row)
-    return (np.asarray(eps), np.asarray(deps)) if grad else np.asarray(eps)
+    vals = np.asarray(values, dtype=float)
+    # r_t for t <= 0 is the sample mean, summed in order; eps_t there is 0
+    lags = _lags(vals, p, sum(vals.tolist()) / vals.size)
+    eps = vals - mu
+    for a, lag in zip(ar, lags):
+        eps -= a * lag
+    neg_ma = [-m for m in ma]
+    # an explosive MA point overflows here; the variance filter rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q:
+            eps = _scan_lags(eps, neg_ma)
+        if not grad:
+            return eps
+        X = -np.column_stack([np.ones(vals.size)] + lags + _lags(eps, q, 0.0))
+        return eps, (_scan_lags(X, neg_ma) if q else X)
 
 
 def _checked_resid(r: ReturnSeries, mean: MeanParams, grad: bool = False):
@@ -403,6 +368,20 @@ def garch11_score(r: ReturnSeries, params: Garch11Params) -> tuple:
 # ---------------------------------------------------------------------------
 # simulation
 
+def _egarch_shocks(params: EgarchParams, z) -> np.ndarray:
+    """eps_t = z_t sqrt(h_t) along the log-variance recursion driven by the
+    innovations z; log h starts at its stationary mean omega/(1 - b_pers)."""
+    ez = dist_mod.abs_moment(params.dist)
+    logh = params.omega / (1.0 - params.b_pers)
+    eps = np.empty(len(z))
+    for t, zt in enumerate(z):
+        h = math.exp(logh)
+        eps[t] = zt * math.sqrt(h)
+        logh = (params.omega + params.a_mag * (abs(zt) - ez)
+                + params.xi * zt + params.b_pers * logh)
+    return eps
+
+
 def simulate_egarch(params: EgarchParams, n: int, seed: int, burn: int = 500) -> np.ndarray:
     """Simulate n returns from the model, discarding a burn-in prefix.
 
@@ -410,19 +389,9 @@ def simulate_egarch(params: EgarchParams, n: int, seed: int, burn: int = 500) ->
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = params.dist
-    z = dist_mod.sample(d, n + burn, seed)
-    ez = dist_mod.abs_moment(d)
-    mu, ar, ma = params.mean.mu, params.mean.ar, params.mean.ma
-    total = n + burn
-    logh = params.omega / (1.0 - params.b_pers)
-    eps = np.empty(total)
-    for t in range(total):
-        h = math.exp(logh)
-        eps[t] = z[t] * math.sqrt(h)
-        logh = (params.omega + params.a_mag * (abs(z[t]) - ez)
-                + params.xi * z[t] + params.b_pers * logh)
-    return _apply_mean(eps, mu, ar, ma)[burn:]
+    eps = _egarch_shocks(params, dist_mod.sample(params.dist, n + burn, seed))
+    m = params.mean
+    return _apply_mean(eps, m.mu, m.ar, m.ma)[burn:]
 
 
 def simulate_garch11(params: Garch11Params, n: int, seed: int, burn: int = 500) -> np.ndarray:
@@ -440,23 +409,19 @@ def simulate_garch11(params: Garch11Params, n: int, seed: int, burn: int = 500) 
 
 
 def _apply_mean(eps: np.ndarray, mu: float, ar, ma) -> np.ndarray:
+    # r_t = mu + eps_t + sum_i ar_i r_{t-1-i} + sum_j ma_j eps_{t-1-j}, with
+    # r_t = mu / (1 - sum ar) and eps_t = 0 before the sample
     p, q = len(ar), len(ma)
     if p == 0 and q == 0:
         return mu + eps
     denom = 1.0 - sum(ar)
     r_pre = mu / denom if denom != 0.0 else mu
-    r: list = []
-    for t in range(eps.size):
-        acc = mu + eps[t]
-        for i in range(p):
-            k = t - 1 - i
-            acc += ar[i] * (r[k] if k >= 0 else r_pre)
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc += ma[j] * eps[k]
-        r.append(acc)
-    return np.asarray(r)
+    X = mu + eps
+    for m, lag in zip(ma, _lags(eps, q, 0.0)):
+        X += m * lag
+    for i, a in enumerate(ar):
+        X[: i + 1] += a * r_pre
+    return _scan_lags(X, ar) if p else X
 
 
 # ---------------------------------------------------------------------------
@@ -527,151 +492,66 @@ def garch11_params_from_vector(family: str, x) -> Garch11Params:
     )
 
 
-_GMAX_CONVERGED = 1e-3
+def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
+                loglik, score, paths, start: list) -> EgarchFit:
+    """Shared body of ``fit_egarch`` and ``fit_garch11``.
 
-
-def _objectives(unpack, loglik, score, dim: int) -> tuple:
-    """``(neg, neg_score)``: the negative loglik and the negative score of a
-    fit as functions of its parameter vector.
-
-    ``unpack(x)`` builds the model's parameters and raises ValueError at an
-    infeasible x; ``loglik(params)`` is the loglik and ``score(params)``
-    returns it with its gradient in x.  A rejected x scores inf, with a
-    zero gradient of length ``dim`` from ``neg_score``.
+    ``unpack(x)`` builds the model's parameters, ``loglik(series, params)``
+    and ``score(series, params)`` are its likelihood and exact score, and
+    ``paths(params)`` gives (eps, h) on ``r``.  BFGS starts from mu at the
+    sample mean, then ``start``, then the law at shape 8 and skew 1.
     """
-    def neg(x):
-        try:
-            params = unpack(x)
-        except ValueError:
-            return math.inf
-        return -loglik(params)
+    n = len(r)
+    if n < 100:
+        log.warning("%s: only %d observations; estimates will be fragile", r.symbol, n)
+    # the surface is badly scaled in the mean and level parameters at raw
+    # return magnitudes; both recursions are exactly equivariant under
+    # scaling the returns, so the fit runs at unit variance and maps back
+    sample_var = float(r.values.var())
+    if sample_var <= 0.0:
+        raise DegenerateSeriesError(f"{r.symbol}: degenerate: zero variance")
+    scaled = ReturnSeries(symbol=r.symbol, dates=r.dates,
+                          values=r.values / math.sqrt(sample_var))
 
-    def neg_score(x):
-        try:
-            params = unpack(x)
-        except ValueError:
-            return math.inf, np.zeros(dim)
-        ll, g = score(params)
-        return -ll, -g
+    def objectives(series):
+        return opt_mod._objectives(unpack, lambda params: loglik(series, params),
+                                   lambda params: score(series, params), space.dimension)
 
-    return neg, neg_score
-
-
-def _fit(neg, neg_score, space, x0):
-    """BFGS from ``x0`` on the exact score.
-
-    ``neg(x)`` is the negative loglik and ``neg_score(x)`` returns it with
-    its gradient in x from one pass of the filter; the value and the
-    gradient BFGS asks for at one point share that pass.  Returns
-    ``(best, gmax, converged)``: ``gmax`` is max |df/dy| at the returned
-    point by central differences of ``neg`` in the unconstrained space,
-    and ``converged`` is ``gmax < 1e-3``.
-    """
-    last: list = [None, None]
-
-    def scored(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if last[0] != key:
-            last[:] = key, neg_score(x)
-        return last[1]
-
-    best = opt_mod.minimize(lambda x: scored(x)[0], space, x0,
-                            gradient=lambda x: scored(x)[1])
-    g = opt_mod.finite_diff_gradient(opt_mod._wrap(neg, space),
-                                     space.to_unconstrained(best.x_opt))
-    gmax = float(np.max(np.abs(g)))
-    return best, gmax, gmax < _GMAX_CONVERGED
-
-
-def _std_errors(grad, space, x_opt, label: str) -> dict:
-    """Asymptotic standard errors from the inverse Hessian of the negative loglik.
-
-    ``grad(x)`` is the exact gradient in x.  The Hessian is taken in the
-    unconstrained space (always feasible) by central differences of that
-    gradient, symmetrized, and mapped back through the transform's
-    Jacobian.  A singular Hessian gives NaN standard errors and a warning
-    naming ``label``.
-    """
-    y = space.to_unconstrained(x_opt)
-    n = y.size
-    # the step of a second-difference Hessian: mu's curvature depends on it,
-    # since the |z| kinks make the loglik only piecewise smooth in the mean
-    eta = np.finfo(float).eps ** 0.25
-    H = np.empty((n, n))
-    for j in range(n):
-        step = eta * max(0.1, abs(y[j]))
-        cols = []
-        for sign in (1.0, -1.0):
-            yy = y.copy()
-            yy[j] += sign * step
-            cols.append(space.jacobian(yy).T @ grad(space.from_unconstrained(yy)))
-        H[:, j] = (cols[0] - cols[1]) / (2.0 * step)
-    H = 0.5 * (H + H.T)
-    if not np.all(np.isfinite(H)) or np.linalg.matrix_rank(H) < n:
-        log.warning("%s: singular Hessian; standard errors are NaN", label)
-        return {name: math.nan for name in space.names}
-    J = space.jacobian(y)
-    cov_x = J @ np.linalg.inv(H) @ J.T
-    diag = np.diagonal(cov_x)
-    return {
-        name: (math.sqrt(v) if v > 0.0 and math.isfinite(v) else math.nan)
-        for name, v in zip(space.names, diag)
-    }
-
-
-def _finish_fit(r, model, params, eps, h, neg_score, space, x_opt, converged) -> EgarchFit:
-    z = eps / np.sqrt(h)
+    x0 = [float(scaled.values.mean())] if "mu" in space.names else []
+    x0 += start + ([8.0, 1.0] if "skew" in space.names else [8.0])
+    best, _gmax, converged = opt_mod._fit(*objectives(scaled), space, x0)
+    x_opt = np.array(best.x_opt, dtype=float)
+    idx = {name: i for i, name in enumerate(space.names)}
+    if "mu" in idx:
+        x_opt[idx["mu"]] *= math.sqrt(sample_var)
+    if model == "egarch":
+        x_opt[idx["omega"]] += (1.0 - x_opt[idx["b_pers"]]) * math.log(sample_var)
+    else:
+        x_opt[idx["alpha0"]] *= sample_var
+    params = unpack(x_opt)
+    eps, h = paths(params)
     ll = _path_loglik(eps, h, params.dist)
     k = space.dimension
     a = aic(ll, k)
+    neg_score = objectives(r)[1]
     return EgarchFit(
         params=params,
         h=h,
         eps=eps,
-        z=z,
+        z=eps / np.sqrt(h),
         loglik=ll,
         aic=a,
-        aic_per_obs=a / len(r),
-        std_errors=_std_errors(lambda x: neg_score(x)[1], space, x_opt, r.symbol),
+        aic_per_obs=a / n,
+        std_errors=opt_mod._std_errors(lambda x: neg_score(x)[1], space, x_opt, r.symbol),
         converged=converged,
-        n_obs=len(r),
+        n_obs=n,
         k_params=k,
         param_names=space.names,
-        estimates=np.asarray(x_opt, dtype=float),
+        estimates=x_opt,
         symbol=r.symbol,
         dates=r.dates,
         model=model,
     )
-
-
-def _unit_scale(r: ReturnSeries) -> tuple:
-    """Rescale returns to unit variance for optimization.
-
-    The likelihood surface is badly scaled in the mean and level
-    parameters at raw daily-return magnitudes; both recursions are
-    exactly equivariant under this rescaling, so estimates map back
-    analytically.
-    """
-    sample_var = float(r.values.var())
-    if sample_var <= 0.0:
-        raise DegenerateSeriesError(f"{r.symbol}: degenerate: zero variance")
-    scaled = ReturnSeries(
-        symbol=r.symbol, dates=r.dates, values=r.values / math.sqrt(sample_var)
-    )
-    return scaled, sample_var
-
-
-def _rescale_vector(names, x, sample_var: float, model: str) -> np.ndarray:
-    """Map unit-variance-scale estimates back to the data scale."""
-    x = np.array(x, dtype=float)
-    idx = {n: i for i, n in enumerate(names)}
-    if "mu" in idx:
-        x[idx["mu"]] *= math.sqrt(sample_var)
-    if model == "egarch":
-        x[idx["omega"]] += (1.0 - x[idx["b_pers"]]) * math.log(sample_var)
-    else:
-        x[idx["alpha0"]] *= sample_var
-    return x
 
 
 def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "student_t") -> EgarchFit:
@@ -679,61 +559,30 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
 
     Non-convergence is reported through ``converged=False``, not raised.
     """
-    n = len(r)
-    if n < 100:
-        log.warning("%s: only %d observations; estimates will be fragile", r.symbol, n)
-    scaled, sample_var = _unit_scale(r)
-    space = egarch_param_space(mean, family)
+    def score(series, params):
+        # the score always leads with mu, which a mean without a constant lacks
+        ll, g = egarch_score(series, params)
+        return ll, (g if mean.include_constant else g[1:])
 
-    def objectives(series):
-        def score(params):
-            # the score always leads with mu, which a mean without a constant lacks
-            ll, g = egarch_score(series, params)
-            return ll, (g if mean.include_constant else g[1:])
-        return _objectives(lambda x: egarch_params_from_vector(mean, family, x),
-                           lambda params: egarch_loglik(series, params),
-                           score, space.dimension)
+    def paths(params):
+        eps = mean_filter(r, params.mean)
+        return eps, egarch_filter(eps, params)
 
-    x0 = []
-    if mean.include_constant:
-        x0.append(float(scaled.values.mean()))
-    x0 += [0.0] * (mean.ar_order + mean.ma_order)
-    x0 += [0.0, 0.1, -0.05, _B0_START, 8.0]
-    if family == "skew_student_t":
-        x0.append(1.0)
-
-    best, _gmax, converged = _fit(*objectives(scaled), space, x0)
-    x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "egarch")
-    params = egarch_params_from_vector(mean, family, x_opt)
-    eps = mean_filter(r, params.mean)
-    h = egarch_filter(eps, params)
-    return _finish_fit(r, "egarch", params, eps, h, objectives(r)[1], space, x_opt, converged)
+    return _fit_series(r, "egarch", egarch_param_space(mean, family),
+                       lambda x: egarch_params_from_vector(mean, family, x),
+                       egarch_loglik, score, paths,
+                       [0.0] * (mean.ar_order + mean.ma_order) + [0.0, 0.1, -0.05, _B0_START])
 
 
 def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
     """Constant-mean GARCH(1,1) baseline fit, same reporting surface."""
-    n = len(r)
-    if n < 100:
-        log.warning("%s: only %d observations; estimates will be fragile", r.symbol, n)
-    scaled, sample_var = _unit_scale(r)
-    space = garch11_param_space(family)
+    def paths(params):
+        eps = r.values - params.mu
+        return eps, garch11_filter(eps, params)
 
-    def objectives(series):
-        return _objectives(lambda x: garch11_params_from_vector(family, x),
-                           lambda params: garch11_loglik(series, params),
-                           lambda params: garch11_score(series, params),
-                           space.dimension)
-
-    x0 = [float(scaled.values.mean()), 0.05, 0.05, 0.90, 8.0]
-    if family == "skew_student_t":
-        x0.append(1.0)
-
-    best, _gmax, converged = _fit(*objectives(scaled), space, x0)
-    x_opt = _rescale_vector(space.names, best.x_opt, sample_var, "garch11")
-    params = garch11_params_from_vector(family, x_opt)
-    eps = r.values - params.mu
-    h = garch11_filter(eps, params)
-    return _finish_fit(r, "garch11", params, eps, h, objectives(r)[1], space, x_opt, converged)
+    return _fit_series(r, "garch11", garch11_param_space(family),
+                       lambda x: garch11_params_from_vector(family, x),
+                       garch11_loglik, garch11_score, paths, [0.05, 0.05, 0.90])
 
 
 def aic(loglik: float, k: int) -> float:

@@ -1,4 +1,4 @@
-"""Parameter transforms and unconstrained minimization.
+"""Parameter transforms, unconstrained minimization, and the fit driver.
 
 Constrained likelihood parameters are mapped to an open unconstrained
 space (log for positivity, scaled logistic for intervals, a joint logistic
@@ -6,9 +6,14 @@ pair for two nonnegative parameters summing below one) and BFGS searches
 there on the objective's exact gradient.  Objectives must be pure; a
 non-finite value at a trial point is treated as a rejected step, never an
 error.
+
+Every model's fit runs through the private driver here: the objective
+pair, BFGS, the converged rule and standard errors, plus the doubling
+scans that carry the linear recursions of the filters and their scores.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,6 +28,8 @@ __all__ = [
     "minimize",
     "finite_diff_gradient",
 ]
+
+log = logging.getLogger("volrisk.optimize")
 
 # large finite stand-in for +inf: rejects the step without breaking line searches
 _BIG = 1e100
@@ -260,3 +267,157 @@ def finite_diff_gradient(objective: Callable, x: Sequence[float]) -> np.ndarray:
             raise ValueError(f"objective is non-finite near x (coordinate {i})")
         g[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+# ---------------------------------------------------------------------------
+# fitting a likelihood on its exact score
+
+_GMAX_CONVERGED = 1e-3
+
+
+def _objectives(unpack, loglik, score, dim: int) -> tuple:
+    """``(neg, neg_score)``: the negative loglik and the negative score of a
+    fit as functions of its parameter vector.
+
+    ``unpack(x)`` builds the model's parameters and raises ValueError at an
+    infeasible x; ``loglik(params)`` is the loglik and ``score(params)``
+    returns it with its gradient in x.  A rejected x scores inf, with a
+    zero gradient of length ``dim`` from ``neg_score``.
+    """
+    def neg(x):
+        try:
+            params = unpack(x)
+        except ValueError:
+            return math.inf
+        return -loglik(params)
+
+    def neg_score(x):
+        try:
+            params = unpack(x)
+        except ValueError:
+            return math.inf, np.zeros(dim)
+        ll, g = score(params)
+        return -ll, -g
+
+    return neg, neg_score
+
+
+def _fit(neg, neg_score, space, x0):
+    """BFGS from ``x0`` on the exact score.
+
+    ``neg(x)`` is the negative loglik and ``neg_score(x)`` returns it with
+    its gradient in x from one pass of the filter; the value and the
+    gradient BFGS asks for at one point share that pass.  Returns
+    ``(best, gmax, converged)``: ``gmax`` is max |df/dy| at the returned
+    point by central differences of ``neg`` in the unconstrained space,
+    and ``converged`` is ``gmax < 1e-3``.
+    """
+    last: list = [None, None]
+
+    def scored(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if last[0] != key:
+            last[:] = key, neg_score(x)
+        return last[1]
+
+    best = minimize(lambda x: scored(x)[0], space, x0,
+                    gradient=lambda x: scored(x)[1])
+    g = finite_diff_gradient(_wrap(neg, space),
+                             space.to_unconstrained(best.x_opt))
+    gmax = float(np.max(np.abs(g)))
+    return best, gmax, gmax < _GMAX_CONVERGED
+
+
+def _std_errors(grad, space, x_opt, label: str) -> dict:
+    """Asymptotic standard errors from the inverse Hessian of the negative loglik.
+
+    ``grad(x)`` is the exact gradient in x.  The Hessian is taken in the
+    unconstrained space (always feasible) by central differences of that
+    gradient, symmetrized, and mapped back through the transform's
+    Jacobian.  A singular Hessian gives NaN standard errors and a warning
+    naming ``label``.
+    """
+    y = space.to_unconstrained(x_opt)
+    n = y.size
+    # the step of a second-difference Hessian: mu's curvature depends on it,
+    # since the |z| kinks make the loglik only piecewise smooth in the mean
+    eta = np.finfo(float).eps ** 0.25
+    H = np.empty((n, n))
+    for j in range(n):
+        step = eta * max(0.1, abs(y[j]))
+        cols = []
+        for sign in (1.0, -1.0):
+            yy = y.copy()
+            yy[j] += sign * step
+            cols.append(space.jacobian(yy).T @ grad(space.from_unconstrained(yy)))
+        H[:, j] = (cols[0] - cols[1]) / (2.0 * step)
+    H = 0.5 * (H + H.T)
+    if not np.all(np.isfinite(H)) or np.linalg.matrix_rank(H) < n:
+        log.warning("%s: singular Hessian; standard errors are NaN", label)
+        return {name: math.nan for name in space.names}
+    J = space.jacobian(y)
+    cov_x = J @ np.linalg.inv(H) @ J.T
+    diag = np.diagonal(cov_x)
+    return {
+        name: (math.sqrt(v) if v > 0.0 and math.isfinite(v) else math.nan)
+        for name, v in zip(space.names, diag)
+    }
+
+
+# ---------------------------------------------------------------------------
+# linear recursions as doubling scans
+
+def _scan(Y: np.ndarray, beta: float) -> np.ndarray:
+    """Y_t += beta Y_{t-1} down axis 0, in place; returns Y.
+
+    The first-order linear recursion with a constant coefficient, as a
+    doubling scan: after the pass with shift s, row t holds the sum over
+    its last 2s terms, so log2(T) vectorized passes replace the loop.
+    """
+    T = Y.shape[0]
+    s = 1
+    while s < T:
+        Y[s:] += beta ** s * Y[:-s]
+        s *= 2
+    return Y
+
+
+def _scan_varying(c: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """D_0 = V_0 and D_t = c_t D_{t-1} + V_t for rows t >= 1, where c
+    holds c_1..c_{T-1}.
+
+    The same doubling scan as ``_scan`` with a time-varying coefficient:
+    each row carries the product of the coefficients its partial sum spans.
+    """
+    T = V.shape[0]
+    P = np.empty(T)
+    P[0] = 0.0
+    P[1:] = c
+    S = np.array(V, dtype=float)
+    s = 1
+    while s < T:
+        S[s:] += P[s:, None] * S[:-s]
+        P[s:] *= P[:-s]
+        s *= 2
+    return S
+
+
+def _scan_lags(X: np.ndarray, c: Sequence[float]) -> np.ndarray:
+    """Y_t = X_t + sum_j c_j Y_{t-j}, j = 1..q, down axis 0, with Y_t = 0
+    before the first row.
+
+    The order-q recursion as the doubling scan of its companion form: each
+    row carries the state (Y_t, ..., Y_{t-q+1}), and the pass with shift s
+    adds the companion matrix's s-th power times the state s rows back.
+    """
+    q = len(c)
+    A = np.eye(q, k=-1)
+    A[0] = c
+    S = np.zeros((X.shape[0], q) + X.shape[1:])
+    S[:, 0] = X
+    s = 1
+    while s < S.shape[0]:
+        S[s:] += np.tensordot(S[:-s], A, axes=(1, 1)).swapaxes(1, -1)
+        A = A @ A
+        s *= 2
+    return S[:, 0]

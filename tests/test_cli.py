@@ -134,6 +134,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'seed' must be an integer"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
 
+    @pytest.mark.parametrize("key,doc", [
+        ("risk_free_rate", {"risk_free_rate": True}),
+        ("risk_free_rate", {"risk_free_rate": "0.01"}),
+        ("portfolio_amount", {"portfolio_amount": True}),
+        ("portfolio_amount", {"portfolio_amount": "250"}),
+        ("levels", {"levels": ["0.95"]}),
+        ("levels", {"levels": [0.95, False]}),
+    ])
+    def test_numbers_must_be_numbers(self, tmp_path, key, doc):
+        with pytest.raises(ConfigError, match=f"config: '{key}' must be a number"):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", dict(MINIMAL, **doc)))
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        doc = dict(MINIMAL, risk_free_rate=0, portfolio_amount=250, levels=[0.95])
+        cfg = load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+        assert (cfg.risk_free, cfg.amount, cfg.levels) == (0.0, 250.0, (0.95,))
+
     @pytest.mark.parametrize("key,value", [("ar", 1.5), ("ma", 1.0), ("ar", True), ("ma", "1")])
     def test_arma_orders_must_be_integers(self, tmp_path, key, value):
         doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": {key: value}}]}
@@ -376,9 +393,16 @@ class TestFit:
         doc = {"assets": [{"symbol": "ONE", "source": src},
                           {"symbol": "TWO", "source": src}]}
         cfg = _write_cfg(tmp_path / "dup.yaml", doc)
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        d = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(d)]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "ONE" in err and "TWO" in err
+        # the stage-1 fits are written before the joint stage's error exits
+        assert {p.name for p in d.iterdir()} == {"fit_ONE.json", "fit_TWO.json", "summary.txt"}
+        assert json.loads((d / "fit_TWO.json").read_text())["symbol"] == "TWO"
+        text = (d / "summary.txt").read_text()
+        assert "ONE  egarch-student_t" in text and "TWO  egarch-student_t" in text
+        assert "joint dcc" not in text
 
 
 class TestReport:
@@ -479,6 +503,12 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "input error: X:" in err and str(src) in err and "field larger" in err
+
+    def test_boolean_risk_free_rate_is_3(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, risk_free_rate=True))
+        assert main(["describe", "--config", cfg, "--validate"]) == 3
+        err = capsys.readouterr().err
+        assert "config error: config: 'risk_free_rate' must be a number, got True" in err
 
     def test_bad_portfolio_amount_is_3(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, portfolio_amount="abc"))

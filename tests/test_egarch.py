@@ -1,16 +1,15 @@
 import math
 import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from volrisk.distributions import InnovationDist, abs_moment
 from volrisk.egarch import (
-    _fit,
-    _objectives,
-    _scan_varying,
-    _std_errors,
     EgarchParams,
     Garch11Params,
     MeanParams,
@@ -31,8 +30,15 @@ from volrisk.egarch import (
     simulate_egarch,
     simulate_garch11,
 )
-from volrisk.market_data import DegenerateSeriesError
-from volrisk.optimize import ParamSpace, finite_diff_gradient
+from volrisk.market_data import DegenerateSeriesError, ReturnSeries
+from volrisk.optimize import (
+    ParamSpace,
+    _fit,
+    _objectives,
+    _scan_varying,
+    _std_errors,
+    finite_diff_gradient,
+)
 
 T7 = InnovationDist("student_t", shape=7.0)
 
@@ -269,6 +275,47 @@ class TestFit:
         assert est["skew"] < 1.1
 
 
+@pytest.fixture(scope="module")
+def unit_fits():
+    vals = simulate_egarch(_egarch(), 600, seed=41)
+    r = _series(vals)
+    return vals, fit_egarch(r), fit_garch11(r)
+
+
+def _series(vals):
+    dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(vals.size))
+    return ReturnSeries(symbol="S", dates=dates, values=vals)
+
+
+class TestScaleEquivariance:
+    # c = 2^k scales every return exactly, and with them the sample
+    # variance and its square root, so both fits see the same unit-variance
+    # series and take the same steps; only the map back to the data scale
+    # differs
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(-8, 8))
+    @example(k=-5)
+    @example(k=3)
+    @example(k=7)
+    def test_fits_on_power_of_two_multiples(self, unit_fits, k):
+        vals, e1, g1 = unit_fits
+        c = 2.0 ** k
+        e2 = fit_egarch(_series(c * vals))
+        p1 = dict(zip(e1.param_names, e1.estimates))
+        p2 = dict(zip(e2.param_names, e2.estimates))
+        for name in ("a_mag", "xi", "b_pers", "shape"):
+            assert p2[name] == p1[name]
+        assert e2.converged == e1.converged
+        assert p2["mu"] == c * p1["mu"]
+        assert abs(p2["omega"] - p1["omega"] - (1.0 - p1["b_pers"]) * math.log(c * c)) <= 1e-12
+        assert abs(e2.loglik - e1.loglik + vals.size * math.log(c)) <= 1e-9
+        g2 = fit_garch11(_series(c * vals))
+        q1 = dict(zip(g1.param_names, g1.estimates))
+        q2 = dict(zip(g2.param_names, g2.estimates))
+        for name in ("alpha1", "gamma1", "shape"):
+            assert q2[name] == q1[name]
+
+
 class TestFitRule:
     SPACE = ParamSpace((("a", "free"), ("b", "positive")))
 
@@ -345,7 +392,7 @@ class TestStdErrors:
         def grad(x):
             return np.array([2.0 * (x[0] - 0.3), 0.0])  # nothing depends on b
 
-        with caplog.at_level(logging.WARNING, logger="volrisk.egarch"):
+        with caplog.at_level(logging.WARNING, logger="volrisk.optimize"):
             se = _std_errors(grad, self.SPACE, np.array([0.3, 1.0]), "FLAT")
         assert all(math.isnan(v) for v in se.values())
         assert any("FLAT" in m and "singular" in m for m in caplog.messages)
