@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dcc import DccFit, DccParams, fit_dcc, simulate_dcc_panel
+from .dcc import DccParams, fit_dcc, simulate_dcc_panel
 from .distributions import FAMILIES, InnovationDist
-from .egarch import EgarchFit, EgarchParams, MeanParams, MeanSpec, fit_egarch
+from .egarch import EgarchParams, MeanParams, MeanSpec, fit_egarch
 from .market_data import (
     DataError,
     ReturnPanel,
@@ -91,13 +91,22 @@ class RunConfig:
         symbols = [a.symbol for a in self.assets]
         if len(set(symbols)) != len(symbols):
             raise ConfigError(f"duplicate asset symbols: {symbols}")
+        names = [p[0] for p in self.periods]
+        if len(set(names)) != len(names):
+            # YAML keys 1 and "1" both name the period "1"
+            raise ConfigError(f"duplicate period names: {names}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown distribution {self.family!r}; expected one of {FAMILIES}")
         for lv in self.levels:
             if not 0.0 < lv < 1.0:
                 raise ConfigError(f"levels must lie strictly in (0, 1), got {lv}")
+        if len({f"{lv:g}" for lv in self.levels}) != len(self.levels):
+            raise ConfigError(
+                f"levels must be distinct to 6 significant digits, got {list(self.levels)}")
         if not (math.isfinite(self.amount) and self.amount > 0.0):
             raise ConfigError(f"portfolio amount must be > 0, got {self.amount}")
+        if self.risk_free is not None and not math.isfinite(self.risk_free):
+            raise ConfigError(f"risk_free_rate must be finite, got {self.risk_free}")
 
 
 def _as_date(v, where: str) -> "Date | None":
@@ -118,7 +127,8 @@ def _as_date(v, where: str) -> "Date | None":
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     extra = set(section) - allowed
     if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+        # YAML keys need not be strings, nor of one type
+        raise ConfigError(f"{where}: unknown keys {sorted(extra, key=str)}")
 
 
 def _int_key(section: dict, key: str, default: int, where: str) -> int:
@@ -126,6 +136,25 @@ def _int_key(section: dict, key: str, default: int, where: str) -> int:
     # bool is a subclass of int, but `true` is neither an order nor a seed
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}: {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _str_key(section: dict, key: str, default: str, where: str) -> str:
+    v = section.get(key)
+    if v is None:
+        return default
+    if not isinstance(v, str):
+        raise ConfigError(f"{where}: {key!r} must be a string, got {v!r}")
+    return v
+
+
+def _mapping_key(section: dict, key, where: str) -> dict:
+    # null is an absent section; `0`, `false`, `''` or `[]` is a typo
+    v = section.get(key)
+    if v is None:
+        return {}
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}: {key!r} must be a mapping, got {v!r}")
     return v
 
 
@@ -143,15 +172,13 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
     _check_keys(raw, {"symbol", "source", "columns", "mean"}, where)
     for key in ("symbol", "source"):
         if not isinstance(raw.get(key), str) or not raw[key]:
-            raise ConfigError(f"{where}: {key!r} is required")
-    columns = raw.get("columns")
-    if columns is not None:
-        if not isinstance(columns, dict):
-            raise ConfigError(f"{where}: columns must be a mapping")
-        columns = {str(k): str(v) for k, v in columns.items()}
-    mean_raw = raw.get("mean") or {}
-    if not isinstance(mean_raw, dict):
-        raise ConfigError(f"{where}: mean must be a mapping")
+            raise ConfigError(f"{where}: {key!r} must be a non-empty string")
+    columns = _mapping_key(raw, "columns", where)
+    _check_keys(columns, {"date", "close", "open", "high", "low", "volume"}, f"{where}.columns")
+    for key, name in columns.items():
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.columns: {key!r} must be a string, got {name!r}")
+    mean_raw = _mapping_key(raw, "mean", where)
     _check_keys(mean_raw, {"ar", "ma", "constant"}, f"{where}.mean")
     constant = mean_raw.get("constant", True)
     if not isinstance(constant, bool):
@@ -164,7 +191,8 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{where}.mean: {exc}") from exc
-    return AssetConfig(symbol=raw["symbol"], source=raw["source"], columns=columns, mean=mean)
+    return AssetConfig(symbol=raw["symbol"], source=raw["source"], columns=columns or None,
+                       mean=mean)
 
 
 def _parse_periods(raw) -> tuple:
@@ -173,14 +201,12 @@ def _parse_periods(raw) -> tuple:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("periods: expected a non-empty mapping of name -> {start, end}")
     periods = []
-    for name, bounds in raw.items():
+    for name in raw:
         where = f"periods[{name}]"
-        bounds = bounds or {}
-        if not isinstance(bounds, dict):
-            raise ConfigError(f"{where}: expected a mapping with start/end")
+        bounds = _mapping_key(raw, name, "periods")
         _check_keys(bounds, {"start", "end"}, where)
-        start = _as_date(bounds.get("start"), where)
-        end = _as_date(bounds.get("end"), where)
+        start = _as_date(bounds.get("start"), f"{where}.start")
+        end = _as_date(bounds.get("end"), f"{where}.end")
         if start is not None and end is not None and start > end:
             raise ConfigError(f"{where}: start {start} after end {end}")
         periods.append((str(name), start, end))
@@ -219,10 +245,10 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
     fields = {
         "assets": assets,
         "periods": _parse_periods(raw.get("periods")),
-        "family": str(raw.get("distribution", "student_t")),
+        "family": _str_key(raw, "distribution", "student_t", "config"),
         "levels": tuple(_float_key(v, "levels", "config") for v in levels),
         "amount": _float_key(raw.get("portfolio_amount", 1.0), "portfolio_amount", "config"),
-        "out_dir": str(raw.get("output_dir", "out")),
+        "out_dir": _str_key(raw, "output_dir", "out", "config"),
         "seed": _int_key(raw, "seed", 0, "config"),
         "risk_free": (None if risk_free is None
                       else _float_key(risk_free, "risk_free_rate", "config")),
@@ -244,6 +270,10 @@ class OutputCollector:
         self._files[name] = content
 
     def write(self, out_dir: str) -> list:
+        """Write every added file under ``out_dir``; with none added, write
+        nothing, not even the directory."""
+        if not self._files:
+            return []
         root = Path(out_dir)
         try:
             root.mkdir(parents=True, exist_ok=True)
@@ -302,109 +332,79 @@ def _load_panel(cfg: RunConfig) -> ReturnPanel:
     return align_panel(series)
 
 
-def _stats_tables(panel: ReturnPanel, risk_free: "float | None") -> tuple:
-    stats = {s.symbol: describe(s, risk_free) for s in panel.series}
-    header = ["symbol", "n", "mean", "std", "min", "max",
-              "skewness", "excess_kurtosis", "q25", "q75"]
-    if risk_free is not None:
-        header.append("sharpe")
-    lines = [",".join(header)]
-    for s in panel.series:
-        d = stats[s.symbol]
-        row = [s.symbol, str(d.n)] + [
-            _fmt(v) for v in (d.mean, d.std, d.min, d.max,
-                              d.skewness, d.excess_kurtosis, d.q25, d.q75)
-        ]
-        if risk_free is not None:
-            row.append(_fmt(d.sharpe))
-        lines.append(",".join(row))
-    csv = "\n".join(lines) + "\n"
-    js = _json({sym: st.to_dict() for sym, st in stats.items()})
-    return csv, js, stats
+def _table(out: OutputCollector, name: str, header: list, rows, doc) -> None:
+    """Add ``<name>.csv`` (a header line, then one line per row of cells)
+    and ``<name>.json``."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    out.add(f"{name}.csv", "\n".join(lines) + "\n")
+    out.add(f"{name}.json", _json(doc))
 
 
-def _correlation_tables(panel: ReturnPanel) -> tuple:
-    symbols = list(panel.symbols)
-    if len(symbols) >= 2:
-        C = pearson_correlation(panel)
-    else:
-        C = np.ones((1, 1))
-    lines = [",".join(["symbol"] + symbols)]
-    for i, sym in enumerate(symbols):
-        lines.append(",".join([sym] + [_fmt(C[i, j]) for j in range(len(symbols))]))
-    csv = "\n".join(lines) + "\n"
-    js = _json({"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]})
-    return csv, js
-
-
-def _jb_tables(panel: ReturnPanel, stats: dict) -> tuple:
-    results = {sym: jarque_bera(stats[sym]) for sym in panel.symbols}
-    lines = ["symbol,statistic,crit_0.01,crit_0.05,crit_0.10,reject_0.05"]
-    for sym in panel.symbols:
-        t = results[sym]
+def _test_tables(panel: ReturnPanel, stats: dict) -> list:
+    """The Jarque-Bera and unit-root tables, as ``_table`` arguments."""
+    jb = {sym: jarque_bera(stats[sym]) for sym in panel.symbols}
+    jb_rows = []
+    for sym, t in jb.items():
         crits = t.decision_inputs["critical_values"]
-        lines.append(",".join([
-            sym, _fmt(t.statistic),
-            _fmt(crits["0.01"]), _fmt(crits["0.05"]), _fmt(crits["0.10"]),
-            str(t.reject_null).lower(),
-        ]))
-    csv = "\n".join(lines) + "\n"
-    js = _json({sym: t.to_dict() for sym, t in results.items()})
-    return csv, js
-
-
-def _unit_root_tables(panel: ReturnPanel) -> tuple:
-    rows = {}
-    for s in panel.series:
-        rows[s.symbol] = (adf_test(s), kpss_test(s))
-    lines = ["symbol,adf_statistic,adf_reject_0.05,kpss_statistic,kpss_reject_0.05"]
-    for sym in panel.symbols:
-        adf, kpss = rows[sym]
-        lines.append(",".join([
-            sym,
-            _fmt(adf.statistic), str(adf.reject_null).lower(),
-            _fmt(kpss.statistic), str(kpss.reject_null).lower(),
-        ]))
-    csv = "\n".join(lines) + "\n"
-    js = _json({sym: {"adf": a.to_dict(), "kpss": k.to_dict()}
-                for sym, (a, k) in rows.items()})
-    return csv, js
+        jb_rows.append([sym, _fmt(t.statistic), _fmt(crits["0.01"]), _fmt(crits["0.05"]),
+                        _fmt(crits["0.10"]), str(t.reject_null).lower()])
+    ur = {s.symbol: (adf_test(s), kpss_test(s)) for s in panel.series}
+    ur_rows = []
+    for sym, (adf, kpss) in ur.items():
+        ur_rows.append([sym, _fmt(adf.statistic), str(adf.reject_null).lower(),
+                        _fmt(kpss.statistic), str(kpss.reject_null).lower()])
+    return [
+        ("jarque_bera",
+         ["symbol", "statistic", "crit_0.01", "crit_0.05", "crit_0.10", "reject_0.05"],
+         jb_rows, {sym: t.to_dict() for sym, t in jb.items()}),
+        ("unit_root",
+         ["symbol", "adf_statistic", "adf_reject_0.05", "kpss_statistic", "kpss_reject_0.05"],
+         ur_rows, {sym: {"adf": adf.to_dict(), "kpss": kpss.to_dict()}
+                   for sym, (adf, kpss) in ur.items()}),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# commands
+# command steps
+#
+# A step adds its files to the command's collector and returns an exit code.
+# It adds them only once nothing in it can raise any more, so a DataError
+# leaves the collector holding the files of the steps that finished -- apart
+# from ``_fit``, whose stage-1 files stand on their own before the joint
+# stage runs.
 
-def cmd_describe(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
-    if panel is None:
-        panel = _load_panel(cfg)
-    out = OutputCollector()
-    stats_csv, stats_json, stats = _stats_tables(panel, cfg.risk_free)
-    corr_csv, corr_json = _correlation_tables(panel)
-    jb_csv, jb_json = _jb_tables(panel, stats)
-    ur_csv, ur_json = _unit_root_tables(panel)
-    out.add("stats.csv", stats_csv)
-    out.add("stats.json", stats_json)
-    out.add("correlation.csv", corr_csv)
-    out.add("correlation.json", corr_json)
-    out.add("jarque_bera.csv", jb_csv)
-    out.add("jarque_bera.json", jb_json)
-    out.add("unit_root.csv", ur_csv)
-    out.add("unit_root.json", ur_json)
-    out.write(cfg.out_dir)
+def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
+    stats = {s.symbol: describe(s, cfg.risk_free) for s in panel.series}
+    header = ["symbol", "n", "mean", "std", "min", "max",
+              "skewness", "excess_kurtosis", "q25", "q75"]
+    if cfg.risk_free is not None:
+        header.append("sharpe")
+    rows = []
+    for sym, d in stats.items():
+        row = [sym, str(d.n)] + [
+            _fmt(v) for v in (d.mean, d.std, d.min, d.max,
+                              d.skewness, d.excess_kurtosis, d.q25, d.q75)
+        ]
+        if cfg.risk_free is not None:
+            row.append(_fmt(d.sharpe))
+        rows.append(row)
+    symbols = list(panel.symbols)
+    C = pearson_correlation(panel) if len(symbols) >= 2 else np.ones((1, 1))
+    tables = [
+        ("stats", header, rows, {sym: st.to_dict() for sym, st in stats.items()}),
+        ("correlation", ["symbol"] + symbols,
+         [[sym] + [_fmt(v) for v in C[i]] for i, sym in enumerate(symbols)],
+         {"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]}),
+    ]
+    for table in tables + _test_tables(panel, stats):
+        _table(out, *table)
     return EXIT_OK
 
 
-def cmd_test(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
-    out = OutputCollector()
-    _, _, stats = _stats_tables(panel, cfg.risk_free)
-    jb_csv, jb_json = _jb_tables(panel, stats)
-    ur_csv, ur_json = _unit_root_tables(panel)
-    out.add("jarque_bera.csv", jb_csv)
-    out.add("jarque_bera.json", jb_json)
-    out.add("unit_root.csv", ur_csv)
-    out.add("unit_root.json", ur_json)
-    out.write(cfg.out_dir)
+def _test(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
+    stats = {s.symbol: describe(s, cfg.risk_free) for s in panel.series}
+    for table in _test_tables(panel, stats):
+        _table(out, *table)
     return EXIT_OK
 
 
@@ -434,76 +434,50 @@ def _fit_table(title: str, converged: bool, estimates, std_errors: dict,
     return lines
 
 
-def _summary_block(fit: EgarchFit) -> list:
-    return _fit_table(
-        f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  n={fit.n_obs}",
-        fit.converged, zip(fit.param_names, fit.estimates), fit.std_errors,
-        fit.loglik, fit.aic, fit.aic_per_obs,
-    )
-
-
-def _dcc_summary_block(joint: DccFit) -> list:
-    p = joint.params
-    return _fit_table(
-        f"joint dcc(1,1)  assets={','.join(joint.symbols)}  n={joint.n_obs}",
-        joint.converged,
-        (("alpha", p.alpha), ("beta", p.beta), ("joint_shape", p.joint_shape)),
-        joint.std_errors, joint.loglik_joint, joint.aic_joint, joint.aic_joint_per_obs,
-    )
-
-
-def _fit_stage1(cfg: RunConfig, panel: ReturnPanel) -> list:
+def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     means = {a.symbol: a.mean for a in cfg.assets}
     fits = []
     for series in panel.series:
         log.info("fitting %s", series.symbol)
         fits.append(fit_egarch(series, mean=means[series.symbol], family=cfg.family))
-    return fits
-
-
-def cmd_fit(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
-    if panel is None:
-        panel = _load_panel(cfg)
-    out = OutputCollector()
-    fits = _fit_stage1(cfg, panel)
     summary = ["model fit summary", "================="]
     code = EXIT_OK
     for fit in fits:
         out.add(f"fit_{_slug(fit.symbol)}.json", _json(fit.to_dict(include_paths=True)))
-        summary.append("")
-        summary.extend(_summary_block(fit))
+        summary += ["", *_fit_table(
+            f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  n={fit.n_obs}",
+            fit.converged, zip(fit.param_names, fit.estimates), fit.std_errors,
+            fit.loglik, fit.aic, fit.aic_per_obs,
+        )]
         if not fit.converged:
             code = EXIT_NONCONVERGED
             log.warning("%s: fit did not converge", fit.symbol)
-    if len(fits) >= 2:
-        # the joint law of the standardized residuals is always the
-        # multivariate t, whatever the stage-1 innovation family
-        try:
-            joint = fit_dcc(fits)
-        except DataError:
-            # the stage-1 fits stand on their own: write them, then fail
-            out.add("summary.txt", "\n".join(summary) + "\n")
-            out.write(cfg.out_dir)
-            raise
-        out.add("dcc.json", _json(joint.to_dict(include_paths=False)))
-        summary.append("")
-        summary.extend(_dcc_summary_block(joint))
-        if not joint.converged:
-            code = EXIT_NONCONVERGED
-            log.warning("joint correlation fit did not converge")
-    else:
-        log.info("single asset: skipping the correlation stage")
     out.add("summary.txt", "\n".join(summary) + "\n")
-    out.write(cfg.out_dir)
+    if len(fits) < 2:
+        log.info("single asset: skipping the correlation stage")
+        return code
+    # the joint law of the standardized residuals is always the
+    # multivariate t, whatever the stage-1 innovation family; a DataError
+    # here leaves the stage-1 files above in ``out``
+    joint = fit_dcc(fits)
+    p = joint.params
+    out.add("dcc.json", _json(joint.to_dict(include_paths=False)))
+    summary += ["", *_fit_table(
+        f"joint dcc(1,1)  assets={','.join(joint.symbols)}  n={joint.n_obs}",
+        joint.converged,
+        (("alpha", p.alpha), ("beta", p.beta), ("joint_shape", p.joint_shape)),
+        joint.std_errors, joint.loglik_joint, joint.aic_joint, joint.aic_joint_per_obs,
+    )]
+    out.add("summary.txt", "\n".join(summary) + "\n")
+    if not joint.converged:
+        code = EXIT_NONCONVERGED
+        log.warning("joint correlation fit did not converge")
     return code
 
 
-def cmd_risk(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
-    if panel is None:
-        panel = _load_panel(cfg)
+def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     spec = RiskSpec(levels=cfg.levels, amount=cfg.amount, periods=cfg.periods)
     report = risk_report(panel, spec)
-    out = OutputCollector()
     out.add("risk.csv", report.to_csv())
     out.add("risk.json", _json(report.to_dict()))
     iso = [d.isoformat() for d in panel.dates]
@@ -512,15 +486,32 @@ def cmd_risk(cfg: RunConfig, panel: "ReturnPanel | None" = None) -> int:
         lines = ["date,drawdown"]
         lines.extend(f"{d},{v:.8f}" for d, (_, v) in zip(iso, series))
         out.add(f"drawdown_{_slug(s.symbol)}.csv", "\n".join(lines) + "\n")
-    out.write(cfg.out_dir)
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
+_STEPS = {
+    "describe": (_describe,),
+    "test": (_test,),
+    "fit": (_fit,),
+    "risk": (_risk,),
+    "report": (_describe, _fit, _risk),
+}
+
+
+def _run(cfg: RunConfig, command: str) -> int:
+    """Load the panel once, run the command's steps into one collector and
+    write it once; the exit code is the highest a step returned.  A
+    DataError still writes what the collector holds, then propagates."""
     panel = _load_panel(cfg)
-    code = cmd_describe(cfg, panel)
-    code = max(code, cmd_fit(cfg, panel))
-    code = max(code, cmd_risk(cfg, panel))
+    out = OutputCollector()
+    code = EXIT_OK
+    try:
+        for step in _STEPS[command]:
+            code = max(code, step(cfg, panel, out))
+    except DataError:
+        out.write(cfg.out_dir)
+        raise
+    out.write(cfg.out_dir)
     return code
 
 
@@ -673,38 +664,22 @@ def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate" and args.config is None and not args.validate:
-            return cmd_simulate(
-                out_dir=args.out or "out",
-                seed=args.seed if args.seed is not None else 0,
-                n_assets=args.assets,
-                length=args.length,
-                start=_as_date(args.start, "--start"),
-            )
-        cfg = load_run_config(args.config, _overrides(args))
-        if args.validate:
-            print(f"config ok: {len(cfg.assets)} asset(s), "
-                  f"{len(cfg.periods)} period(s), output to {cfg.out_dir}")
-            return EXIT_OK
-        if args.command == "describe":
-            return cmd_describe(cfg)
-        if args.command == "test":
-            return cmd_test(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "risk":
-            return cmd_risk(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
+        cfg = None
+        if args.command != "simulate" or args.config is not None or args.validate:
+            cfg = load_run_config(args.config, _overrides(args))
+            if args.validate:
+                print(f"config ok: {len(cfg.assets)} asset(s), "
+                      f"{len(cfg.periods)} period(s), output to {cfg.out_dir}")
+                return EXIT_OK
         if args.command == "simulate":
             return cmd_simulate(
-                out_dir=args.out or cfg.out_dir,
-                seed=args.seed if args.seed is not None else cfg.seed,
+                out_dir=args.out or "out" if cfg is None else cfg.out_dir,
+                seed=args.seed or 0 if cfg is None else cfg.seed,
                 n_assets=args.assets,
                 length=args.length,
                 start=_as_date(args.start, "--start"),
             )
-        raise AssertionError(f"unhandled command {args.command}")
+        return _run(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

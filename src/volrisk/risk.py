@@ -60,6 +60,10 @@ class RiskSpec:
         for lv in self.levels:
             if not 0.0 < lv < 1.0:
                 raise ValueError(f"levels must lie strictly in (0, 1), got {lv}")
+        # levels key the report to 6 significant digits
+        if len({f"{lv:g}" for lv in self.levels}) != len(self.levels):
+            raise ValueError(
+                f"levels must be distinct to 6 significant digits, got {list(self.levels)}")
         if not (math.isfinite(self.amount) and self.amount > 0.0):
             raise ValueError(f"amount must be > 0, got {self.amount}")
         if not self.periods:

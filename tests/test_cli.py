@@ -1,12 +1,18 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
+import string
 import subprocess
 import sys
 import warnings
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import volrisk.cli as cli_mod
 from volrisk.cli import (
@@ -16,6 +22,17 @@ from volrisk.cli import (
     load_run_config,
     main,
 )
+from volrisk.egarch import MeanSpec
+
+
+DESCRIBE_FILES = (
+    "stats.csv", "stats.json", "correlation.csv", "correlation.json",
+    "jarque_bera.csv", "jarque_bera.json", "unit_root.csv", "unit_root.json",
+)
+
+
+def _tree(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
 
 
 def _write_cfg(path, doc):
@@ -123,6 +140,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="levels"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
 
+    @pytest.mark.parametrize("doc,match", [
+        ({"output_dir": [1]}, "config: 'output_dir' must be a string"),
+        ({"periods": {"w": 0}}, "periods: 'w' must be a mapping"),
+        ({"periods": {"w": ""}}, "periods: 'w' must be a mapping"),
+    ] + [
+        ({"assets": [{"symbol": "X", "source": "x.csv", "mean": v}]},
+         r"assets\[0\]: 'mean' must be a mapping") for v in (0, False, [])
+    ])
+    def test_wrong_types_found_by_the_property_test(self, tmp_path, doc, match):
+        # none may fall back to a default: an open period, the default mean,
+        # a directory named "[1]"
+        with pytest.raises(ConfigError, match=match):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", dict(MINIMAL, **doc)))
+
+    def test_null_sections_are_absent(self, tmp_path):
+        doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": None, "columns": None}],
+               "periods": {"w": None}, "output_dir": None, "distribution": None}
+        cfg = load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+        assert cfg.assets[0].mean == MeanSpec()
+        assert cfg.assets[0].columns is None
+        assert cfg.periods == (("w", None, None),)
+        assert (cfg.out_dir, cfg.family) == ("out", "student_t")
+
     def test_bad_distribution(self, tmp_path):
         doc = dict(MINIMAL, distribution="cauchy")
         with pytest.raises(ConfigError, match="distribution"):
@@ -173,6 +213,9 @@ class TestConfigParsing:
         doc = dict(MINIMAL, periods={"w": {"middle": "2020-01-01"}})
         with pytest.raises(ConfigError, match="unknown keys"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+        doc = dict(MINIMAL, periods={1: None, "1": None})
+        with pytest.raises(ConfigError, match=r"duplicate period names: \['1', '1'\]"):
+            load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
 
     def test_overrides_win(self, tmp_path):
         path = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, seed=1, output_dir="a"))
@@ -182,6 +225,130 @@ class TestConfigParsing:
         assert cfg.out_dir == "b"
         assert cfg.levels == (0.5,)
         assert cfg.amount == 2.0
+
+
+# A document that sets every config key to a valid value.
+VALID = {
+    "assets": [{"symbol": "X", "source": "x.csv",
+                "columns": {"date": "Date", "close": "Close"},
+                "mean": {"ar": 0, "ma": 0, "constant": True}}],
+    "periods": {"window": {"start": "2020-01-01", "end": "2020-12-31"}},
+    "distribution": "student_t",
+    "levels": [0.95],
+    "portfolio_amount": 1.0,
+    "output_dir": "out",
+    "seed": 0,
+    "risk_free_rate": 0.0,
+}
+
+# each mapping in VALID, by its path, with the keys it allows
+SECTIONS = {
+    (): set(VALID),
+    ("assets", 0): set(VALID["assets"][0]),
+    ("assets", 0, "columns"): {"date", "close", "open", "high", "low", "volume"},
+    ("assets", 0, "mean"): set(VALID["assets"][0]["mean"]),
+    ("periods", "window"): {"start", "end"},
+}
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is(*types):
+    return lambda v: isinstance(v, types)
+
+
+# each typed value in VALID, by its path, with the test of its type
+TYPED = {
+    ("assets",): _is(list),
+    ("assets", 0): _is(dict),
+    ("assets", 0, "symbol"): _is(str),
+    ("assets", 0, "source"): _is(str),
+    ("assets", 0, "columns"): _is(dict),
+    ("assets", 0, "columns", "close"): _is(str),
+    ("assets", 0, "mean"): _is(dict),
+    ("assets", 0, "mean", "ar"): _integer,
+    ("assets", 0, "mean", "ma"): _integer,
+    ("assets", 0, "mean", "constant"): _is(bool),
+    ("periods",): _is(dict),
+    ("periods", "window"): _is(dict),
+    ("periods", "window", "start"): _is(str),
+    ("periods", "window", "end"): _is(str),
+    ("distribution",): _is(str),
+    ("levels",): _is(list),
+    ("levels", 0): _number,
+    ("portfolio_amount",): _number,
+    ("output_dir",): _is(str),
+    ("seed",): _integer,
+    ("risk_free_rate",): _number,
+}
+
+# YAML values of every type but null, which reads as an absent key
+VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0),
+    st.text(string.ascii_letters + "-", max_size=4),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "start"]), st.integers(0, 2), max_size=1),
+)
+NAMES = st.one_of(st.text(string.ascii_lowercase + "_", min_size=1, max_size=8),
+                  st.integers(-5, 5))
+
+
+def _section(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def _validate(tmp_dir, doc) -> tuple:
+    path = tmp_dir / "c.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["describe", "--validate", "--config", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_documents")
+
+
+class TestConfigDocuments:
+    def test_valid_document_passes(self, doc_dir):
+        assert _validate(doc_dir, VALID)[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(sorted(SECTIONS, key=str)),
+           extra=st.dictionaries(NAMES, st.one_of(st.none(), VALUES), min_size=1, max_size=2))
+    def test_unknown_keys_are_named(self, doc_dir, path, extra):
+        extra = {k: v for k, v in extra.items() if k not in SECTIONS[path]}
+        assume(extra)
+        doc = copy.deepcopy(VALID)
+        _section(doc, path).update(extra)
+        code, err = _validate(doc_dir, doc)
+        assert code == 3 and "Traceback" not in err
+        assert "unknown keys" in err
+        assert all(repr(k) in err for k in extra)
+
+    @settings(max_examples=80, deadline=None)
+    @given(path=st.sampled_from(sorted(TYPED, key=str)), value=VALUES)
+    def test_wrong_types_are_named(self, doc_dir, path, value):
+        assume(not TYPED[path](value))
+        doc = copy.deepcopy(VALID)
+        *parent, key = path
+        _section(doc, parent)[key] = value
+        code, err = _validate(doc_dir, doc)
+        assert code == 3 and "Traceback" not in err
+        assert err.startswith("config error: ")
+        assert [p for p in path if isinstance(p, str)][-1] in err
 
 
 class TestHelpers:
@@ -274,10 +441,7 @@ class TestDescribe:
         d = sim_ws / "describe1"
         assert main(["describe", "--config", sim_cfg, "--out", str(d)]) == 0
         names = {p.name for p in d.iterdir()}
-        assert names == {
-            "stats.csv", "stats.json", "correlation.csv", "correlation.json",
-            "jarque_bera.csv", "jarque_bera.json", "unit_root.csv", "unit_root.json",
-        }
+        assert names == set(DESCRIBE_FILES)
         stats = json.loads((d / "stats.json").read_text())
         assert set(stats) == {"SIM1", "SIM2"}
         corr = json.loads((d / "correlation.json").read_text())
@@ -425,6 +589,40 @@ class TestReport:
         assert (d / "stats.csv").exists() and (d / "risk.csv").exists()
 
 
+    def test_tree_is_union_of_describe_fit_risk(self, sim_ws, sim_cfg, fit_dir):
+        _, fd = fit_dir
+        trees = {}
+        for cmd in ("describe", "risk", "report"):
+            d = sim_ws / f"union_{cmd}"
+            assert main([cmd, "--config", sim_cfg, "--out", str(d)]) == 0
+            trees[cmd] = _tree(d)
+        union = {**trees["describe"], **_tree(fd), **trees["risk"]}
+        assert len(union) == len(trees["describe"]) + len(_tree(fd)) + len(trees["risk"])
+        assert trees["report"] == union
+
+    def test_joint_stage_error_keeps_describe_and_stage1_files(self, sim_ws, tmp_path, capsys):
+        src = str(sim_ws / "sim_SIM1.csv")
+        doc = {"assets": [{"symbol": "ONE", "source": src},
+                          {"symbol": "TWO", "source": src}]}
+        cfg = _write_cfg(tmp_path / "dup.yaml", doc)
+        d = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(d)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert {p.name for p in d.iterdir()} == set(DESCRIBE_FILES) | {
+            "fit_ONE.json", "fit_TWO.json", "summary.txt"}
+
+
+    def test_risk_error_keeps_describe_and_fit_files(self, sim_cfg, tmp_path, capsys):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["periods"] = {"before": {"end": "2000-01-01"}}
+        cfg = _write_cfg(tmp_path / "early.yaml", doc)
+        d = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(d)]) == 2
+        assert "input error: period 'before': no observations" in capsys.readouterr().err
+        assert {p.name for p in d.iterdir()} == set(DESCRIBE_FILES) | {
+            "fit_SIM1.json", "fit_SIM2.json", "dcc.json", "summary.txt"}
+
+
 class TestRisk:
     def test_outputs_and_drawdown_rows(self, sim_ws, sim_cfg):
         d = sim_ws / "risk1"
@@ -509,6 +707,40 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg, "--validate"]) == 3
         err = capsys.readouterr().err
         assert "config error: config: 'risk_free_rate' must be a number, got True" in err
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_risk_free_rate_is_3(self, sim_ws, tmp_path, capsys, value):
+        doc = yaml.safe_load((sim_ws / "sim_config.yaml").read_text(encoding="utf-8"))
+        text = yaml.safe_dump(doc) + f"risk_free_rate: {value}\n"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        d = tmp_path / "out"
+        for extra in (["--validate"], ["--out", str(d)]):
+            assert main(["describe", "--config", str(cfg), *extra]) == 3
+            assert "config error: risk_free_rate must be finite" in capsys.readouterr().err
+        assert not d.exists()
+
+    def test_repeated_levels_is_3(self, sim_cfg, tmp_path, capsys):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["levels"] = [0.95, 0.99, 0.95]
+        d = tmp_path / "out"
+        for argv in (["--config", _write_cfg(tmp_path / "c.yaml", doc)],
+                     ["--config", sim_cfg, "--levels", "0.95,0.95"]):
+            assert main(["risk", *argv, "--out", str(d)]) == 3
+            assert "config error: levels must be distinct" in capsys.readouterr().err
+            assert not d.exists()
+
+    def test_failed_step_writes_nothing(self, tmp_path, capsys):
+        # enough returns for the moments, too few for the unit-root tests
+        src = tmp_path / "x.csv"
+        src.write_text("date,close\n" + "".join(
+            f"2020-01-{i + 1:02d},{100 + (-1) ** i * i}\n" for i in range(9)), encoding="utf-8")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "X", "source": str(src)}]})
+        d = tmp_path / "out"
+        for cmd in ("describe", "test", "report"):
+            assert main([cmd, "--config", cfg, "--out", str(d)]) == 2
+            assert "input error: X: need more than" in capsys.readouterr().err
+            assert not d.exists()
 
     def test_bad_portfolio_amount_is_3(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, portfolio_amount="abc"))

@@ -214,6 +214,12 @@ class TestRiskSpec:
         with pytest.raises(ValueError):
             RiskSpec(periods=(("bad", date(2020, 6, 1), date(2020, 1, 1)),))
 
+    @pytest.mark.parametrize("levels", [(0.95, 0.95), (0.9, 0.95, 0.9), (0.95, 0.9500000001)])
+    def test_repeated_levels_rejected(self, levels):
+        # each level keys a risk.csv row and a risk.json entry by its 6-digit form
+        with pytest.raises(ValueError, match="levels must be distinct"):
+            RiskSpec(levels=levels)
+
 
 def _two_asset_panel(make_series, n=150):
     rng = np.random.default_rng(11)
