@@ -42,7 +42,7 @@ from .market_data import (
     log_returns,
     pearson_correlation,
 )
-from .risk import RiskSpec, drawdown, risk_report
+from .risk import RiskSpec, _drawdown_path, risk_report
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
 
@@ -482,9 +482,8 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     out.add("risk.json", _json(report.to_dict()))
     iso = [d.isoformat() for d in panel.dates]
     for s in panel.series:
-        series, _ = drawdown(s)
         lines = ["date,drawdown"]
-        lines.extend(f"{d},{v:.8f}" for d, (_, v) in zip(iso, series))
+        lines.extend(f"{d},{v:.8f}" for d, v in zip(iso, _drawdown_path(s.values).tolist()))
         out.add(f"drawdown_{_slug(s.symbol)}.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _sopt
-from scipy.special import expit, logit
 
 __all__ = [
     "ParamSpace",
@@ -31,7 +29,8 @@ __all__ = [
 
 log = logging.getLogger("volrisk.optimize")
 
-# large finite stand-in for +inf: rejects the step without breaking line searches
+# large finite stand-in for +inf in the converged check: a rejected point next
+# to the optimum makes its differences huge instead of raising
 _BIG = 1e100
 
 # logistic outputs clipped into the open unit interval so inverse transforms
@@ -42,6 +41,16 @@ _P_HI = 1.0 - 1e-15
 
 def _clip01(p):
     return np.minimum(np.maximum(p, _P_LO), _P_HI)
+
+
+def _expit(y):
+    # 1 / (1 + exp(-y)), with exp taken of -|y| only, so it cannot overflow
+    e = np.exp(-np.abs(y))
+    return np.where(y >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _logit(p):
+    return np.log(p / (1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ class ParamSpace:
                 lo, hi = kind[1], kind[2]
                 if not lo < v < hi:
                     raise ValueError(f"{name!r} must lie in ({lo}, {hi}), got {v}")
-                y[i] = logit((v - lo) / (hi - lo))
+                y[i] = _logit((v - lo) / (hi - lo))
             else:  # pair_sum_lt_one
                 j = self._index(kind[1])
                 if i < j:
@@ -122,8 +131,8 @@ class ParamSpace:
                             f"pair ({name!r}, {kind[1]!r}) must satisfy "
                             f"a > 0, b > 0, a + b < 1, got ({a}, {b})"
                         )
-                    y[i] = logit(s)
-                    y[j] = logit(a / s)
+                    y[i] = _logit(s)
+                    y[j] = _logit(a / s)
         return y
 
     def from_unconstrained(self, y: Sequence[float]) -> np.ndarray:
@@ -138,12 +147,12 @@ class ParamSpace:
                 x[i] = math.exp(min(max(y[i], -700.0), 700.0))
             elif kind[0] == "interval":
                 lo, hi = kind[1], kind[2]
-                x[i] = lo + (hi - lo) * _clip01(expit(y[i]))
+                x[i] = lo + (hi - lo) * _clip01(_expit(y[i]))
             else:  # pair_sum_lt_one
                 j = self._index(kind[1])
                 if i < j:
-                    s = _clip01(expit(y[i]))
-                    frac = _clip01(expit(y[j]))
+                    s = _clip01(_expit(y[i]))
+                    frac = _clip01(_expit(y[j]))
                     x[i] = s * frac
                     x[j] = s * (1.0 - frac)
         return x
@@ -164,13 +173,13 @@ class ParamSpace:
             elif kind == "positive":
                 J[i, i] = math.exp(min(max(y[i], -700.0), 700.0))
             elif kind[0] == "interval":
-                p = _clip01(expit(y[i]))
+                p = _clip01(_expit(y[i]))
                 J[i, i] = (kind[2] - kind[1]) * p * (1.0 - p)
             else:  # pair_sum_lt_one: x_i = s f, x_j = s (1 - f)
                 j = self._index(kind[1])
                 if i < j:
-                    s = _clip01(expit(y[i]))
-                    frac = _clip01(expit(y[j]))
+                    s = _clip01(_expit(y[i]))
+                    frac = _clip01(_expit(y[j]))
                     ds, dfrac = s * (1.0 - s), frac * (1.0 - frac)
                     J[i, i], J[i, j] = ds * frac, s * dfrac
                     J[j, i], J[j, j] = ds * (1.0 - frac), -s * dfrac
@@ -179,11 +188,16 @@ class ParamSpace:
 
 @dataclass(frozen=True)
 class OptResult:
+    """``gradient_norm`` is max |df/dy| at ``x_opt`` in the unconstrained
+    space; ``evals`` counts the points at which the objective and its
+    gradient were evaluated."""
+
     x_opt: np.ndarray
     f_opt: float
     iterations: int
     converged: bool
     gradient_norm: "float | None" = None
+    evals: int = 0
 
 
 def _wrap(objective: Callable, space: ParamSpace) -> Callable:
@@ -194,20 +208,90 @@ def _wrap(objective: Callable, space: ParamSpace) -> Callable:
     return wrapped
 
 
-def _wrap_gradient(gradient: Callable, space: ParamSpace) -> Callable:
-    # chain rule into the unconstrained space; a non-finite gradient belongs
-    # to a rejected step, whose value is already _BIG
-    def wrapped(y: np.ndarray) -> np.ndarray:
-        g = np.asarray(gradient(space.from_unconstrained(y)), dtype=float)
-        g = space.jacobian(y).T @ g
-        return g if np.all(np.isfinite(g)) else np.zeros_like(g)
-
-    return wrapped
-
-
 # BFGS stops after this many iterations, or once max |df/dy| falls below _G_TOL
 _MAX_ITER = 500
 _G_TOL = 1e-5
+
+# strong-Wolfe constants, and the trial points one line search may take in
+# each of its bracketing and zoom phases
+_C1 = 1e-4
+_C2 = 0.9
+_LS_TRIALS = 10
+# a trial step too short for the curvature condition grows by this factor
+_GROW = 4.0
+
+
+def _line_search(fg, y, f0, g0, p, alpha):
+    """A step length along ``p`` meeting the strong Wolfe conditions, by
+    bracketing and zoom (Nocedal & Wright 2006, Alg. 3.5 and 3.6).
+
+    ``fg(y)`` returns (value, gradient), the value inf where the objective
+    is not finite; such a point counts as a step too long.  Returns
+    ``(alpha, f, g)``, or None when no step is found.
+    """
+    d0 = float(g0 @ p)
+
+    def phi(a):
+        f, g = fg(y + a * p)
+        return f, g, (float(g @ p) if math.isfinite(f) else math.nan)
+
+    def too_long(a, f, f_lo):
+        return not math.isfinite(f) or f > f0 + _C1 * a * d0 or f >= f_lo
+
+    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
+        for _ in range(_LS_TRIALS):
+            a = _interpolate(lo, f_lo, d_lo, hi, f_hi, d_hi)
+            if a is None:
+                return None
+            f, g, d = phi(a)
+            if too_long(a, f, f_lo):
+                hi, f_hi, d_hi = a, f, d
+                continue
+            if abs(d) <= -_C2 * d0:
+                return a, f, g
+            if d * (hi - lo) >= 0.0:
+                hi, f_hi, d_hi = lo, f_lo, d_lo
+            lo, f_lo, d_lo = a, f, d
+        return None
+
+    prev, f_prev, d_prev = 0.0, f0, d0
+    for _ in range(_LS_TRIALS):
+        f, g, d = phi(alpha)
+        # the first trial is compared with f0 only; later ones also with the last
+        if too_long(alpha, f, f_prev if prev > 0.0 else math.inf):
+            return zoom(prev, f_prev, d_prev, alpha, f, d)
+        if abs(d) <= -_C2 * d0:
+            return alpha, f, g
+        if d >= 0.0:
+            return zoom(alpha, f, d, prev, f_prev, d_prev)
+        prev, f_prev, d_prev = alpha, f, d
+        alpha *= _GROW
+    return None
+
+
+def _interpolate(lo, f_lo, d_lo, hi, f_hi, d_hi):
+    """The minimizer of the cubic through both ends of [lo, hi] (N&W 3.59),
+    moved to at least a tenth of the interval from either end; the midpoint
+    when the cubic has no minimizer or ``hi`` is not finite.  None once the
+    interval is too short to split."""
+    width = hi - lo
+    if abs(width) <= 1e-15 * max(abs(lo), abs(hi)):
+        return None
+    mid = lo + 0.5 * width
+    if not (math.isfinite(f_hi) and math.isfinite(d_hi)):
+        return mid
+    d1 = d_lo + d_hi - 3.0 * (f_lo - f_hi) / (lo - hi)
+    disc = d1 * d1 - d_lo * d_hi
+    if disc < 0.0:
+        return mid
+    d2 = math.copysign(math.sqrt(disc), width)
+    denom = d_hi - d_lo + 2.0 * d2
+    if denom == 0.0:
+        return mid
+    a = hi - width * (d_hi + d2 - d1) / denom
+    if not math.isfinite(a):
+        return mid
+    return lo + width * min(max((a - lo) / width, 0.1), 0.9)
 
 
 def minimize(
@@ -220,29 +304,63 @@ def minimize(
     """Minimize a pure objective over the constrained space by BFGS.
 
     ``gradient`` maps a point to the exact gradient of the objective in the
-    constrained coordinates; the objective itself stays scalar-valued.  The
-    iteration cap or a failed line search is returned as
-    ``converged = False``, never raised.
+    constrained coordinates; the objective itself stays scalar-valued.
+    BFGS (Nocedal & Wright 2006, Alg. 6.1) runs in the unconstrained space
+    on the strong-Wolfe line search above.  The inverse Hessian starts as
+    the identity; each trial step would repeat the last decrease (N&W
+    3.60), capped at the full quasi-Newton step, and the first, with no
+    decrease before it, has about unit length.  The iteration cap or a failed line search
+    is returned as ``converged = False``, never raised; the result is never
+    worse than the start.
     """
-    x0 = np.asarray(x0, dtype=float)
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
+    max_iter, g_tol = _MAX_ITER, _G_TOL
+    y = space.to_unconstrained(np.asarray(x0, dtype=float))
+    evals = 0
+
+    def fg(yy):
+        nonlocal evals
+        evals += 1
+        x = space.from_unconstrained(yy)
+        f = float(objective(x))
+        if not math.isfinite(f):
+            return math.inf, None
+        g = space.jacobian(yy).T @ np.asarray(gradient(x), dtype=float)
+        # a non-finite gradient belongs to a point that is rejected
+        return (f, g) if np.all(np.isfinite(g)) else (math.inf, None)
+
+    f, g = fg(y)
+    if not math.isfinite(f):
         raise ValueError("objective is non-finite at x0")
-    y0 = space.to_unconstrained(x0)
-    res = _sopt.minimize(_wrap(objective, space), y0, (), "BFGS",
-                         jac=_wrap_gradient(gradient, space),
-                         options={"maxiter": _MAX_ITER, "gtol": _G_TOL})
-    y_opt, f_opt = res.x, float(res.fun)
-    if f_opt > f0:  # optimizer never reports a point worse than the start
-        y_opt, f_opt = y0, f0
-    x_opt = space.from_unconstrained(y_opt)
+    H = np.eye(y.size)
+    decrease = 0.5 * float(np.linalg.norm(g))  # a first trial step of length 1.01
+    k = 0
+    while np.max(np.abs(g)) > g_tol and k < max_iter:
+        p = -(H @ g)
+        d0 = float(g @ p)
+        if not d0 < 0.0:
+            break
+        step = _line_search(fg, y, f, g, p, min(1.0, -2.02 * decrease / d0))
+        if step is None:
+            break
+        alpha, f_new, g_new = step
+        s = alpha * p
+        dg = g_new - g
+        y, g, decrease, f = y + s, g_new, f - f_new, f_new
+        k += 1
+        sy = float(s @ dg)
+        if sy > 0.0:  # the curvature the strong Wolfe conditions guarantee
+            V = np.eye(y.size) - np.outer(s, dg) / sy
+            H = V @ H @ V.T + np.outer(s, s) / sy
+    gmax = float(np.max(np.abs(g)))
+    x_opt = space.from_unconstrained(y)
     x_opt.setflags(write=False)
     return OptResult(
         x_opt=x_opt,
-        f_opt=f_opt,
-        iterations=max(1, int(res.nit)),
-        converged=bool(res.success) and math.isfinite(f_opt),
-        gradient_norm=float(np.max(np.abs(res.jac))),
+        f_opt=f,
+        iterations=max(1, k),
+        converged=gmax <= g_tol,
+        gradient_norm=gmax,
+        evals=evals,
     )
 
 

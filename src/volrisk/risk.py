@@ -15,8 +15,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from .distributions import _ndtri
 from .market_data import (
     DataError,
     DegenerateSeriesError,
@@ -151,7 +151,7 @@ def gaussian_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> 
     """-(mu + Z_alpha sigma) W with Z_alpha the lower-tail normal quantile."""
     _check_level(level)
     _check_stats(stats)
-    z = float(ndtri(1.0 - level))
+    z = _ndtri(1.0 - level)
     return -(stats.mean + z * stats.std) * amount
 
 
@@ -174,7 +174,7 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     """
     _check_level(level)
     _check_stats(stats)
-    z_c = float(ndtri(1.0 - level))
+    z_c = _ndtri(1.0 - level)
     z_cf = cornish_fisher_z(z_c, stats.skewness, stats.excess_kurtosis)
     return -(stats.mean + z_cf * stats.std) * amount
 
@@ -209,11 +209,14 @@ def drawdown(r: ReturnSeries) -> tuple:
     relative to its running peak, minus one.  Returns (series, max_dd)
     where series is a tuple of (date, dd) pairs.
     """
-    wealth = np.exp(np.cumsum(r.values))
-    peak = np.maximum.accumulate(wealth)
-    dd = wealth / peak - 1.0
-    series = tuple(zip(r.dates, dd.tolist()))
-    return series, float(dd.min())
+    dd = _drawdown_path(r.values)
+    return tuple(zip(r.dates, dd.tolist())), float(dd.min())
+
+
+def _drawdown_path(values: np.ndarray) -> np.ndarray:
+    # the drawdown at each date of a return path
+    wealth = np.exp(np.cumsum(values))
+    return wealth / np.maximum.accumulate(wealth) - 1.0
 
 
 def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
 import string
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from volrisk.cli import (
     main,
 )
 from volrisk.egarch import MeanSpec
+from volrisk.risk import drawdown
 
 
 DESCRIBE_FILES = (
@@ -635,6 +638,16 @@ class TestRisk:
         assert len(dd) == 1 + 260
         assert float(dd[1].split(",")[1]) == 0.0
 
+    def test_drawdown_rows_are_the_drawdown_series(self, sim_ws, sim_cfg):
+        d = sim_ws / "risk_dd"
+        assert main(["risk", "--config", sim_cfg, "--out", str(d)]) == 0
+        panel = cli_mod._load_panel(load_run_config(sim_cfg))
+        for s in panel.series:
+            series, max_dd = drawdown(s)
+            rows = (d / f"drawdown_{s.symbol}.csv").read_text().splitlines()
+            assert rows == ["date,drawdown"] + [f"{day.isoformat()},{v:.8f}" for day, v in series]
+            assert max_dd == min(v for _, v in series)
+
     def test_levels_and_amount_overrides(self, sim_ws, sim_cfg):
         d1 = sim_ws / "risk1"
         doc1 = json.loads((d1 / "risk.json").read_text())
@@ -764,7 +777,40 @@ class TestExitCodes:
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
 
 
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from volrisk.cli import main
+
+ws = sys.argv[1]
+sim = main(["simulate", "--out", ws, "--seed", "3", "--assets", "2", "--length", "300"])
+code = main(["report", "--config", ws + "/sim_config.yaml"])
+print(sim, code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
 class TestEntryPoint:
+    def test_runs_without_scipy(self, tmp_path):
+        src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        sim, code, loaded = proc.stdout.split(" ", 2)
+        assert sim == "0" and code in ("0", "1")
+        assert loaded.strip() == "[]"
+        assert (tmp_path / "results" / "dcc.json").is_file()
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "volrisk.cli", "simulate",

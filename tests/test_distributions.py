@@ -1,12 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from volrisk.distributions import (
     InnovationDist,
+    _ndtri,
     _skew_moments,
+    _t_cdf,
+    _t_const,
+    _t_const_dnu,
+    _t_ppf,
     abs_moment,
     cdf,
     logpdf,
@@ -232,3 +240,74 @@ class TestMvt:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mvt_logpdf(np.zeros(3), np.eye(2), shape=6.0)
+
+
+class TestSpecialFunctions:
+    # scipy is the independent reference for the in-package special functions
+    NU = (2.05, 2.5, 3.0, 5.0, 8.0, 30.0, 200.0, 1e4)
+    LOWER = 10.0 ** -np.linspace(0.31, 12.0, 60)  # 0.49 down to 1e-12
+    P = np.sort(np.concatenate([LOWER, [0.5], 1.0 - LOWER]))
+
+    @pytest.mark.parametrize("nu", NU)
+    def test_t_ppf_matches_scipy(self, nu):
+        s = math.sqrt((nu - 2.0) / nu)
+        expected = special.stdtrit(nu, self.P) * s
+        np.testing.assert_allclose(_t_ppf(self.P, nu), expected, rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("nu", NU)
+    def test_t_cdf_matches_scipy(self, nu):
+        s = math.sqrt((nu - 2.0) / nu)
+        z = special.stdtrit(nu, self.P) * s
+        got, expected = _t_cdf(z, nu), special.stdtr(nu, z / s)
+        lower = z <= 0.0
+        # relative in the lower tail; above the median a cdf is 1 - tail,
+        # which holds only absolute precision (5e-14 at nu = 1e4, where the
+        # continued fraction runs to thousands of terms)
+        np.testing.assert_allclose(got[lower], expected[lower], rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(got[~lower], expected[~lower], rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", NU)
+    def test_t_round_trip(self, nu):
+        z = _t_ppf(self.P, nu)
+        np.testing.assert_allclose(_t_cdf(-np.abs(z), nu), np.minimum(self.P, 1.0 - self.P),
+                                   rtol=1e-11, atol=0.0)
+        assert np.all(np.diff(z) > 0.0)
+
+    def test_t_ppf_ends(self):
+        z = _t_ppf(np.array([0.0, 0.5, 1.0, np.nan]), 5.0)
+        assert z[0] == -np.inf and z[1] == 0.0 and z[2] == np.inf and np.isnan(z[3])
+        c = _t_cdf(np.array([-np.inf, 0.0, np.inf, np.nan]), 5.0)
+        assert c[0] == 0.0 and c[1] == 0.5 and c[2] == 1.0 and np.isnan(c[3])
+
+    @pytest.mark.parametrize("nu", NU)
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_t_constants_match_scipy(self, nu, k):
+        # lgamma and digamma at the nu/2 and (nu+k)/2 arguments of the
+        # normalizing constant and its nu-derivative
+        const = (special.gammaln((nu + k) / 2.0) - special.gammaln(nu / 2.0)
+                 - 0.5 * k * math.log((nu - 2.0) * math.pi))
+        dnu = (0.5 * (special.digamma((nu + k) / 2.0) - special.digamma(nu / 2.0))
+               - 0.5 * k / (nu - 2.0))
+        # a difference of two lgammas is exact only to their rounding, which
+        # at nu = 1e4 is 1e-11 for scipy's as for math.lgamma's
+        rounding = 4.0 * np.finfo(float).eps * special.gammaln((nu + k) / 2.0)
+        assert _t_const(nu, k) == pytest.approx(const, rel=1e-14, abs=max(rounding, 1e-14))
+        assert _t_const_dnu(nu, k) == pytest.approx(dnu, rel=1e-12, abs=1e-15)
+        for a in (nu / 2.0, (nu + k) / 2.0):
+            assert math.lgamma(a) == pytest.approx(special.gammaln(a), rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=1074).map(lambda e: 2.0 ** -e),
+        st.floats(min_value=1e-300, max_value=1e-14),
+        st.floats(min_value=1e-16, max_value=0.2).map(lambda t: 1.0 - t),
+    ))
+    @example(p=0.90)
+    @example(p=0.95)
+    @example(p=0.975)
+    @example(p=0.99)
+    @example(p=1.0 - 0.95)
+    @example(p=1.0 - 0.99)
+    def test_ndtri_bitwise_equal_to_scipy(self, p):
+        assert struct.pack("<d", _ndtri(p)) == struct.pack("<d", float(special.ndtri(p)))

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 import volrisk.optimize as opt_mod
 from volrisk.optimize import OptResult, ParamSpace, finite_diff_gradient, minimize
@@ -225,6 +226,34 @@ class TestMinimize:
             res = minimize(f, space, [0.0, 0.0], gradient=lambda x: -grad(x))
         assert not res.converged
         assert res.f_opt <= f([0.0, 0.0])
+
+    def test_evals_count_every_pass_and_repeat(self):
+        space = ParamSpace(params=(("x", "free"), ("y", "free")))
+        passes = []
+
+        def grad(v):
+            passes.append(1)
+            return _rosen_grad(v)
+
+        first = minimize(_rosen, space, [-1.2, 1.0], gradient=grad)
+        assert first.evals == len(passes) > first.iterations
+        second = minimize(_rosen, space, [-1.2, 1.0], gradient=grad)
+        assert second.evals == first.evals
+        assert second.x_opt.tobytes() == first.x_opt.tobytes()
+
+    def test_logistic_transforms_finite_at_extremes(self):
+        y = np.array([-800.0, -40.0, -1.0, 0.0, 1e-8, 2.5, 40.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = opt_mod._expit(y)
+            back = opt_mod._logit(opt_mod._clip01(p))
+            for v in (-800.0, 800.0):
+                assert math.isfinite(float(opt_mod._expit(v)))
+                assert math.isfinite(float(opt_mod._logit(opt_mod._clip01(opt_mod._expit(v)))))
+        assert np.all(np.isfinite(back))
+        np.testing.assert_allclose(p, special.expit(y), rtol=1e-15, atol=0.0)
+        q = np.array([1e-300, 1e-15, 0.3, 0.5, 0.7, 1.0 - 1e-15])
+        np.testing.assert_allclose(opt_mod._logit(q), special.logit(q), rtol=1e-15, atol=0.0)
 
 
 class TestFiniteDiff:
