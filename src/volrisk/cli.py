@@ -42,7 +42,7 @@ from .market_data import (
     log_returns,
     pearson_correlation,
 )
-from .risk import RiskSpec, _drawdown_path, risk_report
+from .risk import RiskSpec, drawdown, risk_report
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
 
@@ -483,7 +483,7 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     iso = [d.isoformat() for d in panel.dates]
     for s in panel.series:
         lines = ["date,drawdown"]
-        lines.extend(f"{d},{v:.8f}" for d, v in zip(iso, _drawdown_path(s.values).tolist()))
+        lines.extend(f"{d},{v:.8f}" for d, v in zip(iso, drawdown(s)[0].values.tolist()))
         out.add(f"drawdown_{_slug(s.symbol)}.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 

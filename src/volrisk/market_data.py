@@ -207,6 +207,7 @@ def _check_significance(significance: float) -> None:
 
 _DEFAULT_COLUMNS = {"date": "date", "close": "close"}
 _OPTIONAL_FIELDS = ("open", "high", "low", "volume")
+_DAY = operator.itemgetter(slice(None, 10))
 
 
 def _read_text(source: str) -> str:
@@ -232,69 +233,92 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     mapping = dict(_DEFAULT_COLUMNS)
     if columns:
         mapping.update(columns)
-    reader = csv.reader(io.StringIO(_read_text(source)))
+    text = _read_text(source)
+    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{source}: empty file, header row required")
-        for logical in ("date", "close"):
-            if mapping[logical] not in header:
-                raise DataError(
-                    f"{source}: missing column {mapping[logical]!r} (have {header})"
-                )
-        col = {name: i for i, name in enumerate(header)}
-        di, ci = col[mapping["date"]], col[mapping["close"]]
-        extras = [
-            (f, col[mapping[f]])
-            for f in _OPTIONAL_FIELDS
-            if mapping.get(f) and mapping[f] in header
-        ]
-        dates, closes = [], []
-        extra_vals = [[] for _ in extras]
+        # one reader pass pulls the needed cells and each column converts in
+        # one pass; on any failure a walk over the rows names the first bad one
+        extras, idx = _header(source, reader, mapping)
+        cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader))))
+        raw_dates, raw_close, *raw_extras = cells or ((),) * len(idx)
+        n = len(raw_dates)
+        # intraday timestamps truncated to the calendar day
+        dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
+        close = np.fromiter(map(float, raw_close), float, count=n)
+        if not np.all(np.isfinite(close) & (close > 0.0)):
+            raise ValueError("non-positive price")
+        extra_vals = [np.fromiter(map(float, c), float, count=n) for c in raw_extras]
+    except (csv.Error, IndexError, ValueError, TypeError):
+        _raise_row_error(source, text, mapping)
+        raise
+
+    ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
+    if not np.all(ords[1:] > ords[:-1]):
+        # a stable sort keeps equal dates in file order, so the second of
+        # the first duplicate pair is the row reported
+        order = np.argsort(ords, kind="stable")
+        ords = ords[order]
+        dup = np.flatnonzero(ords[1:] == ords[:-1])
+        if dup.size:
+            i = int(order[dup[0] + 1])
+            raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
+        dates = tuple(dates[i] for i in order.tolist())
+        close = close[order]
+        extra_vals = [v[order] for v in extra_vals]
+
+    return PriceSeries(
+        symbol=symbol if symbol is not None else _infer_symbol(source),
+        dates=dates,
+        close=close,
+        **dict(zip(extras, extra_vals)),
+    )
+
+
+def _header(source: str, reader, mapping: dict) -> tuple:
+    """Read the header row; return the optional fields present and the
+    column indices of the date, the close and those fields."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{source}: empty file, header row required")
+    for logical in ("date", "close"):
+        if mapping[logical] not in header:
+            raise DataError(
+                f"{source}: missing column {mapping[logical]!r} (have {header})"
+            )
+    col = {name: i for i, name in enumerate(header)}
+    extras = [f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in header]
+    return extras, [col[mapping[f]] for f in ("date", "close", *extras)]
+
+
+def _raise_row_error(source: str, text: str, mapping: dict) -> None:
+    """Walk the rows of ``text`` in file order and raise the DataError of
+    the first one that fails to read or convert."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        _, cols = _header(source, reader, mapping)
         idx = 1  # header is row 1
         for row in reader:
             if not row:
                 continue
             idx += 1
             n = len(row)
-            raw_date = row[di] if di < n else None
-            raw_close = row[ci] if ci < n else None
+            raw_date, raw_close, *raw_extras = (row[j] if j < n else None for j in cols)
             if raw_date is None or raw_close is None or raw_close.strip() == "":
                 raise DataError(f"{source}: malformed row {idx}")
             try:
-                # intraday timestamps truncated to the calendar day
-                d = Date.fromisoformat(raw_date.strip()[:10])
+                Date.fromisoformat(raw_date.strip()[:10])
                 c = float(raw_close)
             except ValueError as exc:
                 raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
             if not math.isfinite(c) or c <= 0.0:
                 raise DataError(f"{source}: non-positive price at row {idx}")
-            for (_, j), vals in zip(extras, extra_vals):
+            for raw in raw_extras:
                 try:
-                    vals.append(float(row[j] if j < n else None))
+                    float(raw)
                 except (ValueError, TypeError) as exc:
                     raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-            dates.append(d)
-            closes.append(c)
     except csv.Error as exc:
         raise DataError(f"{source}: unreadable CSV at line {reader.line_num}: {exc}") from exc
-
-    # a stable sort keeps equal dates in file order, so the second of the
-    # first duplicate pair is the row reported
-    ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=len(dates))
-    order = np.argsort(ords, kind="stable")
-    ords = ords[order]
-    dup = np.flatnonzero(ords[1:] == ords[:-1])
-    if dup.size:
-        i = int(order[dup[0] + 1])
-        raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
-
-    return PriceSeries(
-        symbol=symbol if symbol is not None else _infer_symbol(source),
-        dates=[dates[i] for i in order.tolist()],
-        close=np.array(closes)[order],
-        **{f: np.array(vals)[order] for (f, _), vals in zip(extras, extra_vals)},
-    )
 
 
 def _infer_symbol(source: str) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,10 @@ class RiskReport:
     """Keyed risk results.
 
     ``var`` maps (symbol, period, level) to a dict with the three
-    variants; ``drawdowns`` maps (symbol, period) to (dated series,
-    max_drawdown); ``stats`` holds the per-cell moments the parametric
-    measures were computed from.
+    variants; ``drawdowns`` maps (symbol, period) to (series, max_drawdown)
+    as ``drawdown`` returns them, the series a ``DrawdownSeries`` of
+    (date, drawdown) pairs; ``stats`` holds the per-cell moments the
+    parametric measures were computed from.
     """
 
     spec: RiskSpec
@@ -202,21 +204,45 @@ def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     return -_empirical_quantiles(r, (level,))[0] * amount
 
 
+class DrawdownSeries(Sequence):
+    """Read-only sequence of (date, drawdown) pairs over a date tuple and a
+    float64 array of the same length.
+
+    Item i is ``(dates[i], float(values[i]))``; a slice is a tuple of such
+    pairs, and ``tuple(series)`` is the tuple of all of them.  Holding the
+    array rather than the pairs keeps 16 bytes per date.
+    """
+
+    __slots__ = ("dates", "values")
+
+    def __init__(self, dates: tuple, values: np.ndarray) -> None:
+        self.dates = dates
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.dates[i], self.values[i].tolist()))
+        return self.dates[i], float(self.values[i])
+
+    def __iter__(self):
+        return zip(self.dates, self.values.tolist())
+
+
 def drawdown(r: ReturnSeries) -> tuple:
     """Drawdown path and its minimum.
 
     Wealth is exp of the running return sum; the drawdown at t is wealth
     relative to its running peak, minus one.  Returns (series, max_dd)
-    where series is a tuple of (date, dd) pairs.
+    where series is a ``DrawdownSeries`` of (date, dd) pairs with Python
+    float values; ``tuple(series)`` gives them as a tuple.
     """
-    dd = _drawdown_path(r.values)
-    return tuple(zip(r.dates, dd.tolist())), float(dd.min())
-
-
-def _drawdown_path(values: np.ndarray) -> np.ndarray:
-    # the drawdown at each date of a return path
-    wealth = np.exp(np.cumsum(values))
-    return wealth / np.maximum.accumulate(wealth) - 1.0
+    wealth = np.exp(np.cumsum(r.values))
+    dd = wealth / np.maximum.accumulate(wealth) - 1.0
+    dd.setflags(write=False)
+    return DrawdownSeries(r.dates, dd), float(dd.min())
 
 
 def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":

@@ -1,9 +1,16 @@
+import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from volrisk.market_data import ReturnSeries
+
+# pyproject's ``pythonpath`` puts src/ on this process's path; the tests that
+# start ``python -m volrisk.cli`` need it in the environment as well
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))))
 
 
 def _make_series(values, symbol="test", start=date(2019, 1, 1)):

@@ -261,6 +261,16 @@ class TestFit:
             fit_egarch(r)
         assert any("fragile" in m for m in caplog.messages)
 
+    def test_single_outlier_still_converges(self, make_series):
+        # one 300-sigma day pulls b_pers from 0.96 to 0.90 but the fit stays clean
+        vals = simulate_egarch(_egarch(), 1000, seed=3)
+        vals[500] = 300.0 * vals.std(ddof=1)
+        r = make_series(vals)
+        fit = fit_egarch(r)
+        assert fit.converged
+        assert all(math.isfinite(se) for se in fit.std_errors.values())
+        assert fit.loglik == pytest.approx(egarch_loglik(r, fit.params), abs=1e-9)
+
     def test_constant_series_rejected(self, make_series):
         with pytest.raises(DegenerateSeriesError):
             fit_egarch(make_series([0.01] * 200))

@@ -121,6 +121,8 @@ _NUMBER_CELL = st.one_of(
 )
 _TEXT_CELL = st.text(alphabet="ab ,\"1.-", max_size=6)
 _RARELY = st.sampled_from((False,) * 9 + (True,))
+# a cell the csv module refuses to read
+_OVERSIZED = "1" * (csv.field_size_limit() + 1)
 
 
 @st.composite
@@ -204,6 +206,11 @@ def _outcome(loader, path, columns):
 @example(text="date,close,close\n2020-01-02,1,5\n2020-01-03,2,6,7\n", columns=None)
 @example(text="\ndate,close\n2020-01-02,1\n2020-01-03,2\n", columns=None)
 @example(text="date,close\n2020-01-03,1\n\n2020-01-02,2\n2020-01-03T10:00,3\n", columns=None)
+# the first bad row is reported even when a later row fails an earlier check
+@example(text="date,close,volume\n2020-01-02,1,x\n2020-01-03,-1,5\n", columns={"volume": "volume"})
+@example(text=f"date,close\nbad,1\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
+@example(text=f"date,close\n2020-01-02\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
+@example(text="date,close\n2020-01-04,1\n2020-01-02,2\n2020-01-04,3\n2020-01-03,4\n", columns=None)
 def test_loader_matches_reference(tmp_path_factory, text, columns):
     path = tmp_path_factory.getbasetemp() / "ASSET.csv"
     path.write_text(text, encoding="utf-8", newline="")

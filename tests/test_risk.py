@@ -2,6 +2,7 @@ import csv
 import io
 import logging
 import math
+import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -190,6 +191,33 @@ class TestDrawdown:
         series, _ = drawdown(r)
         assert tuple(d for d, _ in series) == r.dates
 
+    def test_series_is_the_tuple_of_dated_pairs(self, make_series):
+        rng = np.random.default_rng(3)
+        r = make_series(list(0.02 * rng.standard_normal(50)))
+        series, max_dd = drawdown(r)
+        pairs = _dated_drawdowns(r)
+        _assert_same_pairs(series, pairs)
+        assert max_dd == min(v for _, v in pairs)
+
+
+def _dated_drawdowns(r):
+    wealth = np.exp(np.cumsum(r.values))
+    dd = wealth / np.maximum.accumulate(wealth) - 1.0
+    return tuple(zip(r.dates, dd.tolist()))
+
+
+def _assert_same_pairs(series, pairs):
+    # a drawdown series reads like the tuple of its pairs, values as floats
+    assert tuple(series) == pairs
+    assert len(series) == len(pairs)
+    assert series[0] == pairs[0] and series[-1] == pairs[-1]
+    assert series[-3] == pairs[-3]
+    assert series[2:7] == pairs[2:7] and series[::-4] == pairs[::-4]
+    assert type(series[-1][1]) is float
+    assert all(type(v) is float for _, v in series)
+    with pytest.raises(IndexError):
+        series[len(pairs)]
+
 
 class TestRiskSpec:
     def test_defaults(self):
@@ -229,6 +257,41 @@ def _two_asset_panel(make_series, n=150):
 
 
 class TestRiskReport:
+    def test_drawdowns_are_the_tuples_of_dated_pairs(self, make_series):
+        panel = _two_asset_panel(make_series)
+        spec = RiskSpec(periods=(("full", None, None), ("window", panel.dates[40], panel.dates[80])))
+        rep = risk_report(panel, spec)
+        for s in panel.series:
+            for name, start, end in spec.periods:
+                series, max_dd = rep.drawdowns[(s.symbol, name)]
+                pairs = _dated_drawdowns(_restrict(s, start, end))
+                _assert_same_pairs(series, pairs)
+                assert max_dd == min(v for _, v in pairs)
+
+    def test_report_keeps_few_bytes_per_date(self, make_series):
+        # A report keeps each cell's drawdowns as one float64 array plus a
+        # slot of a date tuple: 16 bytes a date.  A (date, float) pair costs
+        # at least 80 (a 2-tuple of 56 plus a float of 24).
+        k, n = 4, 3000
+        rng = np.random.default_rng(8)
+        series = [make_series(list(0.01 * rng.standard_normal(n)), symbol=f"S{i}")
+                  for i in range(k)]
+        panel = ReturnPanel(series=tuple(series), dates=series[0].dates)
+        d = panel.dates
+        spec = RiskSpec(periods=(("full", None, None), ("early", None, d[n // 2]),
+                                 ("late", d[n // 3], None)))
+        cells = k * sum(len(_restrict(series[0], a, b)) for _, a, b in spec.periods)
+        risk_report(panel, spec)  # lazy imports and caches load outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = risk_report(panel, spec)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rep.drawdowns) == k * 3
+        assert kept / cells < 40.0
+
     def test_cell_values_match_direct_calls(self, make_series):
         panel = _two_asset_panel(make_series)
         spec = RiskSpec()
