@@ -208,6 +208,8 @@ def _check_significance(significance: float) -> None:
 _DEFAULT_COLUMNS = {"date": "date", "close": "close"}
 _OPTIONAL_FIELDS = ("open", "high", "low", "volume")
 _DAY = operator.itemgetter(slice(None, 10))
+# every byte but "," and "\n"; in UTF-8 no other character holds either byte
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _read_text(source: str) -> str:
@@ -229,6 +231,13 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     after it are skipped and not counted as rows, cells missing from a
     short row read as absent, and a header name given twice refers to its
     last column.
+
+    A file without quote characters, without carriage returns outside
+    CRLF line ends, with the header's comma count on every nonblank line
+    and no field over ``csv.field_size_limit()`` (what ``simulate``
+    writes, and most vendor exports) is cut into cells by ``str.split``;
+    any other file is read by ``csv.reader``.  Both give the same cells,
+    and only the ``csv.reader`` walk names an error.
     """
     mapping = dict(_DEFAULT_COLUMNS)
     if columns:
@@ -236,11 +245,14 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     text = _read_text(source)
     reader = csv.reader(io.StringIO(text))
     try:
-        # one reader pass pulls the needed cells and each column converts in
-        # one pass; on any failure a walk over the rows names the first bad one
+        # one split or reader pass pulls the needed cells and each column
+        # converts in one pass; on any failure a walk over the rows names
+        # the first bad one
         extras, idx = _header(source, reader, mapping)
-        cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader))))
-        raw_dates, raw_close, *raw_extras = cells or ((),) * len(idx)
+        cells = _split_columns(text, idx)
+        if cells is None:
+            cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader)))) or ((),) * len(idx)
+        raw_dates, raw_close, *raw_extras = cells
         n = len(raw_dates)
         # intraday timestamps truncated to the calendar day
         dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
@@ -288,6 +300,34 @@ def _header(source: str, reader, mapping: dict) -> tuple:
     col = {name: i for i, name in enumerate(header)}
     extras = [f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in header]
     return extras, [col[mapping[f]] for f in ("date", "close", *extras)]
+
+
+def _split_columns(text: str, idx: list) -> "list | None":
+    """Columns ``idx`` of the rows after the header, cell for cell as
+    csv.reader reads them, or None unless ``text`` splits plainly: no
+    quote character, no carriage return outside a CRLF line end, the
+    header's comma count on every nonblank line and no field longer than
+    csv.field_size_limit()."""
+    if '"' in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if body[:1] == "\n" or "\n\n" in body:
+        # csv.reader skips empty lines only: "\x0c", "\x85" and " " are cells
+        body = "\n".join(filter(None, body.split("\n")))
+    body = body.removesuffix("\n")
+    commas = header.count(",")
+    rows = body.count("\n") + 1 if body else 0
+    # the separators in file order must be the header's commas and a newline, row by row
+    if body.encode().translate(None, _NOT_SEPARATOR) != ((b"," * commas + b"\n") * rows)[:-1]:
+        return None
+    fields = body.replace("\n", ",").split(",") if body else []
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields), default=0) > limit:
+        return None
+    return [fields[i::commas + 1] for i in idx]
 
 
 def _raise_row_error(source: str, text: str, mapping: dict) -> None:
@@ -417,6 +457,11 @@ def jarque_bera(s: DescriptiveStats, significance: float = 0.05) -> TestResult:
     )
 
 
+# least share of its column's sum of squares a Cholesky pivot of X'X keeps
+# in a design that is not collinear
+_ADF_PIVOT = 1e-10
+
+
 def _schwert_lags(n: int) -> int:
     return int(12.0 * (n / 100.0) ** 0.25)
 
@@ -427,6 +472,15 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
     Null: unit root.  Lag order defaults to the Schwert rule
     floor(12 (n/100)^0.25); critical values come from the embedded
     response-surface constants evaluated at the effective sample size.
+
+    The regression (Said & Dickey 1984) runs on its normal equations: a
+    Cholesky factor L of X'X gives the coefficients and the variance of
+    the lagged level's.  A design is collinear, and raises
+    DegenerateSeriesError, when Cholesky fails or some pivot leaves less
+    than 1e-10 of its column's sum of squares, L_jj^2 < 1e-10 (X'X)_jj,
+    that is 1 - R^2 < 1e-10 against the columns before it.  The
+    simulated return panels keep at least 0.45; a periodic return pattern
+    (alternating, period 3, one move in ten) fails Cholesky outright.
     """
     _check_significance(significance)
     x = r.values
@@ -442,13 +496,20 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
     for i in range(1, p + 1):
         cols.append(dx[p - i : dx.size - i])
     X = np.column_stack(cols)
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
+    xtx = X.T @ X
+    try:
+        L = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or np.any(np.diagonal(L) ** 2 < _ADF_PIVOT * np.diagonal(xtx)):
         raise DegenerateSeriesError(f"{r.symbol}: collinear regressors in ADF regression")
+    # with M = L^-1, (X'X)^-1 = M'M: beta = M'(M X'y) and (X'X)^-1_11 = |M[:, 1]|^2
+    M = np.linalg.inv(L)
+    beta = M.T @ (M @ (X.T @ y))
     resid = y - X @ beta
     dof = y.size - X.shape[1]
     s2 = float(resid @ resid) / dof
-    cov11 = s2 * np.linalg.inv(X.T @ X)[1, 1]
+    cov11 = s2 * float(M[:, 1] @ M[:, 1])
     stat = float(beta[1] / math.sqrt(cov11))
     nobs = y.size
     crits = {}

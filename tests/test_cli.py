@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import datetime
 import io
 import json
 import math
@@ -93,6 +94,25 @@ class TestConfigParsing:
     def test_unreadable_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config("/nonexistent/cfg.yaml")
+
+    def test_non_utf8_file_is_unreadable(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_bytes(b"assets: \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_run_config(str(p))
+
+    def test_libyaml_reads_what_the_python_loader_reads(self, sim_cfg, tmp_path, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## config format", 1)[1]
+        example = tmp_path / "readme.yaml"
+        example.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        for path in (sim_cfg, str(example)):
+            fast = load_run_config(path)
+            with monkeypatch.context() as m:
+                m.delattr(yaml, "CSafeLoader")
+                assert load_run_config(path) == fast
 
     def test_broken_yaml(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -714,6 +734,36 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "input error: X:" in err and str(src) in err and "field larger" in err
+
+    def test_unquoted_field_over_csv_limit_is_2(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        src.write_text("date,close\n2020-01-02," + "1" * 200_000 + "\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "X", "source": str(src)}]})
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "input error: X:" in err and str(src) in err and "field larger" in err
+
+    def test_collinear_adf_design_is_2(self, tmp_path, capsys):
+        # returns alternate +-0.01, so the ADF lags repeat the lagged level
+        src = tmp_path / "alt.csv"
+        up = repr(100.0 * math.exp(0.01))
+        src.write_text("date,close\n" + "".join(
+            f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=i)},{up if i % 2 else '100.0'}\n"
+            for i in range(301)), encoding="utf-8")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "ALT", "source": str(src)}]})
+        d = tmp_path / "out"
+        for cmd in ("describe", "test"):
+            assert main([cmd, "--config", cfg, "--out", str(d)]) == 2
+            err = capsys.readouterr().err
+            assert "input error: ALT: collinear regressors in ADF regression" in err
+            assert "Traceback" not in err
+            assert not d.exists()
+
+    def test_non_utf8_config_is_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"assets: \xff\n")
+        assert main(["describe", "--config", str(cfg)]) == 3
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_boolean_risk_free_rate_is_3(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, risk_free_rate=True))

@@ -2,7 +2,9 @@
 
 ``reference_load_price_series`` is the ``csv.DictReader`` loader that
 ``load_price_series`` replaced, kept verbatim.  On any CSV text both must
-return an equal PriceSeries or raise DataError with the same message.
+return an equal PriceSeries or raise DataError with the same message;
+where the reference lets a ``csv.Error`` through, the loader must raise a
+DataError caused by the same one.
 """
 import csv
 import io
@@ -13,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from volrisk.cli import main
 from volrisk.market_data import (
     _DEFAULT_COLUMNS,
     _OPTIONAL_FIELDS,
@@ -20,6 +23,7 @@ from volrisk.market_data import (
     PriceSeries,
     _infer_symbol,
     _read_text,
+    _split_columns,
     load_price_series,
 )
 
@@ -121,8 +125,9 @@ _NUMBER_CELL = st.one_of(
 )
 _TEXT_CELL = st.text(alphabet="ab ,\"1.-", max_size=6)
 _RARELY = st.sampled_from((False,) * 9 + (True,))
-# a cell the csv module refuses to read
+# a cell the csv module refuses to read, and the longest one it reads
 _OVERSIZED = "1" * (csv.field_size_limit() + 1)
+_LONGEST = "1" * csv.field_size_limit()
 
 
 @st.composite
@@ -189,7 +194,11 @@ def csv_text(draw):
 def _outcome(loader, path, columns):
     try:
         p = loader(path, columns)
+    except csv.Error as exc:
+        return ("unreadable", str(exc))
     except DataError as exc:
+        if isinstance(exc.__cause__, csv.Error):
+            return ("unreadable", str(exc.__cause__))
         return ("error", str(exc))
     extras = {
         f: getattr(p, f).tobytes()
@@ -211,6 +220,25 @@ def _outcome(loader, path, columns):
 @example(text=f"date,close\nbad,1\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
 @example(text=f"date,close\n2020-01-02\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
 @example(text="date,close\n2020-01-04,1\n2020-01-02,2\n2020-01-04,3\n2020-01-03,4\n", columns=None)
+# the edges of the plain split: line ends, blank and whitespace lines, uneven
+# rows, characters that str.splitlines would break on (and NUL), and the field
+# size limit
+@example(text="date,close\r\n2020-01-02,1\r\n\r\n2020-01-03,2\r\n", columns=None)
+@example(text="date,close\n2020-01-02,1\r2020-01-03,2\n", columns=None)
+@example(text="date,close\n2020-01-02,1\n2020-01-03,2\r", columns=None)
+@example(text="date,close\nbad,1\n2020-01-03,2\r2020-01-04,3\n", columns=None)
+@example(text="date,close,note\n2020-01-02,1,a\rb\n2020-01-03,2,c\n", columns=None)
+@example(text='date,close\n"2020-01-02",1\n2020-01-03,"2"\n', columns=None)
+@example(text="date,close\n\n2020-01-02,1\n\n\n2020-01-03,2\n\n", columns=None)
+@example(text="date,close\n2020-01-02,1\n \n2020-01-03,2\n", columns=None)
+@example(text="date,close,note\n2020-01-02,1\n2020-01-03,2,x\n", columns=None)
+@example(text="date,close\n2020-01-02,1,x\n2020-01-03,2\n", columns=None)
+@example(text="date,close,note\n2020-01-02\x0c,1\x85,\u2028\n2020-01-03,2,a\x0cb\x00\n", columns=None)
+@example(text="date,close\n2020-01-02,1\x0c2020-01-03,2\n\n", columns=None)
+@example(text="date,close\n2020-01-02,1\x852020-01-03,2\n", columns=None)
+@example(text="date,close\n2020-01-02,1\u20282020-01-03,2\n", columns=None)
+@example(text=f"date,close,note\n2020-01-02,1,{_OVERSIZED}\n2020-01-03,2,x\n", columns=None)
+@example(text=f"date,close,note\n2020-01-02,1,{_LONGEST}\n2020-01-03,2,x\n", columns=None)
 def test_loader_matches_reference(tmp_path_factory, text, columns):
     path = tmp_path_factory.getbasetemp() / "ASSET.csv"
     path.write_text(text, encoding="utf-8", newline="")
@@ -233,3 +261,15 @@ def test_generator_reaches_both_outcomes(tmp_path):
 
     probe()
     assert seen == {"ok", "error"}
+
+
+def test_simulated_csv_takes_the_split_path(tmp_path):
+    # what simulate writes, with either line end or blank lines, is read
+    # without csv.reader
+    assert main(["simulate", "--out", str(tmp_path), "--seed", "7",
+                 "--assets", "2", "--length", "300"]) == 0
+    text = (tmp_path / "sim_SIM1.csv").read_text(encoding="utf-8")
+    for t in (text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n")):
+        header, *rows = filter(None, csv.reader(io.StringIO(t)))
+        assert header == ["date", "close"] and len(rows) == 301
+        assert _split_columns(t, [0, 1]) == [list(c) for c in zip(*rows)]

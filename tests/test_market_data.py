@@ -5,13 +5,19 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volrisk.market_data import (
+    _ADF_SURFACE,
+    _SIGNIFICANCE_LEVELS,
     DataError,
     DegenerateSeriesError,
     PriceSeries,
     ReturnPanel,
     ReturnSeries,
+    _check_significance,
+    _schwert_lags,
     adf_test,
     align_panel,
     describe,
@@ -288,6 +294,88 @@ class TestUnitRoot:
         t = adf_test(make_series(np.random.default_rng(5).standard_normal(300)))
         blob = json.dumps(t.to_dict(), sort_keys=True)
         assert "unit root" in blob
+
+
+def reference_adf_test(r, lags=None, significance=0.05):
+    """The least-squares ``adf_test`` that the normal-equations one
+    replaced, kept verbatim."""
+    # imported here so that pytest does not collect the Test-named class
+    from volrisk.market_data import TestResult
+
+    _check_significance(significance)
+    x = r.values
+    n = x.size
+    p = _schwert_lags(n) if lags is None else int(lags)
+    if p < 0:
+        raise ValueError(f"lags must be nonnegative, got {p}")
+    if n <= p + 10:
+        raise DataError(f"{r.symbol}: need more than lags + 10 = {p + 10} observations, got {n}")
+    dx = np.diff(x)
+    y = dx[p:]
+    cols = [np.ones(y.size), x[p:-1]]
+    for i in range(1, p + 1):
+        cols.append(dx[p - i : dx.size - i])
+    X = np.column_stack(cols)
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < X.shape[1]:
+        raise DegenerateSeriesError(f"{r.symbol}: collinear regressors in ADF regression")
+    resid = y - X @ beta
+    dof = y.size - X.shape[1]
+    s2 = float(resid @ resid) / dof
+    cov11 = s2 * np.linalg.inv(X.T @ X)[1, 1]
+    stat = float(beta[1] / math.sqrt(cov11))
+    nobs = y.size
+    crits = {}
+    for a in _SIGNIFICANCE_LEVELS:
+        b0, b1, b2, b3 = _ADF_SURFACE[a]
+        crits[a] = b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
+    return TestResult(
+        test_name="adf",
+        statistic=stat,
+        decision_inputs={
+            "lags": p,
+            "nobs": nobs,
+            "critical_values": {f"{a:.2f}": crits[a] for a in _SIGNIFICANCE_LEVELS},
+            "null": "unit root",
+        },
+        reject_null=stat < crits[significance],
+        significance=significance,
+    )
+
+
+class TestAdfOracle:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(50, 3000),
+        lags=st.none() | st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        phi=st.sampled_from((0.0, 0.5, -0.5, 0.95, 1.0)),
+        scale=st.sampled_from((1e-4, 1e-2, 1.0)),
+    )
+    def test_statistic_matches_least_squares(self, n, lags, seed, phi, scale):
+        # AR(1) returns, phi = 1 a random walk
+        e = np.random.default_rng(seed).standard_normal(n) * scale
+        x = np.empty(n)
+        prev = 0.0
+        for t, shock in enumerate(e.tolist()):
+            prev = x[t] = phi * prev + shock
+        r = ReturnSeries("test", tuple(map(date.fromordinal, range(730_000, 730_000 + n))), x)
+        got, want = adf_test(r, lags), reference_adf_test(r, lags)
+        assert got.statistic == pytest.approx(want.statistic, rel=1e-10)
+        assert got.decision_inputs == want.decision_inputs
+        assert (got.test_name, got.reject_null, got.significance) == (
+            want.test_name, want.reject_null, want.significance)
+
+    @pytest.mark.parametrize("pattern", [
+        [0.01, -0.01],
+        [0.01, -0.004, -0.006],
+        [0.01] * 9 + [0.0],
+    ], ids=["alternating", "period_3", "stale_1_in_10"])
+    def test_collinear_design_raises(self, make_series, pattern):
+        r = make_series(np.tile(pattern, 300 // len(pattern)))
+        for test in (reference_adf_test, adf_test):
+            with pytest.raises(DegenerateSeriesError, match="^test: collinear regressors in ADF regression$"):
+                test(r)
 
 
 class TestPearson:
