@@ -56,8 +56,6 @@ EXIT_CONFIG = 3
 # two-sided normal critical values at the 1 / 5 / 10 percent levels
 _STARS = ((2.5758293035489004, "***"), (1.959963984540054, "**"), (1.6448536269514722, "*"))
 
-_DEFAULT_LEVELS = (0.90, 0.95, 0.99)
-
 
 class ConfigError(Exception):
     pass
@@ -74,37 +72,30 @@ class AssetConfig:
 @dataclass(frozen=True)
 class RunConfig:
     assets: tuple
-    periods: tuple = (("full", None, None),)
+    periods: tuple = RiskSpec.periods
     family: str = "student_t"
-    levels: tuple = _DEFAULT_LEVELS
-    amount: float = 1.0
+    levels: tuple = RiskSpec.levels
+    amount: float = RiskSpec.amount
     out_dir: str = "out"
     seed: int = 0
     risk_free: "float | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assets", tuple(self.assets))
-        object.__setattr__(self, "periods", tuple(tuple(p) for p in self.periods))
-        object.__setattr__(self, "levels", tuple(self.levels))
         if not self.assets:
             raise ConfigError("at least one asset required")
         symbols = [a.symbol for a in self.assets]
         if len(set(symbols)) != len(symbols):
             raise ConfigError(f"duplicate asset symbols: {symbols}")
-        names = [p[0] for p in self.periods]
-        if len(set(names)) != len(names):
-            # YAML keys 1 and "1" both name the period "1"
-            raise ConfigError(f"duplicate period names: {names}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown distribution {self.family!r}; expected one of {FAMILIES}")
-        for lv in self.levels:
-            if not 0.0 < lv < 1.0:
-                raise ConfigError(f"levels must lie strictly in (0, 1), got {lv}")
-        if len({f"{lv:g}" for lv in self.levels}) != len(self.levels):
-            raise ConfigError(
-                f"levels must be distinct to 6 significant digits, got {list(self.levels)}")
-        if not (math.isfinite(self.amount) and self.amount > 0.0):
-            raise ConfigError(f"portfolio amount must be > 0, got {self.amount}")
+        # the risk report's rules on levels, amount and periods are the config's
+        try:
+            spec = RiskSpec(levels=self.levels, amount=self.amount, periods=self.periods)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name in ("levels", "amount", "periods"):
+            object.__setattr__(self, name, getattr(spec, name))
         if self.risk_free is not None and not math.isfinite(self.risk_free):
             raise ConfigError(f"risk_free_rate must be finite, got {self.risk_free}")
 
@@ -197,7 +188,7 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
 
 def _parse_periods(raw) -> tuple:
     if raw is None:
-        return (("full", None, None),)
+        return RiskSpec.periods
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("periods: expected a non-empty mapping of name -> {start, end}")
     periods = []
@@ -207,8 +198,6 @@ def _parse_periods(raw) -> tuple:
         _check_keys(bounds, {"start", "end"}, where)
         start = _as_date(bounds.get("start"), f"{where}.start")
         end = _as_date(bounds.get("end"), f"{where}.end")
-        if start is not None and end is not None and start > end:
-            raise ConfigError(f"{where}: start {start} after end {end}")
         periods.append((str(name), start, end))
     return tuple(periods)
 
@@ -238,7 +227,7 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
     if not isinstance(assets_raw, list) or not assets_raw:
         raise ConfigError("config: 'assets' must be a non-empty list")
     assets = tuple(_parse_asset(a, i) for i, a in enumerate(assets_raw))
-    levels = raw.get("levels", _DEFAULT_LEVELS)
+    levels = raw.get("levels", RiskSpec.levels)
     if not isinstance(levels, (list, tuple)) or not levels:
         raise ConfigError("config: 'levels' must be a non-empty list")
     risk_free = raw.get("risk_free_rate")
@@ -247,7 +236,8 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
         "periods": _parse_periods(raw.get("periods")),
         "family": _str_key(raw, "distribution", "student_t", "config"),
         "levels": tuple(_float_key(v, "levels", "config") for v in levels),
-        "amount": _float_key(raw.get("portfolio_amount", 1.0), "portfolio_amount", "config"),
+        "amount": _float_key(raw.get("portfolio_amount", RiskSpec.amount), "portfolio_amount",
+                             "config"),
         "out_dir": _str_key(raw, "output_dir", "out", "config"),
         "seed": _int_key(raw, "seed", 0, "config"),
         "risk_free": (None if risk_free is None
@@ -443,7 +433,7 @@ def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     summary = ["model fit summary", "================="]
     code = EXIT_OK
     for fit in fits:
-        out.add(f"fit_{_slug(fit.symbol)}.json", _json(fit.to_dict(include_paths=True)))
+        out.add(f"fit_{_slug(fit.symbol)}.json", _json(fit.to_dict()))
         summary += ["", *_fit_table(
             f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  n={fit.n_obs}",
             fit.converged, zip(fit.param_names, fit.estimates), fit.std_errors,
@@ -461,7 +451,7 @@ def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     # here leaves the stage-1 files above in ``out``
     joint = fit_dcc(fits)
     p = joint.params
-    out.add("dcc.json", _json(joint.to_dict(include_paths=False)))
+    out.add("dcc.json", _json(joint.to_dict()))
     summary += ["", *_fit_table(
         f"joint dcc(1,1)  assets={','.join(joint.symbols)}  n={joint.n_obs}",
         joint.converged,
@@ -561,7 +551,7 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
         "seed": seed,
         "output_dir": str(root / "results"),
         "distribution": "student_t",
-        "levels": [0.90, 0.95, 0.99],
+        "levels": list(RiskSpec.levels),
         "assets": [
             {"symbol": sym, "source": str(root / f"sim_{sym}.csv")}
             for sym in symbols

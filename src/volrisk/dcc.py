@@ -59,7 +59,6 @@ class DccParams:
 class DccFit:
     params: DccParams
     Qbar: np.ndarray
-    Q_path: np.ndarray
     R_path: np.ndarray
     loglik_joint: float
     aic_joint: float
@@ -77,14 +76,14 @@ class DccFit:
         # joint parameter count: every stage-1 parameter plus (alpha, beta, shape)
         return self.k_stage1 + self.k_stage2
 
-    def to_dict(self, include_paths: bool = False) -> dict:
+    def to_dict(self) -> dict:
         k = len(self.symbols)
         corr = {}
         for i in range(k):
             for j in range(i + 1, k):
                 key = f"{self.symbols[i]}/{self.symbols[j]}"
                 corr[key] = [float(v) for v in self.R_path[:, i, j]]
-        d = {
+        return {
             "symbols": list(self.symbols),
             "params": {
                 "alpha": self.params.alpha,
@@ -103,10 +102,6 @@ class DccFit:
             "dates": [dt.isoformat() for dt in self.dates],
             "dynamic_correlation": corr,
         }
-        if include_paths:
-            d["Q_path"] = self.Q_path.tolist()
-            d["R_path"] = self.R_path.tolist()
-        return d
 
 
 def _as_panel(Z) -> np.ndarray:
@@ -155,7 +150,7 @@ def _filter_core(Z: np.ndarray, alpha: float, beta: float, Qbar: np.ndarray):
 
 
 def dcc_filter(Z, params: DccParams, Qbar) -> tuple:
-    """Run the correlation recursion; returns (Q_path, R_path).
+    """Run the correlation recursion; returns the paths (Q, R) of Q_t and R_t.
 
     Positive definiteness of every R_t is checked defensively via the same
     factorization the likelihood uses.
@@ -307,8 +302,8 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
                                  space.dimension)
     best, _, converged = _fit(neg, neg_score, space, [0.05, 0.90, 8.0])
     params = DccParams(*map(float, best.x_opt))
-    Q_path, R_path = dcc_filter(Z, params, Qbar)
-    ll = dcc_loglik(Z, params, Qbar)
+    # BFGS scored x_opt itself, and the score's loglik is dcc_loglik's
+    ll = -best.f_opt
     k_stage1 = sum(f.k_params for f in fits)
     k_total = k_stage1 + space.dimension
     a = aic(ll, k_total)
@@ -317,8 +312,7 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
     return DccFit(
         params=params,
         Qbar=Qbar,
-        Q_path=Q_path,
-        R_path=R_path,
+        R_path=dcc_filter(Z, params, Qbar)[1],
         loglik_joint=ll,
         aic_joint=a,
         aic_joint_per_obs=a / n,

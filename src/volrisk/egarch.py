@@ -143,8 +143,8 @@ class EgarchFit:
     dates: tuple
     model: str
 
-    def to_dict(self, include_paths: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "symbol": self.symbol,
             "model": self.model,
             "distribution": self.params.dist.family,
@@ -156,12 +156,10 @@ class EgarchFit:
             "aic_per_obs": self.aic_per_obs,
             "params": {n: float(v) for n, v in zip(self.param_names, self.estimates)},
             "std_errors": {n: self.std_errors[n] for n in self.param_names},
+            "dates": [dt.isoformat() for dt in self.dates],
+            "h": [float(v) for v in self.h],
+            "z": [float(v) for v in self.z],
         }
-        if include_paths:
-            d["dates"] = [dt.isoformat() for dt in self.dates]
-            d["h"] = [float(v) for v in self.h]
-            d["z"] = [float(v) for v in self.z]
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +278,23 @@ def _path_loglik(eps: np.ndarray, h: np.ndarray, d: InnovationDist) -> float:
     return ll if math.isfinite(ll) else -math.inf
 
 
+def _egarch_paths(r: ReturnSeries, params: EgarchParams) -> tuple:
+    eps = mean_filter(r, params.mean)
+    return eps, egarch_filter(eps, params)
+
+
+def _garch11_paths(r: ReturnSeries, params: Garch11Params) -> tuple:
+    eps = r.values - params.mu
+    return eps, garch11_filter(eps, params)
+
+
 def egarch_loglik(r: ReturnSeries, params: EgarchParams) -> float:
     """Sum over t of [logpdf(dist, z_t) - 0.5 log h_t]; -inf for bad paths."""
-    eps = mean_filter(r, params.mean)
-    h = egarch_filter(eps, params)
-    return _path_loglik(eps, h, params.dist)
+    return _path_loglik(*_egarch_paths(r, params), params.dist)
 
 
 def garch11_loglik(r: ReturnSeries, params: Garch11Params) -> float:
-    eps = r.values - params.mu
-    h = garch11_filter(eps, params)
-    return _path_loglik(eps, h, params.dist)
+    return _path_loglik(*_garch11_paths(r, params), params.dist)
 
 
 def _path_score(eps, h, deps, dlogh, d: InnovationDist) -> tuple:
@@ -412,8 +416,6 @@ def _apply_mean(eps: np.ndarray, mu: float, ar, ma) -> np.ndarray:
     # r_t = mu + eps_t + sum_i ar_i r_{t-1-i} + sum_j ma_j eps_{t-1-j}, with
     # r_t = mu / (1 - sum ar) and eps_t = 0 before the sample
     p, q = len(ar), len(ma)
-    if p == 0 and q == 0:
-        return mu + eps
     denom = 1.0 - sum(ar)
     r_pre = mu / denom if denom != 0.0 else mu
     X = mu + eps
@@ -493,13 +495,13 @@ def garch11_params_from_vector(family: str, x) -> Garch11Params:
 
 
 def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
-                loglik, score, paths, start: list) -> EgarchFit:
+                score, paths, start: list) -> EgarchFit:
     """Shared body of ``fit_egarch`` and ``fit_garch11``.
 
-    ``unpack(x)`` builds the model's parameters, ``loglik(series, params)``
-    and ``score(series, params)`` are its likelihood and exact score, and
-    ``paths(params)`` gives (eps, h) on ``r``.  BFGS starts from mu at the
-    sample mean, then ``start``, then the law at shape 8 and skew 1.
+    ``unpack(x)`` builds the model's parameters, ``score(series, params)``
+    is its exact score, and ``paths(series, params)`` gives (eps, h), from
+    which the likelihood is taken.  BFGS starts from mu at the sample mean,
+    then ``start``, then the law at shape 8 and skew 1.
     """
     n = len(r)
     if n < 100:
@@ -514,8 +516,9 @@ def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
                           values=r.values / math.sqrt(sample_var))
 
     def objectives(series):
-        return opt_mod._objectives(unpack, lambda params: loglik(series, params),
-                                   lambda params: score(series, params), space.dimension)
+        return opt_mod._objectives(
+            unpack, lambda params: _path_loglik(*paths(series, params), params.dist),
+            lambda params: score(series, params), space.dimension)
 
     x0 = [float(scaled.values.mean())] if "mu" in space.names else []
     x0 += start + ([8.0, 1.0] if "skew" in space.names else [8.0])
@@ -529,7 +532,7 @@ def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
     else:
         x_opt[idx["alpha0"]] *= sample_var
     params = unpack(x_opt)
-    eps, h = paths(params)
+    eps, h = paths(r, params)
     ll = _path_loglik(eps, h, params.dist)
     k = space.dimension
     a = aic(ll, k)
@@ -564,25 +567,17 @@ def fit_egarch(r: ReturnSeries, mean: MeanSpec = MeanSpec(), family: str = "stud
         ll, g = egarch_score(series, params)
         return ll, (g if mean.include_constant else g[1:])
 
-    def paths(params):
-        eps = mean_filter(r, params.mean)
-        return eps, egarch_filter(eps, params)
-
     return _fit_series(r, "egarch", egarch_param_space(mean, family),
                        lambda x: egarch_params_from_vector(mean, family, x),
-                       egarch_loglik, score, paths,
+                       score, _egarch_paths,
                        [0.0] * (mean.ar_order + mean.ma_order) + [0.0, 0.1, -0.05, _B0_START])
 
 
 def fit_garch11(r: ReturnSeries, family: str = "student_t") -> EgarchFit:
     """Constant-mean GARCH(1,1) baseline fit, same reporting surface."""
-    def paths(params):
-        eps = r.values - params.mu
-        return eps, garch11_filter(eps, params)
-
     return _fit_series(r, "garch11", garch11_param_space(family),
                        lambda x: garch11_params_from_vector(family, x),
-                       garch11_loglik, garch11_score, paths, [0.05, 0.05, 0.90])
+                       garch11_score, _garch11_paths, [0.05, 0.05, 0.90])
 
 
 def aic(loglik: float, k: int) -> float:

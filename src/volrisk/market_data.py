@@ -10,7 +10,7 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
 
@@ -144,19 +144,9 @@ class DescriptiveStats:
     sharpe: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "q25": self.q25,
-            "q75": self.q75,
-        }
-        if self.sharpe is not None:
-            d["sharpe"] = self.sharpe
+        d = asdict(self)
+        if self.sharpe is None:
+            del d["sharpe"]
         return d
 
 
@@ -492,10 +482,11 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
         raise DataError(f"{r.symbol}: need more than lags + 10 = {p + 10} observations, got {n}")
     dx = np.diff(x)
     y = dx[p:]
-    cols = [np.ones(y.size), x[p:-1]]
+    X = np.empty((y.size, p + 2))
+    X[:, 0] = 1.0
+    X[:, 1] = x[p:-1]
     for i in range(1, p + 1):
-        cols.append(dx[p - i : dx.size - i])
-    X = np.column_stack(cols)
+        X[:, i + 1] = dx[p - i : dx.size - i]
     xtx = X.T @ X
     try:
         L = np.linalg.cholesky(xtx)

@@ -29,10 +29,6 @@ __all__ = [
 
 log = logging.getLogger("volrisk.optimize")
 
-# large finite stand-in for +inf in the converged check: a rejected point next
-# to the optimum makes its differences huge instead of raising
-_BIG = 1e100
-
 # logistic outputs clipped into the open unit interval so inverse transforms
 # always land strictly inside the feasible region
 _P_LO = 1e-15
@@ -198,14 +194,6 @@ class OptResult:
     converged: bool
     gradient_norm: "float | None" = None
     evals: int = 0
-
-
-def _wrap(objective: Callable, space: ParamSpace) -> Callable:
-    def wrapped(y: np.ndarray) -> float:
-        v = float(objective(space.from_unconstrained(y)))
-        return v if math.isfinite(v) else _BIG
-
-    return wrapped
 
 
 # BFGS stops after this many iterations, or once max |df/dy| falls below _G_TOL
@@ -428,7 +416,8 @@ def _fit(neg, neg_score, space, x0):
     gradient BFGS asks for at one point share that pass.  Returns
     ``(best, gmax, converged)``: ``gmax`` is max |df/dy| at the returned
     point by central differences of ``neg`` in the unconstrained space,
-    and ``converged`` is ``gmax < 1e-3``.
+    and ``converged`` is ``gmax < 1e-3``; a rejected point among the
+    differences gives ``gmax = inf``.
     """
     last: list = [None, None]
 
@@ -440,8 +429,11 @@ def _fit(neg, neg_score, space, x0):
 
     best = minimize(lambda x: scored(x)[0], space, x0,
                     gradient=lambda x: scored(x)[1])
-    g = finite_diff_gradient(_wrap(neg, space),
-                             space.to_unconstrained(best.x_opt))
+    try:
+        g = finite_diff_gradient(lambda y: neg(space.from_unconstrained(y)),
+                                 space.to_unconstrained(best.x_opt))
+    except ValueError:
+        return best, math.inf, False
     gmax = float(np.max(np.abs(g)))
     return best, gmax, gmax < _GMAX_CONVERGED
 

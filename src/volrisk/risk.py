@@ -66,12 +66,12 @@ class RiskSpec:
             raise ValueError(
                 f"levels must be distinct to 6 significant digits, got {list(self.levels)}")
         if not (math.isfinite(self.amount) and self.amount > 0.0):
-            raise ValueError(f"amount must be > 0, got {self.amount}")
+            raise ValueError(f"portfolio amount must be > 0, got {self.amount}")
         if not self.periods:
             raise ValueError("at least one period required")
         names = [p[0] for p in self.periods]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate period names")
+            raise ValueError(f"duplicate period names: {names}")
         for name, start, end in self.periods:
             if start is not None and end is not None and start > end:
                 raise ValueError(f"period {name!r}: start {start} after end {end}")

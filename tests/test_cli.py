@@ -811,6 +811,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "portfolio_amount" in err
 
+    @pytest.mark.parametrize("amount", ["0", "-1"])
+    def test_nonpositive_portfolio_amount_override_is_3(self, tmp_path, capsys, amount):
+        cfg = _write_cfg(tmp_path / "c.yaml", MINIMAL)
+        argv = ["describe", "--config", cfg, "--validate", "--portfolio-amount", amount]
+        assert main(argv) == 3
+        assert "config error: portfolio amount must be > 0" in capsys.readouterr().err
+
     def test_validate_short_circuits(self, sim_cfg, capsys):
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
         out = capsys.readouterr().out

@@ -210,6 +210,14 @@ class TestFit:
         Z = np.column_stack([f.z for f in fits])
         assert dcc_loglik(Z, p, joint.Qbar) == pytest.approx(joint.loglik_joint, abs=1e-9)
 
+    def test_loglik_is_the_loglik_at_the_optimum(self):
+        # the fit reads its loglik off the optimizer's last scored point
+        returns, _ = _panel(n=600, k=2, seed=4)
+        fits = [fit_egarch(_series(returns[:, j], f"A{j}")) for j in range(2)]
+        joint = fit_dcc(fits)
+        Z = np.column_stack([f.z for f in fits])
+        assert joint.loglik_joint == dcc_loglik(Z, joint.params, joint.Qbar)
+
     def test_duplicate_asset_names_the_pair(self):
         returns, _ = _panel(n=300, k=2, seed=16)
         a = fit_egarch(_series(returns[:, 0], "A0"))

@@ -35,6 +35,7 @@ from volrisk.optimize import (
     ParamSpace,
     _fit,
     _objectives,
+    _scan,
     _scan_varying,
     _std_errors,
     finite_diff_gradient,
@@ -352,6 +353,24 @@ class TestFitRule:
         assert converged == (ripple == 0.0)
         assert best.x_opt[0] == pytest.approx(0.3, abs=1e-2)
 
+    def test_minimum_on_the_edge_of_a_rejected_region_does_not_converge(self):
+        # the bowl's minimum a = 0.3 borders points the loglik rejects, so a
+        # difference of the converged check steps onto one
+        def neg(x):
+            if x[0] > 0.3:
+                return math.inf
+            return (x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2
+
+        def neg_score(x):
+            if x[0] > 0.3:
+                return math.inf, np.zeros(2)
+            return neg(x), np.array([2.0 * (x[0] - 0.3), 2.0 * (math.log(x[1]) - 0.5) / x[1]])
+
+        best, gmax, converged = _fit(neg, neg_score, self.SPACE, [0.0, 1.0])
+        assert best.x_opt[0] == pytest.approx(0.3, abs=1e-4)
+        assert not converged
+        assert gmax > 1e3
+
 
 class TestObjectives:
     SPEC = MeanSpec()
@@ -434,6 +453,18 @@ class TestScore:
         got = _scan_varying(c, V)
         scale = _loop_varying(np.abs(c), np.abs(V))
         assert np.all(np.abs(got - _loop_varying(c, V)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("beta", [-0.6, 0.97, 0.999])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("T", [1, 2, 7, 1000])
+    def test_constant_scan_matches_loop(self, T, shape, beta):
+        # the loop with a constant coefficient, error measured as above
+        Y = np.random.default_rng(T).standard_normal((T,) + shape)
+        c = np.full(T - 1, beta)
+        want, scale = _loop_varying(c, Y), _loop_varying(np.abs(c), np.abs(Y))
+        got = _scan(Y, beta)
+        assert got is Y
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("gamma1", [0.0, 0.5, 0.9, 0.999])
     def test_garch_filter_matches_loop(self, gamma1):
