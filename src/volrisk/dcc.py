@@ -296,11 +296,9 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
         ("joint_shape", ("interval", 2.0, 500.0)),
     ))
 
-    neg, neg_score = _objectives(lambda x: DccParams(*map(float, x)),
-                                 lambda params: dcc_loglik(Z, params, Qbar),
-                                 lambda params: dcc_score(Z, params, Qbar),
-                                 space.dimension)
-    best, _, converged = _fit(neg, neg_score, space, [0.05, 0.90, 8.0])
+    neg_score = _objectives(lambda x: DccParams(*map(float, x)),
+                            lambda params: dcc_score(Z, params, Qbar), space.dimension)
+    best, converged = _fit(neg_score, space, [0.05, 0.90, 8.0])
     params = DccParams(*map(float, best.x_opt))
     # BFGS scored x_opt itself, and the score's loglik is dcc_loglik's
     ll = -best.f_opt

@@ -515,14 +515,13 @@ def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
     scaled = ReturnSeries(symbol=r.symbol, dates=r.dates,
                           values=r.values / math.sqrt(sample_var))
 
-    def objectives(series):
-        return opt_mod._objectives(
-            unpack, lambda params: _path_loglik(*paths(series, params), params.dist),
-            lambda params: score(series, params), space.dimension)
+    def objective(series):
+        return opt_mod._objectives(unpack, lambda params: score(series, params),
+                                   space.dimension)
 
     x0 = [float(scaled.values.mean())] if "mu" in space.names else []
     x0 += start + ([8.0, 1.0] if "skew" in space.names else [8.0])
-    best, _gmax, converged = opt_mod._fit(*objectives(scaled), space, x0)
+    best, converged = opt_mod._fit(objective(scaled), space, x0)
     x_opt = np.array(best.x_opt, dtype=float)
     idx = {name: i for i, name in enumerate(space.names)}
     if "mu" in idx:
@@ -536,7 +535,7 @@ def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
     ll = _path_loglik(eps, h, params.dist)
     k = space.dimension
     a = aic(ll, k)
-    neg_score = objectives(r)[1]
+    neg_score = objective(r)
     return EgarchFit(
         params=params,
         h=h,

@@ -7,9 +7,10 @@ there on the objective's exact gradient.  Objectives must be pure; a
 non-finite value at a trial point is treated as a rejected step, never an
 error.
 
-Every model's fit runs through the private driver here: the objective
-pair, BFGS, the converged rule and standard errors, plus the doubling
-scans that carry the linear recursions of the filters and their scores.
+Every model's fit runs through the private driver here: one objective,
+the negative loglik with its exact gradient, then BFGS, the converged
+rule and standard errors, plus the doubling scans that carry the linear
+recursions of the filters and their scores.
 """
 from __future__ import annotations
 
@@ -381,22 +382,14 @@ def finite_diff_gradient(objective: Callable, x: Sequence[float]) -> np.ndarray:
 _GMAX_CONVERGED = 1e-3
 
 
-def _objectives(unpack, loglik, score, dim: int) -> tuple:
-    """``(neg, neg_score)``: the negative loglik and the negative score of a
-    fit as functions of its parameter vector.
+def _objectives(unpack, score, dim: int):
+    """``neg_score``: the negative loglik of a fit and its gradient, as a
+    function of its parameter vector.
 
     ``unpack(x)`` builds the model's parameters and raises ValueError at an
-    infeasible x; ``loglik(params)`` is the loglik and ``score(params)``
-    returns it with its gradient in x.  A rejected x scores inf, with a
-    zero gradient of length ``dim`` from ``neg_score``.
+    infeasible x; ``score(params)`` returns the loglik with its gradient in
+    x.  A rejected x scores inf, with a zero gradient of length ``dim``.
     """
-    def neg(x):
-        try:
-            params = unpack(x)
-        except ValueError:
-            return math.inf
-        return -loglik(params)
-
     def neg_score(x):
         try:
             params = unpack(x)
@@ -405,19 +398,21 @@ def _objectives(unpack, loglik, score, dim: int) -> tuple:
         ll, g = score(params)
         return -ll, -g
 
-    return neg, neg_score
+    return neg_score
 
 
-def _fit(neg, neg_score, space, x0):
+def _fit(neg_score, space, x0):
     """BFGS from ``x0`` on the exact score.
 
-    ``neg(x)`` is the negative loglik and ``neg_score(x)`` returns it with
-    its gradient in x from one pass of the filter; the value and the
-    gradient BFGS asks for at one point share that pass.  Returns
-    ``(best, gmax, converged)``: ``gmax`` is max |df/dy| at the returned
-    point by central differences of ``neg`` in the unconstrained space,
-    and ``converged`` is ``gmax < 1e-3``; a rejected point among the
-    differences gives ``gmax = inf``.
+    ``neg_score(x)`` returns the negative loglik with its gradient in x
+    from one pass of the filter; the value and the gradient BFGS asks for
+    at one point share that pass.  Returns ``(best, converged)``.  The fit
+    is converged when max |df/dy| of the score at the returned point, in
+    the unconstrained space, is below 1e-3, and so is the central
+    difference of the value along the unit direction BFGS travelled from
+    ``x0`` (all coordinates alike if it took no step).  That difference
+    does not trust the score: it sees a kink or ripple the score misses,
+    and a rejected point at either end of it fails the fit.
     """
     last: list = [None, None]
 
@@ -429,13 +424,14 @@ def _fit(neg, neg_score, space, x0):
 
     best = minimize(lambda x: scored(x)[0], space, x0,
                     gradient=lambda x: scored(x)[1])
-    try:
-        g = finite_diff_gradient(lambda y: neg(space.from_unconstrained(y)),
-                                 space.to_unconstrained(best.x_opt))
-    except ValueError:
-        return best, math.inf, False
-    gmax = float(np.max(np.abs(g)))
-    return best, gmax, gmax < _GMAX_CONVERGED
+    y = space.to_unconstrained(best.x_opt)
+    u = y - space.to_unconstrained(x0)
+    travelled = float(np.linalg.norm(u))
+    u = u / travelled if travelled > 0.0 else np.full(y.size, 1.0 / math.sqrt(y.size))
+    h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.max(np.abs(y))))
+    fp, fm = (float(neg_score(space.from_unconstrained(y + s * u))[0]) for s in (h, -h))
+    slope = (fp - fm) / (2.0 * h)  # nan or inf past a rejected point
+    return best, bool(best.gradient_norm < _GMAX_CONVERGED and abs(slope) < _GMAX_CONVERGED)
 
 
 def _std_errors(grad, space, x_opt, label: str) -> dict:

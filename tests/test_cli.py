@@ -12,12 +12,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import volrisk.cli as cli_mod
+import volrisk.dcc as dcc_mod
+import volrisk.optimize as opt_mod
 from volrisk.cli import (
     ConfigError,
     _parse_levels,
@@ -574,6 +577,43 @@ class TestFit:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert {p.name for p in d.iterdir()} == {
             "fit_SIM1.json", "fit_SIM2.json", "fit_SIM3.json", "dcc.json", "summary.txt"}
+
+    @pytest.mark.parametrize("seed", [7, 1001])
+    def test_converged_agrees_with_every_coordinate_differences(self, seed, tmp_path,
+                                                                 monkeypatch):
+        # each stage-1 and joint fit's flag equals the rule that differences
+        # the value in every unconstrained coordinate at the returned point;
+        # seed 7's SIM3 sits on a |z| kink, where both say no
+        real = opt_mod._fit
+        fits = []
+
+        def capture(neg_score, space, x0):
+            best, converged = real(neg_score, space, x0)
+            fits.append((neg_score, space, best, converged))
+            return best, converged
+
+        monkeypatch.setattr(opt_mod, "_fit", capture)
+        monkeypatch.setattr(dcc_mod, "_fit", capture)
+        ws = tmp_path / "ws"
+        assert main(["simulate", "--out", str(ws), "--seed", str(seed),
+                     "--assets", "3", "--length", "1000"]) == 0
+        code = main(["fit", "--config", str(ws / "sim_config.yaml"),
+                     "--out", str(tmp_path / "out")])
+        assert len(fits) == 4
+        flags = []
+        for neg_score, space, best, converged in fits:
+            try:
+                g = opt_mod.finite_diff_gradient(
+                    lambda y: neg_score(space.from_unconstrained(y))[0],
+                    space.to_unconstrained(best.x_opt))
+                expected = float(np.max(np.abs(g))) < 1e-3
+            except ValueError:
+                expected = False
+            assert type(converged) is bool
+            assert converged == expected
+            flags.append(converged)
+        assert code == (0 if all(flags) else 1)
+        assert flags == ([True, True, False, True] if seed == 7 else [True] * 4)
 
     def test_duplicate_asset_is_input_error(self, sim_ws, tmp_path, capsys):
         src = str(sim_ws / "sim_SIM1.csv")

@@ -330,46 +330,52 @@ class TestScaleEquivariance:
 class TestFitRule:
     SPACE = ParamSpace((("a", "free"), ("b", "positive")))
 
-    def _gmax(self, neg, x):
-        g = finite_diff_gradient(lambda y: neg(self.SPACE.from_unconstrained(y)),
+    @staticmethod
+    def _bowl(ripple=0.0, edge=math.inf):
+        # the score is the smooth bowl's; a fine ripple in the value keeps its
+        # difference gradient far above 1e-3, as a kink the score does not
+        # see would, and points with a > edge are rejected
+        def neg_score(x):
+            if x[0] > edge:
+                return math.inf, np.zeros(2)
+            f = (x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2 + ripple * math.sin(1e6 * x[0])
+            return f, np.array([2.0 * (x[0] - 0.3), 2.0 * (math.log(x[1]) - 0.5) / x[1]])
+
+        return neg_score
+
+    def _difference_rule(self, neg_score, x):
+        # the every-coordinate central-difference rule: max |df/dy| < 1e-3
+        g = finite_diff_gradient(lambda y: neg_score(self.SPACE.from_unconstrained(y))[0],
                                  self.SPACE.to_unconstrained(x))
-        return float(np.max(np.abs(g)))
+        return float(np.max(np.abs(g))) < 1e-3
 
     @pytest.mark.parametrize("ripple", [0.0, 1e-3])
     def test_converged_is_gradient_rule(self, ripple):
-        # BFGS runs on the smooth bowl's score; a fine ripple in the objective
-        # keeps its difference gradient far above 1e-3, as a kink the score
-        # does not see would, so the fit settles but does not converge
-        def neg(x):
-            return ((x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2
-                    + ripple * math.sin(1e6 * x[0]))
-
-        def neg_score(x):
-            return neg(x), np.array([2.0 * (x[0] - 0.3), 2.0 * (math.log(x[1]) - 0.5) / x[1]])
-
-        best, gmax, converged = _fit(neg, neg_score, self.SPACE, [0.0, 1.0])
-        assert gmax == self._gmax(neg, best.x_opt)
-        assert converged == (gmax < 1e-3)
-        assert converged == (ripple == 0.0)
+        # BFGS settles on the ripple's bowl, but the fit does not converge
+        neg_score = self._bowl(ripple)
+        best, converged = _fit(neg_score, self.SPACE, [0.0, 1.0])
+        assert converged is (ripple == 0.0)
+        assert converged == self._difference_rule(neg_score, best.x_opt)
         assert best.x_opt[0] == pytest.approx(0.3, abs=1e-2)
 
     def test_minimum_on_the_edge_of_a_rejected_region_does_not_converge(self):
         # the bowl's minimum a = 0.3 borders points the loglik rejects, so a
         # difference of the converged check steps onto one
-        def neg(x):
-            if x[0] > 0.3:
-                return math.inf
-            return (x[0] - 0.3) ** 2 + (math.log(x[1]) - 0.5) ** 2
-
-        def neg_score(x):
-            if x[0] > 0.3:
-                return math.inf, np.zeros(2)
-            return neg(x), np.array([2.0 * (x[0] - 0.3), 2.0 * (math.log(x[1]) - 0.5) / x[1]])
-
-        best, gmax, converged = _fit(neg, neg_score, self.SPACE, [0.0, 1.0])
+        neg_score = self._bowl(edge=0.3)
+        best, converged = _fit(neg_score, self.SPACE, [0.0, 1.0])
         assert best.x_opt[0] == pytest.approx(0.3, abs=1e-4)
-        assert not converged
-        assert gmax > 1e3
+        assert converged is False
+        with pytest.raises(ValueError):
+            self._difference_rule(neg_score, best.x_opt)
+
+    @pytest.mark.parametrize("ripple", [0.0, 1e-3])
+    def test_start_at_the_minimizer_differences_every_coordinate(self, ripple):
+        # BFGS takes no step, so the difference runs along (1, 1) / sqrt(2)
+        x0 = [0.3, math.exp(0.5)]
+        best, converged = _fit(self._bowl(ripple), self.SPACE, x0)
+        np.testing.assert_array_equal(self.SPACE.to_unconstrained(best.x_opt),
+                                      self.SPACE.to_unconstrained(x0))
+        assert converged is (ripple == 0.0)
 
 
 class TestObjectives:
@@ -377,28 +383,27 @@ class TestObjectives:
 
     def _objectives(self, r):
         return _objectives(lambda x: egarch_params_from_vector(self.SPEC, "student_t", x),
-                           lambda p: egarch_loglik(r, p),
                            lambda p: egarch_score(r, p), 6)
 
     def test_rejected_vector_scores_inf(self, make_series):
         r = make_series(np.random.default_rng(5).standard_normal(300))
-        neg, neg_score = self._objectives(r)
+        neg_score = self._objectives(r)
         for x in ([0.0, -0.1, 0.1, -0.05, 1.0, 8.0],    # b_pers on the bound
                   [0.0, -0.1, 0.1, -0.05, 0.9, 2.0]):   # shape on the bound
             with pytest.raises(ValueError):
                 egarch_params_from_vector(self.SPEC, "student_t", x)
-            assert neg(x) == math.inf
             f, g = neg_score(x)
             assert f == math.inf
             np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_feasible_vector_negates(self, make_series):
         r = make_series(np.random.default_rng(5).standard_normal(300))
-        neg, neg_score = self._objectives(r)
+        neg_score = self._objectives(r)
         x = [0.0, -0.1, 0.1, -0.05, 0.9, 8.0]
-        ll, g = egarch_score(r, egarch_params_from_vector(self.SPEC, "student_t", x))
+        params = egarch_params_from_vector(self.SPEC, "student_t", x)
+        ll, g = egarch_score(r, params)
         f, ng = neg_score(x)
-        assert neg(x) == f == -ll
+        assert f == -ll == -egarch_loglik(r, params)
         np.testing.assert_array_equal(ng, -g)
 
 

@@ -8,7 +8,8 @@ A run imports ``volrisk`` from ``--src`` and drives ``volrisk.cli.main``
 in-process on workspaces simulated with the ``perfbench`` workloads:
 
 - ``report`` on the ``report_small`` shape (k=3, T=1000) at simulate seeds
-  1, 7, 21-40 and 1001;
+  1, 7, 21-40 and 1001-1003, the last three being the workspaces
+  ``report_small`` times;
 - ``describe`` then ``risk`` on the ``ingest_risk`` workspace at seed 3;
 - ``report`` on a variant of the seed-7 workspace that covers the other
   config paths: ARMA(1,1) and AR(2) without a constant, skew-t
@@ -18,7 +19,7 @@ It writes one JSON document mapping each run to the SHA-256 digest of
 every input price file and output file, the ``converged`` flag of every
 fit file, and the exit code of every command.  ``--compare A B`` lists the
 files, flags and exit codes that differ and exits 1 on any difference.
-A run takes about 5 s on a 2-core machine.
+A run takes about 12 s on a 2-core machine.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-REPORT_SEEDS = (1, 7, *range(21, 41), 1001)
+REPORT_SEEDS = (1, 7, *range(21, 41), 1001, 1002, 1003)
 INGEST_SEED = 3
 VARIANT_SEED = 7
 
