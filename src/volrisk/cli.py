@@ -290,8 +290,21 @@ def _sanitize(obj):
     return obj
 
 
-def _json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
+def _json(obj, indent: str = "") -> str:
+    # json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n" at the top; json
+    # indents in pure Python, so lists of scalars go to its C encoder, indent in the separator
+    inner = indent + "  "
+    if isinstance(obj, list) and obj and {str, int, float, bool, type(None)}.issuperset(
+            map(type, obj)):
+        body = json.dumps(_sanitize(obj), separators=(",\n" + inner, ": "))
+        text = "[\n" + inner + body[1:-1] + "\n" + indent + "]"
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj) and any(
+            isinstance(v, list) for v in obj.values()):
+        items = (f"{inner}{json.dumps(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
+        text = "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    else:
+        text = json.dumps(_sanitize(obj), sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return text if indent else text + "\n"
 
 
 def _slug(symbol: str) -> str:

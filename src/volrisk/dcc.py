@@ -8,8 +8,8 @@ correlation recursion
     R_t = diag(Q_t)^{-1/2} Q_t diag(Q_t)^{-1/2}
 
 with Q_0 = Qbar and Qbar fixed at its sample value (covariance
-targeting).  The joint likelihood is the standardized multivariate t with
-one shape parameter, maximized while stage-1 results stay frozen.
+targeting).  The joint likelihood is the standardized multivariate t with one shape
+parameter on one Cholesky factor of R_t per date, maximized with stage-1 results frozen.
 """
 from __future__ import annotations
 
@@ -172,9 +172,9 @@ def dcc_filter(Z, params: DccParams, Qbar) -> tuple:
 
 
 def _mvt_terms(Z: np.ndarray, R: np.ndarray, nu: float) -> "tuple | None":
-    # (loglik, L, w, q) of the standardized multivariate t at z_t under R_t,
-    # with R_t = L_t L_t', w_t = L_t^{-1} z_t and q_t = w_t'w_t; None when a
-    # path is not finite or leaves the positive-definite cone
+    # (loglik, M, w, q) of the standardized multivariate t at z_t under R_t,
+    # with R_t = L_t L_t', M_t = L_t^{-1}, w_t = M_t z_t and q_t = w_t'w_t;
+    # None when a path is not finite or leaves the positive-definite cone
     if not np.all(np.isfinite(R)):
         return None
     try:
@@ -182,12 +182,16 @@ def _mvt_terms(Z: np.ndarray, R: np.ndarray, nu: float) -> "tuple | None":
     except np.linalg.LinAlgError:
         return None
     T, k = Z.shape
-    w = np.linalg.solve(L, Z[:, :, None])[:, :, 0]
+    M = np.zeros((T, k, k))
+    for i in range(k):  # substitution, row i of M from rows 0..i-1, each over all T
+        M[:, i, i] = 1.0 / L[:, i, i]
+        M[:, i, :i] = -np.einsum("tj,tjc->tc", L[:, i, :i], M[:, :i, :i]) * M[:, i, i, None]
+    w = np.einsum("tij,tj->ti", M, Z)
     q = np.einsum("ti,ti->t", w, w)
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     ll = float(T * _t_const(nu, k) - 0.5 * logdet.sum()
                - (nu + k) / 2.0 * np.log1p(q / (nu - 2.0)).sum())
-    return (ll, L, w, q) if math.isfinite(ll) else None
+    return (ll, M, w, q) if math.isfinite(ll) else None
 
 
 def dcc_loglik(Z, params: DccParams, Qbar) -> float:
@@ -203,11 +207,11 @@ def dcc_score(Z, params: DccParams, Qbar) -> tuple:
     """Joint log-likelihood and its exact gradient in (alpha, beta,
     joint_shape), from one pass of the recursion.
 
-    dQ_t/dalpha and dQ_t/dbeta follow the same constant-beta recursion as
-    Q_t, with inputs z_{t-1} z_{t-1}' - Qbar and Q_{t-1} - Qbar.  Then
-    dR = dQ_ij / (d_i d_j) - R_ij (dQ_ii / Q_ii + dQ_jj / Q_jj) / 2 and
-    dl_t = -tr(R^{-1} dR) / 2 + (nu + k) (u' dR u) / (2 (nu - 2 + q_t))
-    with u = R^{-1} z_t.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    With u = R^{-1} z_t, dl_t = tr(W dR_t) / 2 for W = -R^{-1} + (nu + k) u u' /
+    (nu - 2 + q_t), so dl_t/dQ_ij = W_ij / (d_i d_j) for i < j, d_i = sqrt(Q_ii),
+    and dl_t/dQ_ii = -sum_{j != i} W_ij R_ij / (2 Q_ii).  Its reversed beta-scan
+    dotted with z_{t-1} z_{t-1}' - Qbar and Q_{t-1} - Qbar gives the alpha and
+    beta components.  Returns ``(-inf, nan)`` where the loglik is -inf.
     """
     Z = _as_panel(Z)
     Qbar = np.asarray(Qbar, dtype=float)
@@ -216,27 +220,25 @@ def dcc_score(Z, params: DccParams, Qbar) -> tuple:
     terms = _mvt_terms(Z, R, nu)
     if terms is None:
         return -math.inf, np.full(3, math.nan)
-    ll, L, w, q = terms
+    ll, M, w, q = terms
     T, k = Z.shape
+    u = np.einsum("tji,tj->ti", M, w)
     iu, ju = np.triu_indices(k)
-    m = iu.size
-    X = np.zeros((T, 2 * m))
-    X[1:, :m] = Z[:-1, iu] * Z[:-1, ju] - Qbar[iu, ju]
-    X[1:, m:] = Q[:-1, iu, ju] - Qbar[iu, ju]
-    dQ = _scan(X, beta).reshape(T, 2, m)
-    # dR_ii = 0, so only the strict upper triangle enters, twice each
-    diag = iu == ju
-    i, j = iu[~diag], ju[~diag]
+    off = iu != ju
+    i, j = iu[off], ju[off]
+    # R^{-1} = M'M summed with dates last; dR_ii = 0, so only i < j enters W
+    Mt = np.ascontiguousarray(M.transpose(1, 2, 0))
+    W = (((nu + k) / (nu - 2.0 + q))[:, None] * u[:, i] * u[:, j]
+         - np.einsum("lit,ljt->ijt", Mt, Mt)[i, j].T)
     Qd = np.diagonal(Q, axis1=1, axis2=2)
-    rel = dQ[:, :, diag] / Qd[:, None, :]
-    dR = (dQ[:, :, ~diag] / np.sqrt(Qd[:, i] * Qd[:, j])[:, None, :]
-          - 0.5 * R[:, None, i, j] * (rel[:, :, i] + rel[:, :, j]))
-    LinvT = np.swapaxes(np.linalg.inv(L), 1, 2)
-    Rinv = LinvT @ np.swapaxes(LinvT, 1, 2)
-    u = (LinvT @ w[:, :, None])[:, :, 0]
-    W = -Rinv[:, i, j] + ((nu + k) / (nu - 2.0 + q))[:, None] * u[:, i] * u[:, j]
+    G = np.empty((T, iu.size))
+    G[:, off] = W / np.sqrt(Qd[:, i] * Qd[:, j])
+    pairs = (i[:, None] == np.arange(k)) | (j[:, None] == np.arange(k))
+    G[:, ~off] = -0.5 * ((W * R[:, i, j]) @ pairs) / Qd
+    lam = _scan(G[::-1].copy(), beta)[::-1]
     g = np.empty(3)
-    g[:2] = np.einsum("tpm,tm->p", dR, W)
+    g[0] = np.vdot(lam[1:], Z[:-1, iu] * Z[:-1, ju] - Qbar[iu, ju])
+    g[1] = np.vdot(lam[1:], Q[:-1, iu, ju] - Qbar[iu, ju])
     g[2] = (
         T * _t_const_dnu(nu, k)
         - 0.5 * np.log1p(q / (nu - 2.0)).sum()

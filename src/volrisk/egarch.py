@@ -297,16 +297,16 @@ def garch11_loglik(r: ReturnSeries, params: Garch11Params) -> float:
     return _path_loglik(*_garch11_paths(r, params), params.dist)
 
 
-def _path_score(eps, h, deps, dlogh, d: InnovationDist) -> tuple:
+def _path_score(eps, h, deps, adjoint, d: InnovationDist) -> tuple:
     # loglik = sum_t logpdf(z_t) - 0.5 log h_t with z_t = eps_t h_t^(-1/2), so
-    # d loglik = sum_t psi_t / sqrt(h_t) d eps_t - 0.5 (1 + psi_t z_t) d log h_t
-    # + d logpdf / d(law) at fixed z, psi = d logpdf / dz; deps and dlogh
-    # are (n, m) derivatives in the first m parameters, the law's come last
+    # d loglik = sum_t psi_t / sqrt(h_t) d eps_t + a_t d log h_t + d logpdf / d(law)
+    # at fixed z, psi = d logpdf / dz, a_t = -(1 + psi_t z_t) / 2; deps is d eps in
+    # the first parameters, adjoint(a) the sum of a_t d log h_t, the law's last
     sq = np.sqrt(h)
     z = eps / sq
     lp, psi, dlaw = dist_mod.logpdf_grad(d, z)
     ll = float(lp.sum() - 0.5 * np.log(h).sum())
-    g = dlogh.T @ (-0.5 * (1.0 + psi * z))
+    g = adjoint(-0.5 * (1.0 + psi * z))
     g[: deps.shape[1]] += deps.T @ (psi / sq)
     g[-dlaw.shape[1]:] += dlaw.sum(axis=0)
     return ll, g
@@ -316,10 +316,10 @@ def egarch_score(r: ReturnSeries, params: EgarchParams) -> tuple:
     """Log-likelihood and its exact gradient, from one pass of the filter.
 
     The gradient is ordered (mu, ar..., ma..., omega, a_mag, xi, b_pers,
-    shape[, skew]).  Given the filtered path, D_t = d log h_t / d theta
-    follows the linear recursion D_t = c_t D_{t-1} + v_t with
-    c_t = b_pers - (a_mag |z_{t-1}| + xi z_{t-1}) / 2, which runs as a
-    doubling scan.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    shape[, skew]).  D_t = d log h_t / d theta = c_t D_{t-1} + v_t, with c_t =
+    b_pers - (a_mag |z_{t-1}| + xi z_{t-1}) / 2, enters through its adjoint, one
+    reversed scan of one column (Griewank & Walther 2008, ch. 3).  Returns
+    ``(-inf, nan)`` where the loglik is -inf.
     """
     m = params.mean
     d = params.dist
@@ -343,30 +343,30 @@ def egarch_score(r: ReturnSeries, params: EgarchParams) -> tuple:
     V[1:, nm + 2] = z
     V[1:, nm + 3] = np.log(h[:-1])
     V[1:, nm + 4:] = -a * dez
-    D = _scan_varying(params.b_pers - 0.5 * (a * az + xi * z), V)
-    return _path_score(eps, h, deps, D, d)
+    c = (params.b_pers - 0.5 * (a * az + xi * z))[::-1]
+    return _path_score(eps, h, deps, lambda w: V.T @ _scan_varying(c, w[::-1, None])[::-1, 0], d)
 
 
 def garch11_score(r: ReturnSeries, params: Garch11Params) -> tuple:
     """Log-likelihood and its exact gradient, ordered (mu, alpha0, alpha1,
     gamma1, shape[, skew]).
 
-    d h_t / d theta = x_t + gamma1 d h_{t-1} / d theta runs on the same
-    scan as the filter.  Returns ``(-inf, nan)`` where the loglik is -inf.
+    d h_t / d theta = x_t + gamma1 d h_{t-1} / d theta; its adjoint runs the
+    filter's scan backwards.  Returns ``(-inf, nan)`` where the loglik is -inf.
     """
     eps = r.values - params.mu
     h = garch11_filter(eps, params)
     n = 4 + (1 if params.dist.family == "student_t" else 2)
     if not np.all(np.isfinite(h)) or float(h.min()) <= 0.0:
         return -math.inf, np.full(n, math.nan)
-    X = np.zeros((eps.size, 4))
+    X = np.zeros((eps.size, n))
     X[1:, 0] = -2.0 * params.alpha1 * eps[:-1]
     X[1:, 1] = 1.0
     X[1:, 2] = eps[:-1] ** 2
     X[1:, 3] = h[:-1]
-    dlogh = np.zeros((eps.size, n))
-    dlogh[:, :4] = _scan(X, params.gamma1) / h[:, None]
-    return _path_score(eps, h, np.full((eps.size, 1), -1.0), dlogh, params.dist)
+    return _path_score(eps, h, np.full((eps.size, 1), -1.0),
+                       lambda w: X.T @ _scan((w / h)[::-1].copy(), params.gamma1)[::-1],
+                       params.dist)
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,10 @@ class OptResult:
     evals: int = 0
 
 
-# BFGS stops after this many iterations, or once max |df/dy| falls below _G_TOL
+# BFGS stops at this many iterations, max |df/dy| below _G_TOL, or -g'p <= _FLOOR |f|
 _MAX_ITER = 500
 _G_TOL = 1e-5
+_FLOOR = 4.0 * np.finfo(float).eps
 
 # strong-Wolfe constants, and the trial points one line search may take in
 # each of its bracketing and zoom phases
@@ -298,11 +299,10 @@ def minimize(
     on the strong-Wolfe line search above.  The inverse Hessian starts as
     the identity; each trial step would repeat the last decrease (N&W
     3.60), capped at the full quasi-Newton step, and the first, with no
-    decrease before it, has about unit length.  The iteration cap or a failed line search
-    is returned as ``converged = False``, never raised; the result is never
-    worse than the start.
+    decrease before it, has about unit length.  A predicted decrease -g'p of at
+    most 4 eps |f| (no step registers in f), the iteration cap or a failed line
+    search ends it as ``converged = False``, never raised; never worse than x0.
     """
-    max_iter, g_tol = _MAX_ITER, _G_TOL
     y = space.to_unconstrained(np.asarray(x0, dtype=float))
     evals = 0
 
@@ -323,10 +323,10 @@ def minimize(
     H = np.eye(y.size)
     decrease = 0.5 * float(np.linalg.norm(g))  # a first trial step of length 1.01
     k = 0
-    while np.max(np.abs(g)) > g_tol and k < max_iter:
+    while np.max(np.abs(g)) > _G_TOL and k < _MAX_ITER:
         p = -(H @ g)
         d0 = float(g @ p)
-        if not d0 < 0.0:
+        if not -d0 > _FLOOR * abs(f):
             break
         step = _line_search(fg, y, f, g, p, min(1.0, -2.02 * decrease / d0))
         if step is None:
@@ -347,7 +347,7 @@ def minimize(
         x_opt=x_opt,
         f_opt=f,
         iterations=max(1, k),
-        converged=gmax <= g_tol,
+        converged=gmax <= _G_TOL,
         gradient_norm=gmax,
         evals=evals,
     )

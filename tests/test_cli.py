@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import volrisk.cli as cli_mod
@@ -377,7 +377,29 @@ class TestConfigDocuments:
         assert [p for p in path if isinstance(p, str)][-1] in err
 
 
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_DOCUMENT = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40,
+)
+
+
 class TestHelpers:
+    @given(_DOCUMENT)
+    @example({"h": [0.5, math.nan, -math.inf], "dates": ["2020-01-02"], "e": [], "t": (1, 2)})
+    @example([[1.5, math.inf], {"k": {"x": [None, True, 3]}}, {}, "s"])
+    @example({2: [1.0], 1: "x"})  # json turns int keys into strings
+    @settings(max_examples=150, deadline=None)
+    def test_json_writer_matches_indented_dumps(self, doc):
+        # the writer's C-encoded scalar lists and key-by-key dicts give the
+        # bytes json.dumps writes with indent=2, non-finite floats as null
+        want = json.dumps(cli_mod._sanitize(doc), sort_keys=True, indent=2) + "\n"
+        assert cli_mod._json(doc) == want
+
     def test_stars_thresholds(self):
         assert _stars(2.5758293035489004, 1.0) == "***"
         assert _stars(2.57, 1.0) == "**"

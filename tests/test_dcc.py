@@ -4,9 +4,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from volrisk.distributions import InnovationDist, mvt_logpdf
+from volrisk.distributions import InnovationDist, _t_const_dnu, mvt_logpdf
 from volrisk.dcc import (
     DccParams,
+    _filter_core,
     conditional_covariance,
     dcc_filter,
     dcc_loglik,
@@ -18,7 +19,7 @@ from volrisk.dcc import (
 )
 from volrisk.egarch import EgarchParams, MeanParams, fit_egarch
 from volrisk.market_data import DataError, ReturnSeries
-from volrisk.optimize import finite_diff_gradient
+from volrisk.optimize import _scan, finite_diff_gradient
 
 D8 = InnovationDist("student_t", shape=8.0)
 
@@ -163,7 +164,56 @@ class TestLoglik:
         assert dcc_loglik(Z, p, bad_qbar) == -math.inf
 
 
+def _forward_gradient(Z, params, Qbar):
+    # forward mode: dQ_t/dalpha and dQ_t/dbeta scanned as 2m sensitivity
+    # columns, mapped to dR_t, and contracted with R_t^{-1} from inv(L_t)
+    alpha, beta, nu = params.alpha, params.beta, params.joint_shape
+    Q, R = _filter_core(Z, alpha, beta, Qbar)
+    L = np.linalg.cholesky(R)
+    w = np.linalg.solve(L, Z[:, :, None])[:, :, 0]
+    q = np.einsum("ti,ti->t", w, w)
+    T, k = Z.shape
+    iu, ju = np.triu_indices(k)
+    m = iu.size
+    X = np.zeros((T, 2 * m))
+    X[1:, :m] = Z[:-1, iu] * Z[:-1, ju] - Qbar[iu, ju]
+    X[1:, m:] = Q[:-1, iu, ju] - Qbar[iu, ju]
+    dQ = _scan(X, beta).reshape(T, 2, m)
+    diag = iu == ju
+    i, j = iu[~diag], ju[~diag]
+    Qd = np.diagonal(Q, axis1=1, axis2=2)
+    rel = dQ[:, :, diag] / Qd[:, None, :]
+    dR = (dQ[:, :, ~diag] / np.sqrt(Qd[:, i] * Qd[:, j])[:, None, :]
+          - 0.5 * R[:, None, i, j] * (rel[:, :, i] + rel[:, :, j]))
+    LinvT = np.swapaxes(np.linalg.inv(L), 1, 2)
+    Rinv = LinvT @ np.swapaxes(LinvT, 1, 2)
+    u = (LinvT @ w[:, :, None])[:, :, 0]
+    W = -Rinv[:, i, j] + ((nu + k) / (nu - 2.0 + q))[:, None] * u[:, i] * u[:, j]
+    g = np.empty(3)
+    g[:2] = np.einsum("tpm,tm->p", dR, W)
+    g[2] = (
+        T * _t_const_dnu(nu, k)
+        - 0.5 * np.log1p(q / (nu - 2.0)).sum()
+        + 0.5 * (nu + k) * (q / ((nu - 2.0) * (nu - 2.0 + q))).sum()
+    )
+    return g
+
+
 class TestScore:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_adjoint_matches_forward_sensitivities(self, k):
+        _, Z = _panel(n=500, k=k, seed=20 + k)
+        Qbar = unconditional_corr(Z)
+        rng = np.random.default_rng(30 + k)
+        for _ in range(3):
+            alpha = rng.uniform(0.01, 0.1)
+            p = DccParams(alpha, rng.uniform(0.5, 0.98 - alpha), rng.uniform(4.0, 15.0))
+            ll, g = dcc_score(Z, p, Qbar)
+            want = _forward_gradient(Z, p, Qbar)
+            assert ll == dcc_loglik(Z, p, Qbar)
+            # relative to each component, with the vector's size as the floor
+            np.testing.assert_allclose(g, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_matches_differences(self, k):
         _, Z = _panel(n=500, k=k, seed=10 + k)

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from volrisk.distributions import InnovationDist, abs_moment
+from volrisk.distributions import InnovationDist, abs_moment, abs_moment_grad, logpdf_grad
 from volrisk.egarch import (
     EgarchParams,
     Garch11Params,
     MeanParams,
     MeanSpec,
+    _checked_resid,
     aic,
     egarch_filter,
     egarch_loglik,
@@ -439,12 +440,64 @@ def _loop_varying(c, V):
     return D
 
 
+def _assert_agrees(g, want, rtol):
+    # relative to each component, with the vector's size as the floor
+    np.testing.assert_allclose(g, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
 def _assert_score(score, value, x, rtol=1e-5):
     ll, g = score(x)
     fd = finite_diff_gradient(value, np.asarray(x, dtype=float))
     assert ll == value(x)
-    # relative to each component, with the vector's size as the floor
-    np.testing.assert_allclose(g, fd, rtol=rtol, atol=rtol * np.max(np.abs(fd)))
+    _assert_agrees(g, fd, rtol)
+
+
+def _contract(eps, h, deps, dlogh, d):
+    # the gradient from sensitivity columns: dlogh holds d log h_t / d theta
+    # for every parameter, contracted with a_t = -(1 + psi_t z_t) / 2
+    sq = np.sqrt(h)
+    z = eps / sq
+    _, psi, dlaw = logpdf_grad(d, z)
+    g = dlogh.T @ (-0.5 * (1.0 + psi * z))
+    g[: deps.shape[1]] += deps.T @ (psi / sq)
+    g[-dlaw.shape[1]:] += dlaw.sum(axis=0)
+    return g
+
+
+def _forward_egarch_gradient(r, params):
+    # forward mode: D_t = c_t D_{t-1} + v_t scanned for all n parameters
+    # at once, a (T, n) sensitivity matrix, then contracted
+    d = params.dist
+    eps, deps = _checked_resid(r, params.mean, grad=True)
+    h = egarch_filter(eps, params)
+    nm = deps.shape[1]
+    dez = abs_moment_grad(d)
+    z = eps[:-1] / np.sqrt(h[:-1])
+    a, xi = params.a_mag, params.xi
+    V = np.zeros((eps.size, nm + 4 + dez.size))
+    V[0, :nm] = 2.0 * ((eps - eps.mean()) @ deps) / (eps.size * h[0])
+    V[1:, :nm] = ((a * np.sign(z) + xi) / np.sqrt(h[:-1]))[:, None] * deps[:-1]
+    V[1:, nm] = 1.0
+    V[1:, nm + 1] = np.abs(z) - abs_moment(d)
+    V[1:, nm + 2] = z
+    V[1:, nm + 3] = np.log(h[:-1])
+    V[1:, nm + 4:] = -a * dez
+    D = _scan_varying(params.b_pers - 0.5 * (a * np.abs(z) + xi * z), V)
+    return _contract(eps, h, deps, D, d)
+
+
+def _forward_garch_gradient(r, params):
+    # forward mode: d h_t / d theta = x_t + gamma1 d h_{t-1} / d theta
+    eps = r.values - params.mu
+    h = garch11_filter(eps, params)
+    X = np.zeros((eps.size, 4))
+    X[1:, 0] = -2.0 * params.alpha1 * eps[:-1]
+    X[1:, 1] = 1.0
+    X[1:, 2] = eps[:-1] ** 2
+    X[1:, 3] = h[:-1]
+    dlogh = np.zeros((eps.size, 5 if params.dist.family == "student_t" else 6))
+    dlogh[:, :4] = _scan(X, params.gamma1) / h[:, None]
+    return _contract(eps, h, np.full((eps.size, 1), -1.0), dlogh, params.dist)
 
 
 class TestScore:
@@ -504,6 +557,41 @@ class TestScore:
                 lambda xx: egarch_loglik(r, egarch_params_from_vector(spec, family, xx)),
                 x,
             )
+
+    @pytest.mark.parametrize("family", ["student_t", "skew_student_t"])
+    @pytest.mark.parametrize("spec", [MeanSpec(), MeanSpec(ar_order=1, ma_order=1)])
+    def test_egarch_adjoint_matches_forward_sensitivities(self, make_series, family, spec):
+        rng = np.random.default_rng(13)
+        vals = simulate_egarch(_egarch(), 800, seed=31)
+        r = make_series(vals / vals.std())
+        for _ in range(3):
+            x = [rng.uniform(-0.05, 0.05)]
+            x += list(rng.uniform(-0.2, 0.2, size=spec.ar_order + spec.ma_order))
+            x += [rng.uniform(-0.05, 0.05), rng.uniform(0.05, 0.2),
+                  rng.uniform(-0.1, 0.0), rng.uniform(0.85, 0.97), rng.uniform(4.0, 12.0)]
+            if family == "skew_student_t":
+                x.append(rng.uniform(0.7, 1.3))
+            params = egarch_params_from_vector(spec, family, x)
+            ll, g = egarch_score(r, params)
+            assert ll == egarch_loglik(r, params)
+            _assert_agrees(g, _forward_egarch_gradient(r, params), 1e-9)
+
+    @pytest.mark.parametrize("family", ["student_t", "skew_student_t"])
+    def test_garch_adjoint_matches_forward_sensitivities(self, make_series, family):
+        rng = np.random.default_rng(14)
+        truth = Garch11Params(mu=0.0, alpha0=0.02, alpha1=0.08, gamma1=0.9, dist=T7)
+        vals = simulate_garch11(truth, 800, seed=32)
+        r = make_series(vals / vals.std())
+        for _ in range(3):
+            a1 = rng.uniform(0.03, 0.15)
+            x = [rng.uniform(-0.05, 0.05), rng.uniform(0.01, 0.1), a1,
+                 rng.uniform(0.6, 0.97 - a1), rng.uniform(4.0, 12.0)]
+            if family == "skew_student_t":
+                x.append(rng.uniform(0.7, 1.3))
+            params = garch11_params_from_vector(family, x)
+            ll, g = garch11_score(r, params)
+            assert ll == garch11_loglik(r, params)
+            _assert_agrees(g, _forward_garch_gradient(r, params), 1e-9)
 
     def test_garch_score_matches_differences(self, make_series):
         rng = np.random.default_rng(12)

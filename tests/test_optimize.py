@@ -241,6 +241,41 @@ class TestMinimize:
         assert second.evals == first.evals
         assert second.x_opt.tobytes() == first.x_opt.tobytes()
 
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # the fit-rule bowl, with a quartic so BFGS cannot finish it in a few
+        # exact steps, lifted by 1e12: near its minimum no predicted decrease
+        # exceeds the rounding of f, so no step can register
+        space = ParamSpace((("a", "free"), ("b", "positive")))
+
+        def f(x):
+            return 1e12 + (x[0] - 0.3) ** 2 + (x[0] - 0.3) ** 4 + (math.log(x[1]) - 0.5) ** 2
+
+        def grad(x):
+            return np.array([2.0 * (x[0] - 0.3) + 4.0 * (x[0] - 0.3) ** 3,
+                             2.0 * (math.log(x[1]) - 0.5) / x[1]])
+
+        searches = []
+        line_search = opt_mod._line_search
+
+        def recorded(*args):
+            searches.append(line_search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(opt_mod, "_line_search", recorded)
+        res = minimize(f, space, [0.0, 1.0], gradient=grad)
+        assert searches and all(step is not None for step in searches)
+        assert res.f_opt <= searches[-1][1]
+        assert not res.converged
+        assert res.gradient_norm > opt_mod._G_TOL
+        # with no floor (stop only on an uphill direction, as before) the
+        # iteration runs on until a line search fails, at more evaluations
+        accepted = len(searches)
+        monkeypatch.setattr(opt_mod, "_FLOOR", 0.0)
+        unfloored = minimize(f, space, [0.0, 1.0], gradient=grad)
+        assert searches[-1] is None and len(searches) > accepted
+        assert res.evals < unfloored.evals
+        assert unfloored.f_opt == res.f_opt
+
     def test_logistic_transforms_finite_at_extremes(self):
         y = np.array([-800.0, -40.0, -1.0, 0.0, 1e-8, 2.5, 40.0, 800.0])
         with warnings.catch_warnings():

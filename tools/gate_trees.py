@@ -16,16 +16,20 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   innovations, a risk-free rate and two periods.
 
 It writes one JSON document mapping each run to the SHA-256 digest of
-every input price file and output file, the ``converged`` flag of every
-fit file, and the exit code of every command.  ``--compare A B`` lists the
-files, flags and exit codes that differ and exits 1 on any difference.
-A run takes about 12 s on a 2-core machine.
+every input price file and output file, the ``converged`` flag, estimates
+and likelihood of every fit file, and the exit code of every command.
+``--compare A B`` lists the files, flags and exit codes that differ and
+exits 1 on any difference; after them it prints the worst relative change
+of each estimate field (``params``, ``std_errors``, ``loglik``,
+``loglik_joint``) over converged and over unconverged fits, which does not
+change the exit status.  A run takes about 12 s on a 2-core machine.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORT_SEEDS = (1, 7, *range(21, 41), 1001, 1002, 1003)
 INGEST_SEED = 3
 VARIANT_SEED = 7
+# the estimate fields of fit_*.json and dcc.json whose drift --compare reports
+FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
 
 
 def _variant_config(sim_config: Path) -> Path:
@@ -57,13 +63,16 @@ def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
     exits = {c: cli_main([c, "--config", str(config)]) for c in commands}
     files = {}
     converged = {}
+    values = {}
     for p in sorted(config.parent.glob("sim_*.csv")) + sorted(results.iterdir()):
         data = p.read_bytes()
         name = p.name if p.parent == config.parent else f"{results.name}/{p.name}"
         files[name] = hashlib.sha256(data).hexdigest()
         if p.name.startswith("fit_") or p.name == "dcc.json":
-            converged[p.name] = json.loads(data)["converged"]
-    return {"exit": exits, "files": files, "converged": converged}
+            doc = json.loads(data)
+            converged[p.name] = doc["converged"]
+            values[p.name] = {f: doc[f] for f in FIELDS if f in doc}
+    return {"exit": exits, "files": files, "converged": converged, "values": values}
 
 
 def gate(src: Path, work: Path) -> dict:
@@ -101,6 +110,40 @@ def compare(a: dict, b: dict) -> list:
     return diffs
 
 
+def _leaves(field, value):
+    # (name, number) pairs of a field: the scalar itself or a dict's entries
+    if isinstance(value, dict):
+        return [(f"{field}.{k}", v) for k, v in sorted(value.items())]
+    return [(field, value)]
+
+
+def drift(a: dict, b: dict) -> list:
+    """The worst relative change of each field, A to B, over the fit files
+    both digests hold, split by B's converged flag; a null (NaN) on one
+    side only counts as an infinite change."""
+    worst = {}
+    for run in sorted(set(a) & set(b)):
+        va, vb = a[run].get("values", {}), b[run].get("values", {})
+        for name in sorted(set(va) & set(vb)):
+            group = "converged" if b[run]["converged"][name] else "unconverged"
+            for field in FIELDS:
+                if field not in va[name] or field not in vb[name]:
+                    continue
+                for (leaf, x), (_, y) in zip(_leaves(field, va[name][field]),
+                                             _leaves(field, vb[name][field])):
+                    if x is None and y is None:
+                        continue
+                    if x is None or y is None:
+                        rel = math.inf
+                    else:
+                        rel = abs(y - x) / abs(x) if x != 0.0 else (0.0 if y == 0.0 else math.inf)
+                    key = (field, group)
+                    if key not in worst or rel > worst[key][0]:
+                        worst[key] = (rel, f"{run} {name} {leaf}: {x!r} -> {y!r}")
+    return [f"worst relative change, {field} ({group}): {rel:.2g} at {where}"
+            for (field, group), (rel, where) in sorted(worst.items())]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
@@ -113,6 +156,8 @@ def main(argv=None) -> int:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         diffs = compare(a, b)
         print("\n".join(diffs) if diffs else f"identical: {len(a)} runs")
+        for line in drift(a, b):
+            print(line)
         return 1 if diffs else 0
     os.environ.setdefault("VOLRISK_LOG", "ERROR")
     with tempfile.TemporaryDirectory() as tmp:
