@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import logging
 import math
@@ -541,23 +542,25 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
         raise ConfigError(f"simulate needs at least 2 assets, got {n_assets}")
     if length < 50:
         raise ConfigError(f"simulate needs length >= 50, got {length}")
+    # both --seed and a config's seed arrive here; numpy takes no negative seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    days = map(Date.fromordinal, range(start.toordinal(), Date.max.toordinal() + 1))
+    iso = [d.isoformat() for d in itertools.islice(
+        (d for d in days if d.weekday() < 5), length + 1)]
+    if len(iso) <= length:
+        raise ConfigError(f"--start {start}: {length + 1} weekdays from it run past {Date.max}")
     assets, dcc, Qbar = _simulation_dgp(n_assets)
     returns, _ = simulate_dcc_panel(assets, dcc, Qbar, n=length, seed=seed)
     # unit-scale DGP mapped onto a 1%-vol price tape
     scale = 0.01
     symbols = [f"SIM{i + 1}" for i in range(n_assets)]
-    dates = []
-    d = start
-    while len(dates) < length + 1:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += datetime.timedelta(days=1)
-    iso = [dt.isoformat() for dt in dates]
     out = OutputCollector()
     for j, sym in enumerate(symbols):
         prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(scale * returns[:, j]))))
         lines = ["date,close"]
-        lines.extend(f"{dt},{p:.10f}" for dt, p in zip(iso, prices))
+        # %-formatted Python floats: the fastest byte-identical row form measured
+        lines.extend(["%s,%.10f" % row for row in zip(iso, prices.tolist())])
         out.add(f"sim_{sym}.csv", "\n".join(lines) + "\n")
     root = Path(out_dir).resolve()
     cfg_doc = {

@@ -391,15 +391,21 @@ def simulate_dcc_panel(
 
     Z = np.empty((total, k))
     for t in range(total):
-        d = np.sqrt(np.diagonal(Q))
-        R = Q / np.outer(d, d)
-        np.fill_diagonal(R, 1.0)
+        d = np.sqrt(Q.diagonal())
+        R = Q / (d[:, None] * d)
+        R.flat[::k + 1] = 1.0
         L = np.linalg.cholesky(R)
+        # one normal vector then one chi-square per step: this order is the stream
         g = rng.standard_normal(k)
         w = rng.chisquare(nu)
         z = (L @ g) * (scale / math.sqrt(w))
         Z[t] = z
-        Q = C + alpha * np.outer(z, z) + beta * Q
+        # Q <- (C + alpha z z') + beta Q in place, the same sums in the same rounding
+        zz = z[:, None] * z
+        zz *= alpha
+        zz += C
+        Q *= beta
+        Q += zz
     # the correlation path never sees the returns, so each asset's
     # log-variance recursion runs on its finished column of innovations
     returns = np.column_stack([p.mean.mu + _egarch_shocks(p, Z[:, i])

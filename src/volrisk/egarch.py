@@ -374,16 +374,25 @@ def garch11_score(r: ReturnSeries, params: Garch11Params) -> tuple:
 
 def _egarch_shocks(params: EgarchParams, z) -> np.ndarray:
     """eps_t = z_t sqrt(h_t) along the log-variance recursion driven by the
-    innovations z; log h starts at its stationary mean omega/(1 - b_pers)."""
+    innovations z; log h starts at its stationary mean omega/(1 - b_pers).
+
+    Given z the recursion log h_{t+1} = c_t + b_pers log h_t is linear: c is
+    one array expression and the rest one pass over Python floats, in the
+    step-by-step operation order, so every element is the same double.  h
+    comes from ``math.exp``, which raises OverflowError on a path that
+    overflows, not from ``np.exp``, which differs in the last bit on some
+    inputs.
+    """
     ez = dist_mod.abs_moment(params.dist)
-    logh = params.omega / (1.0 - params.b_pers)
-    eps = np.empty(len(z))
-    for t, zt in enumerate(z):
-        h = math.exp(logh)
-        eps[t] = zt * math.sqrt(h)
-        logh = (params.omega + params.a_mag * (abs(zt) - ez)
-                + params.xi * zt + params.b_pers * logh)
-    return eps
+    b = params.b_pers
+    c = (params.omega + params.a_mag * (np.abs(z) - ez)) + params.xi * z
+    logh = params.omega / (1.0 - b)
+    path = []
+    append = path.append
+    for ct in c.tolist():
+        append(logh)
+        logh = ct + b * logh
+    return z * np.sqrt(np.fromiter(map(math.exp, path), float, len(path)))
 
 
 def simulate_egarch(params: EgarchParams, n: int, seed: int, burn: int = 500) -> np.ndarray:

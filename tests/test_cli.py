@@ -484,6 +484,49 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path), "--length", "10"]) == 3
 
 
+@pytest.fixture(scope="module")
+def sim_runs(tmp_path_factory):
+    return tmp_path_factory.mktemp("simulate_runs")
+
+
+class TestSimulateExits:
+    # 9999-10-22 is the last start whose 51 weekdays end by date.max, a Friday
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(-2**31, 2**64), length=st.integers(50, 60), start=st.dates(),
+           via_config=st.booleans())
+    @example(seed=-1, length=50, start=datetime.date(2019, 1, 1), via_config=False)
+    @example(seed=-1, length=50, start=datetime.date(2019, 1, 1), via_config=True)
+    @example(seed=3, length=50, start=datetime.date(9999, 12, 1), via_config=False)
+    @example(seed=3, length=50, start=datetime.date(9999, 10, 22), via_config=False)
+    @example(seed=3, length=50, start=datetime.date(9999, 10, 23), via_config=False)
+    def test_exit_0_or_3_without_traceback(self, sim_runs, seed, length, start, via_config):
+        out = sim_runs / "out"
+        argv = ["simulate", "--assets", "2", "--length", str(length),
+                "--start", start.isoformat()]
+        if via_config:
+            cfg = sim_runs / "c.yaml"
+            cfg.write_text(yaml.safe_dump({
+                "seed": seed, "output_dir": str(out),
+                "assets": [{"symbol": "A", "source": "a.csv"}],
+            }))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", str(out), "--seed", str(seed)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs_past = np.busday_count(start, np.datetime64("10000-01-01")) <= length
+        if seed < 0:
+            assert code == 3 and "seed" in err.getvalue()
+        elif runs_past:
+            assert code == 3 and "--start" in err.getvalue()
+        else:
+            assert code == 0
+            rows = (out / "sim_SIM1.csv").read_text().splitlines()
+            assert rows[1].startswith(start.isoformat()) or start.weekday() >= 5
+            assert len(rows) == length + 2
+
+
 class TestDescribe:
     def test_all_tables_written(self, sim_ws, sim_cfg):
         d = sim_ws / "describe1"

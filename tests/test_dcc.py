@@ -17,7 +17,7 @@ from volrisk.dcc import (
     simulate_dcc_panel,
     unconditional_corr,
 )
-from volrisk.egarch import EgarchParams, MeanParams, fit_egarch
+from volrisk.egarch import EgarchParams, MeanParams, _egarch_shocks, fit_egarch
 from volrisk.market_data import DataError, ReturnSeries
 from volrisk.optimize import _scan, finite_diff_gradient
 
@@ -341,6 +341,53 @@ class TestFitOutputs:
         with pytest.raises(IndexError):
             dynamic_correlation(joint, 0, 5)
 
+
+
+def _panel_oracle(asset_params, dcc_params, Qbar, n, seed, burn=500):
+    # the correlation loop simulate_dcc_panel had before it updated Q in
+    # place; each column's shocks come from _egarch_shocks, which
+    # tests/test_egarch.py holds to its own scalar oracle
+    k = len(asset_params)
+    nu = dcc_params.joint_shape
+    alpha, beta = dcc_params.alpha, dcc_params.beta
+    rng = np.random.default_rng(seed)
+    total = n + burn
+    Q = Qbar.copy()
+    C = Qbar * (1.0 - alpha - beta)
+    scale = math.sqrt(nu - 2.0)
+    Z = np.empty((total, k))
+    for t in range(total):
+        d = np.sqrt(np.diagonal(Q))
+        R = Q / np.outer(d, d)
+        np.fill_diagonal(R, 1.0)
+        L = np.linalg.cholesky(R)
+        g = rng.standard_normal(k)
+        w = rng.chisquare(nu)
+        z = (L @ g) * (scale / math.sqrt(w))
+        Z[t] = z
+        Q = C + alpha * np.outer(z, z) + beta * Q
+    returns = np.column_stack([p.mean.mu + _egarch_shocks(p, Z[:, i])
+                               for i, p in enumerate(asset_params)])
+    return returns[burn:], Z[burn:]
+
+
+class TestPanelOracle:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1001])
+    def test_bit_for_bit(self, k, seed):
+        assets = [EgarchParams(mean=MeanParams(mu=0.01 * i), omega=-0.005, a_mag=0.15,
+                               xi=-0.08, b_pers=0.95 - 0.01 * i, dist=D8)
+                  for i in range(k)]
+        # a Qbar with unequal diagonal and correlations, so R differs from Q
+        rng = np.random.default_rng(k)
+        A = rng.standard_normal((k, k + 2))
+        Qbar = A @ A.T / (k + 2) + 0.5 * np.eye(k)
+        truth = DccParams(alpha=0.06, beta=0.91, joint_shape=7.0)
+        got = simulate_dcc_panel(assets, truth, Qbar, n=400, seed=seed)
+        want = _panel_oracle(assets, truth, Qbar, n=400, seed=seed)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
 
 class TestSimulate:
     def test_deterministic(self):

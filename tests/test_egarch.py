@@ -15,6 +15,7 @@ from volrisk.egarch import (
     MeanParams,
     MeanSpec,
     _checked_resid,
+    _egarch_shocks,
     aic,
     egarch_filter,
     egarch_loglik,
@@ -211,6 +212,63 @@ class TestSimulate:
         assert x.mean() == pytest.approx(0.6, abs=0.05)
         assert abs(flat.mean()) < 0.05
 
+
+
+def _shocks_oracle(params, z):
+    # the scalar log-variance loop _egarch_shocks had before its linear pass
+    ez = abs_moment(params.dist)
+    logh = params.omega / (1.0 - params.b_pers)
+    eps = np.empty(len(z))
+    for t, zt in enumerate(z):
+        h = math.exp(logh)
+        eps[t] = zt * math.sqrt(h)
+        logh = (params.omega + params.a_mag * (abs(zt) - ez)
+                + params.xi * zt + params.b_pers * logh)
+    return eps
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_LAWS = st.one_of(
+    st.floats(2.05, 30.0).map(lambda nu: InnovationDist("student_t", shape=nu)),
+    st.builds(lambda nu, lam: InnovationDist("skew_student_t", shape=nu, skew=lam),
+              st.floats(2.05, 30.0), st.floats(0.5, 2.0)),
+)
+
+
+class TestShocksOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(-30.0, 30.0), a_mag=st.floats(-1.0, 1.0), xi=st.floats(-1.0, 1.0),
+           b_pers=st.floats(-0.999, 0.999), dist=_LAWS,
+           z=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=80))
+    # overflows at once, at the stationary start
+    @example(omega=30.0, a_mag=0.1, xi=0.0, b_pers=0.99, dist=T7, z=[0.5, -1.0])
+    # overflows part way along the path
+    @example(omega=0.0, a_mag=1.0, xi=0.0, b_pers=0.95, dist=T7, z=[0.0] + [60.0] * 40)
+    # h underflows to zero, and a negative z times it is -0.0
+    @example(omega=-30.0, a_mag=0.0, xi=0.0, b_pers=0.99, dist=T7, z=[-1.0, 2.0])
+    def test_bit_for_bit(self, omega, a_mag, xi, b_pers, dist, z):
+        p = _egarch(omega=omega, a_mag=a_mag, xi=xi, b_pers=b_pers, dist=dist)
+        z = np.array(z)
+        want = _outcome(_shocks_oracle, p, z)
+        got = _outcome(_egarch_shocks, p, z)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+        else:
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_simulated_paths_bit_for_bit(self, seed):
+        skew = InnovationDist("skew_student_t", shape=6.0, skew=0.8)
+        for p in (_egarch(), _egarch(dist=skew), _egarch(b_pers=-0.5)):
+            z = np.random.default_rng(seed).standard_t(7.0, 3000)
+            assert _egarch_shocks(p, z).tobytes() == _shocks_oracle(p, z).tobytes()
 
 class TestFit:
     def test_recovers_persistence(self, make_series):

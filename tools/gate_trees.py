@@ -11,6 +11,8 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   1, 7, 21-40 and 1001-1003, the last three being the workspaces
   ``report_small`` times;
 - ``describe`` then ``risk`` on the ``ingest_risk`` workspace at seed 3;
+- ``simulate`` alone on the ``report_wide`` shape (k=8, T=1500) at seed 5,
+  the one panel width between k=3 and k=32 that is gated;
 - ``report`` on a variant of the seed-7 workspace that covers the other
   config paths: ARMA(1,1) and AR(2) without a constant, skew-t
   innovations, a risk-free rate and two periods.
@@ -22,7 +24,7 @@ and likelihood of every fit file, and the exit code of every command.
 exits 1 on any difference; after them it prints the worst relative change
 of each estimate field (``params``, ``std_errors``, ``loglik``,
 ``loglik_joint``) over converged and over unconverged fits, which does not
-change the exit status.  A run takes about 12 s on a 2-core machine.
+change the exit status.  A run takes about 8 s on a 2-core machine.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_SEEDS = (1, 7, *range(21, 41), 1001, 1002, 1003)
 INGEST_SEED = 3
+WIDE_SEED = 5
 VARIANT_SEED = 7
 # the estimate fields of fit_*.json and dcc.json whose drift --compare reports
 FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
@@ -64,7 +67,8 @@ def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
     files = {}
     converged = {}
     values = {}
-    for p in sorted(config.parent.glob("sim_*.csv")) + sorted(results.iterdir()):
+    outputs = sorted(results.iterdir()) if commands else []
+    for p in sorted(config.parent.glob("sim_*.csv")) + outputs:
         data = p.read_bytes()
         name = p.name if p.parent == config.parent else f"{results.name}/{p.name}"
         files[name] = hashlib.sha256(data).hexdigest()
@@ -93,6 +97,8 @@ def gate(src: Path, work: Path) -> dict:
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
                                                      results_dir(config))
+    config = make_workspace(cli_main, WORKLOADS["report_wide"], work, WIDE_SEED)
+    runs[f"simulate_wide-{WIDE_SEED}"] = _digest_run(cli_main, config, (), results_dir(config))
     return runs
 
 
