@@ -2,25 +2,10 @@
 panels: asymmetric log-variance models per asset, a two-stage dynamic
 correlation layer, and VaR/drawdown reporting."""
 
+from . import dcc, market_data, optimize, risk
 from .distributions import InnovationDist
-from .market_data import (
-    DataError,
-    DegenerateSeriesError,
-    DescriptiveStats,
-    PriceSeries,
-    ReturnPanel,
-    ReturnSeries,
-    TestResult,
-    adf_test,
-    align_panel,
-    describe,
-    jarque_bera,
-    kpss_test,
-    load_price_series,
-    log_returns,
-    pearson_correlation,
-)
-from .optimize import OptResult, ParamSpace, finite_diff_gradient, minimize
+from .market_data import *
+from .optimize import *
 from .egarch import (
     EgarchFit,
     EgarchParams,
@@ -39,53 +24,18 @@ from .egarch import (
     simulate_egarch,
     simulate_garch11,
 )
-from .dcc import (
-    DccFit,
-    DccParams,
-    conditional_covariance,
-    dcc_filter,
-    dcc_loglik,
-    dcc_score,
-    dynamic_correlation,
-    fit_dcc,
-    simulate_dcc_panel,
-    unconditional_corr,
-)
-from .risk import (
-    RiskReport,
-    RiskSpec,
-    cf_var,
-    cornish_fisher_z,
-    drawdown,
-    empirical_var,
-    gaussian_var,
-    risk_report,
-)
+from .dcc import *
+from .risk import *
 
 __version__ = "0.1.0"
 
+# all of market_data, optimize, dcc and risk is public here, but only part
+# of distributions and egarch
 __all__ = [
     "__version__",
     "InnovationDist",
-    "DataError",
-    "DegenerateSeriesError",
-    "DescriptiveStats",
-    "PriceSeries",
-    "ReturnPanel",
-    "ReturnSeries",
-    "TestResult",
-    "adf_test",
-    "align_panel",
-    "describe",
-    "jarque_bera",
-    "kpss_test",
-    "load_price_series",
-    "log_returns",
-    "pearson_correlation",
-    "OptResult",
-    "ParamSpace",
-    "finite_diff_gradient",
-    "minimize",
+    *market_data.__all__,
+    *optimize.__all__,
     "EgarchFit",
     "EgarchParams",
     "Garch11Params",
@@ -102,22 +52,6 @@ __all__ = [
     "garch11_score",
     "simulate_egarch",
     "simulate_garch11",
-    "DccFit",
-    "DccParams",
-    "conditional_covariance",
-    "dcc_filter",
-    "dcc_loglik",
-    "dcc_score",
-    "dynamic_correlation",
-    "fit_dcc",
-    "simulate_dcc_panel",
-    "unconditional_corr",
-    "RiskReport",
-    "RiskSpec",
-    "cf_var",
-    "cornish_fisher_z",
-    "drawdown",
-    "empirical_var",
-    "gaussian_var",
-    "risk_report",
+    *dcc.__all__,
+    *risk.__all__,
 ]

@@ -235,12 +235,12 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
     fields = {
         "assets": assets,
         "periods": _parse_periods(raw.get("periods")),
-        "family": _str_key(raw, "distribution", "student_t", "config"),
+        "family": _str_key(raw, "distribution", RunConfig.family, "config"),
         "levels": tuple(_float_key(v, "levels", "config") for v in levels),
         "amount": _float_key(raw.get("portfolio_amount", RiskSpec.amount), "portfolio_amount",
                              "config"),
-        "out_dir": _str_key(raw, "output_dir", "out", "config"),
-        "seed": _int_key(raw, "seed", 0, "config"),
+        "out_dir": _str_key(raw, "output_dir", RunConfig.out_dir, "config"),
+        "seed": _int_key(raw, "seed", RunConfig.seed, "config"),
         "risk_free": (None if risk_free is None
                       else _float_key(risk_free, "risk_free_rate", "config")),
     }
@@ -537,7 +537,9 @@ def _simulation_dgp(k: int) -> tuple:
     return assets, dcc, Qbar
 
 
-def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Date) -> int:
+def _simulation_calendar(seed: int, n_assets: int, length: int, start: Date) -> list:
+    """Check ``simulate``'s arguments; the ISO dates of its ``length + 1``
+    weekday price rows from ``start``."""
     if n_assets < 2:
         raise ConfigError(f"simulate needs at least 2 assets, got {n_assets}")
     if length < 50:
@@ -550,6 +552,11 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
         (d for d in days if d.weekday() < 5), length + 1)]
     if len(iso) <= length:
         raise ConfigError(f"--start {start}: {length + 1} weekdays from it run past {Date.max}")
+    return iso
+
+
+def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Date) -> int:
+    iso = _simulation_calendar(seed, n_assets, length, start)
     assets, dcc, Qbar = _simulation_dgp(n_assets)
     returns, _ = simulate_dcc_panel(assets, dcc, Qbar, n=length, seed=seed)
     # unit-scale DGP mapped onto a 1%-vol price tape
@@ -665,25 +672,36 @@ def _overrides(args) -> dict:
     return ov
 
 
+def _simulate(args) -> int:
+    """``simulate`` with or without ``--validate``: both resolve and check
+    the same arguments.  The output dir and seed come from ``--config``
+    under ``--out`` and ``--seed`` when one is given, else from those flags
+    over ``RunConfig``'s defaults."""
+    if args.config is not None:
+        cfg = load_run_config(args.config, _overrides(args))
+        out_dir, seed = cfg.out_dir, cfg.seed
+    else:
+        out_dir, seed = args.out or RunConfig.out_dir, args.seed or RunConfig.seed
+    start = _as_date(args.start, "--start")
+    if not args.validate:
+        return cmd_simulate(out_dir, seed, args.assets, args.length, start)
+    iso = _simulation_calendar(seed, args.assets, args.length, start)
+    print(f"simulate ok: {args.assets} asset(s), {args.length} return(s) "
+          f"from {iso[1]} to {iso[-1]}, seed {seed}, output to {out_dir}")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
-        cfg = None
-        if args.command != "simulate" or args.config is not None or args.validate:
-            cfg = load_run_config(args.config, _overrides(args))
-            if args.validate:
-                print(f"config ok: {len(cfg.assets)} asset(s), "
-                      f"{len(cfg.periods)} period(s), output to {cfg.out_dir}")
-                return EXIT_OK
         if args.command == "simulate":
-            return cmd_simulate(
-                out_dir=args.out or "out" if cfg is None else cfg.out_dir,
-                seed=args.seed or 0 if cfg is None else cfg.seed,
-                n_assets=args.assets,
-                length=args.length,
-                start=_as_date(args.start, "--start"),
-            )
+            return _simulate(args)
+        cfg = load_run_config(args.config, _overrides(args))
+        if args.validate:
+            print(f"config ok: {len(cfg.assets)} asset(s), "
+                  f"{len(cfg.periods)} period(s), output to {cfg.out_dir}")
+            return EXIT_OK
         return _run(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

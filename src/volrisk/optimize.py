@@ -133,26 +133,7 @@ class ParamSpace:
         return y
 
     def from_unconstrained(self, y: Sequence[float]) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} parameters, got shape {y.shape}")
-        x = np.empty_like(y)
-        for i, (name, kind) in enumerate(self.params):
-            if kind == "free":
-                x[i] = y[i]
-            elif kind == "positive":
-                x[i] = math.exp(min(max(y[i], -700.0), 700.0))
-            elif kind[0] == "interval":
-                lo, hi = kind[1], kind[2]
-                x[i] = lo + (hi - lo) * _clip01(_expit(y[i]))
-            else:  # pair_sum_lt_one
-                j = self._index(kind[1])
-                if i < j:
-                    s = _clip01(_expit(y[i]))
-                    frac = _clip01(_expit(y[j]))
-                    x[i] = s * frac
-                    x[j] = s * (1.0 - frac)
-        return x
+        return self._transform(y)[0]
 
     def jacobian(self, y: Sequence[float]) -> np.ndarray:
         """Matrix dx/dy of ``from_unconstrained`` at ``y``.
@@ -160,27 +141,36 @@ class ParamSpace:
         A gradient g taken in the constrained coordinates maps to
         ``jacobian(y).T @ g`` in the unconstrained ones.
         """
+        return self._transform(y)[1]
+
+    def _transform(self, y: Sequence[float]) -> tuple:
+        """``(x, J)``: the constrained point of ``y`` and the matrix dx/dy
+        there, each coordinate's map beside its derivative."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} parameters, got shape {y.shape}")
+        x = np.empty_like(y)
         J = np.zeros((y.size, y.size))
         for i, (name, kind) in enumerate(self.params):
             if kind == "free":
-                J[i, i] = 1.0
+                x[i], J[i, i] = y[i], 1.0
             elif kind == "positive":
-                J[i, i] = math.exp(min(max(y[i], -700.0), 700.0))
+                x[i] = J[i, i] = math.exp(min(max(y[i], -700.0), 700.0))
             elif kind[0] == "interval":
+                lo, hi = kind[1], kind[2]
                 p = _clip01(_expit(y[i]))
-                J[i, i] = (kind[2] - kind[1]) * p * (1.0 - p)
+                x[i] = lo + (hi - lo) * p
+                J[i, i] = (hi - lo) * p * (1.0 - p)
             else:  # pair_sum_lt_one: x_i = s f, x_j = s (1 - f)
                 j = self._index(kind[1])
                 if i < j:
                     s = _clip01(_expit(y[i]))
                     frac = _clip01(_expit(y[j]))
+                    x[i], x[j] = s * frac, s * (1.0 - frac)
                     ds, dfrac = s * (1.0 - s), frac * (1.0 - frac)
                     J[i, i], J[i, j] = ds * frac, s * dfrac
                     J[j, i], J[j, j] = ds * (1.0 - frac), -s * dfrac
-        return J
+        return x, J
 
 
 @dataclass(frozen=True)
@@ -309,11 +299,11 @@ def minimize(
     def fg(yy):
         nonlocal evals
         evals += 1
-        x = space.from_unconstrained(yy)
+        x, J = space._transform(yy)
         f = float(objective(x))
         if not math.isfinite(f):
             return math.inf, None
-        g = space.jacobian(yy).T @ np.asarray(gradient(x), dtype=float)
+        g = J.T @ np.asarray(gradient(x), dtype=float)
         # a non-finite gradient belongs to a point that is rejected
         return (f, g) if np.all(np.isfinite(g)) else (math.inf, None)
 
@@ -455,7 +445,8 @@ def _std_errors(grad, space, x_opt, label: str) -> dict:
         for sign in (1.0, -1.0):
             yy = y.copy()
             yy[j] += sign * step
-            cols.append(space.jacobian(yy).T @ grad(space.from_unconstrained(yy)))
+            x, J = space._transform(yy)
+            cols.append(J.T @ grad(x))
         H[:, j] = (cols[0] - cols[1]) / (2.0 * step)
     H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)) or np.linalg.matrix_rank(H) < n:

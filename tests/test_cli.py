@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import string
 import subprocess
 import sys
@@ -242,6 +243,21 @@ class TestConfigParsing:
         doc = dict(MINIMAL, periods={1: None, "1": None})
         with pytest.raises(ConfigError, match=r"duplicate period names: \['1', '1'\]"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
+
+    def test_timestamp_period_bounds_read_as_dates(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("assets: [{symbol: X, source: x.csv}]\n"
+                        "periods:\n  p: {start: 2015-03-01 10:00:00, end: 2016-01-01 23:59:59}\n",
+                        encoding="utf-8")
+        cfg = load_run_config(str(path))
+        assert cfg.periods == (("p", datetime.date(2015, 3, 1), datetime.date(2016, 1, 1)),)
+        assert main(["describe", "--config", str(path), "--validate"]) == 0
+
+    def test_ar_order_out_of_range_is_3(self, tmp_path, capsys):
+        doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": {"ar": 6}}]}
+        assert main(["fit", "--config", _write_cfg(tmp_path / "c.yaml", doc)]) == 3
+        assert ("config error: assets[0].mean: ar_order must lie in [0, 5], got 6"
+                in capsys.readouterr().err)
 
     def test_overrides_win(self, tmp_path):
         path = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, seed=1, output_dir="a"))
@@ -483,6 +499,13 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path), "--assets", "1"]) == 3
         assert main(["simulate", "--out", str(tmp_path), "--length", "10"]) == 3
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path / "c.yaml", {**MINIMAL, "seed": 11, "output_dir": str(out)})
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--assets", "2",
+                     "--length", "50"]) == 0
+        assert json.loads((out / "sim_truth.json").read_text())["seed"] == 5
+
 
 @pytest.fixture(scope="module")
 def sim_runs(tmp_path_factory):
@@ -527,6 +550,48 @@ class TestSimulateExits:
             assert len(rows) == length + 2
 
 
+class TestSimulateValidate:
+    # the inputs of TestSimulateExits, plus one asset and no config at all
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(-2**31, 2**64), length=st.integers(50, 60), start=st.dates(),
+           assets=st.sampled_from([1, 2]), via=st.sampled_from(["config", "flags", "none"]))
+    @example(seed=0, length=50, start=datetime.date(2019, 1, 1), assets=1, via="config")
+    @example(seed=-1, length=50, start=datetime.date(2019, 1, 1), assets=2, via="config")
+    @example(seed=0, length=50, start=datetime.date(2019, 1, 1), assets=2, via="none")
+    @example(seed=3, length=50, start=datetime.date(9999, 12, 1), assets=2, via="flags")
+    def test_validate_exits_as_the_run_does_and_writes_nothing(self, sim_runs, seed, length,
+                                                               start, assets, via):
+        work = sim_runs / "validate"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        argv = ["simulate", "--assets", str(assets), "--length", str(length),
+                "--start", start.isoformat()]
+        if via == "config":
+            cfg = work / "c.yaml"
+            cfg.write_text(yaml.safe_dump({
+                "seed": seed, "output_dir": str(work / "out"),
+                "assets": [{"symbol": "A", "source": "a.csv"}],
+            }))
+            argv += ["--config", str(cfg)]
+        elif via == "flags":
+            argv += ["--out", str(work / "out"), "--seed", str(seed)]
+        before = sorted(work.rglob("*"))
+        outcomes = []
+        cwd = os.getcwd()
+        os.chdir(work)  # without --out and --config the output goes to ./out
+        try:
+            for extra in (["--validate"], []):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    outcomes.append((main(argv + extra), err.getvalue()))
+                if extra:
+                    assert sorted(work.rglob("*")) == before
+        finally:
+            os.chdir(cwd)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][0] in (0, 3)
+
+
 class TestDescribe:
     def test_all_tables_written(self, sim_ws, sim_cfg):
         d = sim_ws / "describe1"
@@ -547,6 +612,19 @@ class TestDescribe:
         names = {p.name for p in d.iterdir()}
         assert names == {"jarque_bera.csv", "jarque_bera.json",
                          "unit_root.csv", "unit_root.json"}
+
+    def test_risk_free_rate_adds_sharpe(self, sim_cfg, tmp_path):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["risk_free_rate"] = 0.0001
+        d = tmp_path / "out"
+        assert main(["describe", "--config", _write_cfg(tmp_path / "rf.yaml", doc),
+                     "--out", str(d)]) == 0
+        lines = (d / "stats.csv").read_text().splitlines()
+        assert lines[0].endswith(",sharpe")
+        assert all(len(row.split(",")) == len(lines[0].split(",")) for row in lines[1:])
+        stats = json.loads((d / "stats.json").read_text())
+        for st_ in stats.values():
+            assert st_["sharpe"] == pytest.approx((st_["mean"] - 0.0001) / st_["std"])
 
 
 class TestFit:
@@ -614,6 +692,18 @@ class TestFit:
         assert main(["fit", "--config", cfg, "--out", str(d)]) == 0
         names = {p.name for p in d.iterdir()}
         assert names == {"fit_SIM1.json", "summary.txt"}
+
+    def test_joint_nonconvergence_exit_code_still_writes(self, sim_cfg, tmp_path, monkeypatch):
+        real = dcc_mod._fit
+        monkeypatch.setattr(dcc_mod, "_fit",
+                            lambda neg_score, space, x0: (real(neg_score, space, x0)[0], False))
+        d = tmp_path / "out"
+        assert main(["fit", "--config", sim_cfg, "--out", str(d)]) == 1
+        assert json.loads((d / "dcc.json").read_text())["converged"] is False
+        text = (d / "summary.txt").read_text()
+        joint = [line for line in text.splitlines() if line.startswith("joint dcc(1,1)")]
+        assert len(joint) == 1 and joint[0].endswith("converged=NO")
+        assert text.count("converged=yes") == 2
 
 
     def test_skew_t_panel_fits_joint_stage(self, sim_ws, sim_cfg, tmp_path):
@@ -897,6 +987,23 @@ class TestExitCodes:
             assert main(["risk", *argv, "--out", str(d)]) == 3
             assert "config error: levels must be distinct" in capsys.readouterr().err
             assert not d.exists()
+
+    def test_output_dir_below_a_file_is_3(self, sim_cfg, tmp_path, capsys):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" / "sub"
+        assert main(["describe", "--config", sim_cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {out}:")
+
+    def test_constant_price_fit_is_2(self, tmp_path, capsys):
+        rows = [f"{datetime.date(2019, 1, 1) + datetime.timedelta(days=i)},100.0"
+                for i in range(300)]
+        (tmp_path / "c.csv").write_text("date,close\n" + "\n".join(rows) + "\n")
+        cfg = _write_cfg(tmp_path / "c.yaml",
+                         {"assets": [{"symbol": "C", "source": str(tmp_path / "c.csv")}]})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "input error: C: degenerate: zero variance" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_step_writes_nothing(self, tmp_path, capsys):
         # enough returns for the moments, too few for the unit-root tests

@@ -273,3 +273,18 @@ def test_simulated_csv_takes_the_split_path(tmp_path):
         header, *rows = filter(None, csv.reader(io.StringIO(t)))
         assert header == ["date", "close"] and len(rows) == 301
         assert _split_columns(t, [0, 1]) == [list(c) for c in zip(*rows)]
+
+
+def test_lone_carriage_return_leaves_the_split_path(tmp_path):
+    # the plain split declines a lone "\r", which csv.reader reads only as a
+    # line end; the loader opens files with universal newlines, so a file
+    # with "\r" line ends loads as its "\n" twin
+    text = "date,close\n2020-01-02,1\r2020-01-03,2\n"
+    assert _split_columns(text, [0, 1]) is None
+    twin = text.replace("\r", "\n")
+    assert _split_columns(twin, [0, 1]) == [["2020-01-02", "2020-01-03"], ["1", "2"]]
+    for name, t in (("CR.csv", text), ("LF.csv", twin), ("OLD.csv", twin.replace("\n", "\r"))):
+        (tmp_path / name).write_text(t, encoding="utf-8", newline="")
+    loaded = [_outcome(load_price_series, str(tmp_path / name), None)[2:]
+              for name in ("CR.csv", "LF.csv", "OLD.csv")]
+    assert loaded[0] == loaded[1] == loaded[2]

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import volrisk.optimize as opt_mod
@@ -84,6 +86,100 @@ class TestParamSpace:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             FULL_SPACE.to_unconstrained([0.0, 1.0])
+
+
+# the map and its Jacobian as two separate loops, the form they had before
+# one pass computed both; the pass must reproduce them bit for bit
+
+def _oracle_clip01(p):
+    return np.minimum(np.maximum(p, 1e-15), 1.0 - 1e-15)
+
+
+def _oracle_expit(y):
+    e = np.exp(-np.abs(y))
+    return np.where(y >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _oracle_from_unconstrained(space, y):
+    y = np.asarray(y, dtype=float)
+    x = np.empty_like(y)
+    for i, (name, kind) in enumerate(space.params):
+        if kind == "free":
+            x[i] = y[i]
+        elif kind == "positive":
+            x[i] = math.exp(min(max(y[i], -700.0), 700.0))
+        elif kind[0] == "interval":
+            lo, hi = kind[1], kind[2]
+            x[i] = lo + (hi - lo) * _oracle_clip01(_oracle_expit(y[i]))
+        else:
+            j = space.names.index(kind[1])
+            if i < j:
+                s = _oracle_clip01(_oracle_expit(y[i]))
+                frac = _oracle_clip01(_oracle_expit(y[j]))
+                x[i] = s * frac
+                x[j] = s * (1.0 - frac)
+    return x
+
+
+def _oracle_jacobian(space, y):
+    y = np.asarray(y, dtype=float)
+    J = np.zeros((y.size, y.size))
+    for i, (name, kind) in enumerate(space.params):
+        if kind == "free":
+            J[i, i] = 1.0
+        elif kind == "positive":
+            J[i, i] = math.exp(min(max(y[i], -700.0), 700.0))
+        elif kind[0] == "interval":
+            p = _oracle_clip01(_oracle_expit(y[i]))
+            J[i, i] = (kind[2] - kind[1]) * p * (1.0 - p)
+        else:
+            j = space.names.index(kind[1])
+            if i < j:
+                s = _oracle_clip01(_oracle_expit(y[i]))
+                frac = _oracle_clip01(_oracle_expit(y[j]))
+                ds, dfrac = s * (1.0 - s), frac * (1.0 - frac)
+                J[i, i], J[i, j] = ds * frac, s * dfrac
+                J[j, i], J[j, j] = ds * (1.0 - frac), -s * dfrac
+    return J
+
+
+@st.composite
+def _space_and_point(draw):
+    params = []
+    for n, kind in enumerate(draw(st.lists(
+            st.sampled_from(["free", "positive", "interval", "pair"]), min_size=1, max_size=6))):
+        if kind == "interval":
+            lo = draw(st.floats(-10.0, 10.0))
+            params.append((f"p{n}", ("interval", lo, lo + draw(st.floats(1e-3, 20.0)))))
+        elif kind == "pair":
+            params += [(f"p{n}", ("pair_sum_lt_one", f"q{n}")),
+                       (f"q{n}", ("pair_sum_lt_one", f"p{n}"))]
+        else:
+            params.append((f"p{n}", kind))
+    space = ParamSpace(params=tuple(draw(st.permutations(params))))
+    y = draw(st.lists(st.floats(-800.0, 800.0), min_size=space.dimension,
+                      max_size=space.dimension))
+    return space, np.array(y)
+
+
+class TestOnePassOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_space_and_point())
+    @example(case=(FULL_SPACE, np.array([-800.0, -800.0, -800.0, -800.0, 800.0])))
+    @example(case=(FULL_SPACE, np.array([800.0, 800.0, 800.0, 800.0, -800.0])))
+    @example(case=(FULL_SPACE, np.array([-0.0, 0.0, -0.0, 0.0, -0.0])))
+    def test_map_and_jacobian_bitwise_equal_the_two_loops(self, case):
+        space, y = case
+        for got, want in ((space.from_unconstrained(y), _oracle_from_unconstrained(space, y)),
+                          (space.jacobian(y), _oracle_jacobian(space, y))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_both_halves_keep_the_shape_check(self):
+        for method in (FULL_SPACE.from_unconstrained, FULL_SPACE.jacobian):
+            with pytest.raises(ValueError, match="expected 5 parameters, got shape"):
+                method([0.0, 1.0])
 
 
 _A = np.array([[3.0, 0.4], [0.4, 1.5]])

@@ -1,0 +1,14 @@
+import volrisk
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in volrisk.__all__ if not hasattr(volrisk, name)]
+    assert not missing
+    assert len(set(volrisk.__all__)) == len(volrisk.__all__)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from volrisk import *", namespace)
+    assert {name: namespace.get(name) for name in volrisk.__all__} == {
+        name: getattr(volrisk, name) for name in volrisk.__all__}
