@@ -681,7 +681,8 @@ def _simulate(args) -> int:
         cfg = load_run_config(args.config, _overrides(args))
         out_dir, seed = cfg.out_dir, cfg.seed
     else:
-        out_dir, seed = args.out or RunConfig.out_dir, args.seed or RunConfig.seed
+        out_dir = RunConfig.out_dir if args.out is None else args.out
+        seed = RunConfig.seed if args.seed is None else args.seed
     start = _as_date(args.start, "--start")
     if not args.validate:
         return cmd_simulate(out_dir, seed, args.assets, args.length, start)

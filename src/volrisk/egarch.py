@@ -356,7 +356,7 @@ def garch11_score(r: ReturnSeries, params: Garch11Params) -> tuple:
     """
     eps = r.values - params.mu
     h = garch11_filter(eps, params)
-    n = 4 + (1 if params.dist.family == "student_t" else 2)
+    n = 4 + len(_family_params(params.dist.family))
     if not np.all(np.isfinite(h)) or float(h.min()) <= 0.0:
         return -math.inf, np.full(n, math.nan)
     X = np.zeros((eps.size, n))
@@ -465,20 +465,23 @@ def egarch_param_space(mean: MeanSpec, family: str) -> opt_mod.ParamSpace:
     return opt_mod.ParamSpace(tuple(entries))
 
 
-def egarch_params_from_vector(mean: MeanSpec, family: str, x) -> EgarchParams:
+def _split_law(x, head: int, family: str) -> tuple:
+    # x's first head values, and its law from one value per _family_params name
     x = list(map(float, x))
-    pos = 0
-    mu = x[pos] if mean.include_constant else 0.0
-    pos += 1 if mean.include_constant else 0
-    ar = tuple(x[pos : pos + mean.ar_order]); pos += mean.ar_order
-    ma = tuple(x[pos : pos + mean.ma_order]); pos += mean.ma_order
-    omega, a_mag, xi, b_pers = x[pos : pos + 4]; pos += 4
-    shape = x[pos]; pos += 1
-    skew = x[pos] if family == "skew_student_t" else 1.0
+    n = head + len(_family_params(family))
+    if len(x) != n:
+        raise ValueError(f"expected {n} parameters, got {len(x)}")
+    return x[:head], InnovationDist(family, *x[head:])
+
+
+def egarch_params_from_vector(mean: MeanSpec, family: str, x) -> EgarchParams:
+    p, q = mean.ar_order, mean.ma_order
+    c = 1 if mean.include_constant else 0
+    head, dist = _split_law(x, c + p + q + 4, family)
+    mu, *arma, omega, a_mag, xi, b_pers = head if c else [0.0] + head
     return EgarchParams(
-        mean=MeanParams(mu=mu, ar=ar, ma=ma),
-        omega=omega, a_mag=a_mag, xi=xi, b_pers=b_pers,
-        dist=InnovationDist(family=family, shape=shape, skew=skew),
+        mean=MeanParams(mu=mu, ar=arma[:p], ma=arma[p:]),
+        omega=omega, a_mag=a_mag, xi=xi, b_pers=b_pers, dist=dist,
     )
 
 
@@ -494,13 +497,8 @@ def garch11_param_space(family: str) -> opt_mod.ParamSpace:
 
 
 def garch11_params_from_vector(family: str, x) -> Garch11Params:
-    x = list(map(float, x))
-    mu, alpha0, alpha1, gamma1, shape = x[:5]
-    skew = x[5] if family == "skew_student_t" else 1.0
-    return Garch11Params(
-        mu=mu, alpha0=alpha0, alpha1=alpha1, gamma1=gamma1,
-        dist=InnovationDist(family=family, shape=shape, skew=skew),
-    )
+    (mu, alpha0, alpha1, gamma1), dist = _split_law(x, 4, family)
+    return Garch11Params(mu=mu, alpha0=alpha0, alpha1=alpha1, gamma1=gamma1, dist=dist)
 
 
 def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,

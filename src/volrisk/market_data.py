@@ -212,7 +212,7 @@ def _read_text(source: str) -> str:
 
 
 def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "str | None" = None) -> PriceSeries:
-    """Load a PriceSeries from a local CSV file.
+    r"""Load a PriceSeries from a local CSV file.
 
     ``columns`` maps the logical fields (date, close, and optionally
     open/high/low/volume) to the header names used in the file.  Rows are
@@ -222,12 +222,13 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     short row read as absent, and a header name given twice refers to its
     last column.
 
-    A file without quote characters, without carriage returns outside
-    CRLF line ends, with the header's comma count on every nonblank line
-    and no field over ``csv.field_size_limit()`` (what ``simulate``
-    writes, and most vendor exports) is cut into cells by ``str.split``;
-    any other file is read by ``csv.reader``.  Both give the same cells,
-    and only the ``csv.reader`` walk names an error.
+    The file is read with universal newlines, so its text arrives with
+    every line end as ``\n``.  A file without quote characters, with the
+    header's comma count on every nonblank line and no field over
+    ``csv.field_size_limit()`` (what ``simulate`` writes, and most vendor
+    exports) is cut into cells by ``str.split``; any other file is read
+    by ``csv.reader``.  Both give the same cells, and only the
+    ``csv.reader`` walk names an error.
     """
     mapping = dict(_DEFAULT_COLUMNS)
     if columns:
@@ -293,15 +294,12 @@ def _header(source: str, reader, mapping: dict) -> tuple:
 
 
 def _split_columns(text: str, idx: list) -> "list | None":
-    """Columns ``idx`` of the rows after the header, cell for cell as
+    r"""Columns ``idx`` of the rows after the header, cell for cell as
     csv.reader reads them, or None unless ``text`` splits plainly: no
-    quote character, no carriage return outside a CRLF line end, the
-    header's comma count on every nonblank line and no field longer than
-    csv.field_size_limit()."""
+    quote character, the header's comma count on every nonblank line and
+    no field longer than csv.field_size_limit().  ``text`` is what
+    ``_read_text`` returns, every line end read as ``\n``."""
     if '"' in text:
-        return None
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:
         return None
     header, _, body = text.partition("\n")
     if body[:1] == "\n" or "\n\n" in body:
@@ -361,8 +359,6 @@ def _infer_symbol(source: str) -> str:
 
 def log_returns(p: PriceSeries) -> ReturnSeries:
     """r_t = ln(P_t / P_{t-1}), attached to the later date."""
-    if len(p) < 2:
-        raise DataError(f"{p.symbol}: need at least 2 prices")
     values = np.diff(np.log(p.close))
     return ReturnSeries(symbol=p.symbol, dates=p.dates[1:], values=values)
 

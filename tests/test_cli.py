@@ -141,6 +141,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="assets"):
             load_run_config(_write_cfg(tmp_path / "c.yaml", {"assets": []}))
 
+    def test_run_config_needs_an_asset(self):
+        with pytest.raises(ConfigError, match="^at least one asset required$"):
+            cli_mod.RunConfig(assets=())
+
     def test_asset_field_validation(self, tmp_path):
         bad = {"assets": [{"source": "x.csv"}]}
         with pytest.raises(ConfigError, match="symbol"):
@@ -592,6 +596,36 @@ class TestSimulateValidate:
         assert outcomes[1][0] in (0, 3)
 
 
+class TestSimulateEmptyOut:
+    # --out "" is the working directory with --config and without it
+    ARGV = ["simulate", "--out", "", "--assets", "2", "--length", "50"]
+
+    def _configs(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "c.yaml", {
+            "output_dir": str(tmp_path / "elsewhere"),
+            "assets": [{"symbol": "A", "source": "a.csv"}],
+        })
+        return ([], ["--config", cfg])
+
+    def test_validate_names_the_same_directory(self, tmp_path):
+        named = []
+        for extra in self._configs(tmp_path):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(self.ARGV + extra + ["--validate"]) == 0
+            named.append(out.getvalue().rsplit("output to ", 1)[1])
+        assert named == ["\n", "\n"]
+
+    def test_run_writes_into_the_working_directory(self, tmp_path, monkeypatch):
+        for i, extra in enumerate(self._configs(tmp_path)):
+            work = tmp_path / f"work{i}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(self.ARGV + extra) == 0
+            assert sorted(p.name for p in work.iterdir()) == [
+                "sim_SIM1.csv", "sim_SIM2.csv", "sim_config.yaml", "sim_truth.json"]
+
+
 class TestDescribe:
     def test_all_tables_written(self, sim_ws, sim_cfg):
         d = sim_ws / "describe1"
@@ -994,6 +1028,18 @@ class TestExitCodes:
         assert main(["describe", "--config", sim_cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"config error: output directory {out}:")
+
+    def test_unwritable_results_file_is_3(self, sim_cfg, tmp_path, capsys):
+        # a directory where stats.csv goes; the files sorted before it are written
+        out = tmp_path / "out"
+        (out / "stats.csv").mkdir(parents=True)
+        assert main(["describe", "--config", sim_cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write {out / 'stats.csv'}: "
+                       f"[Errno 21] Is a directory: '{out / 'stats.csv'}'\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "correlation.csv", "correlation.json", "jarque_bera.csv", "jarque_bera.json",
+            "stats.csv"]
 
     def test_constant_price_fit_is_2(self, tmp_path, capsys):
         rows = [f"{datetime.date(2019, 1, 1) + datetime.timedelta(days=i)},100.0"

@@ -1,4 +1,6 @@
 import math
+import re
+import types
 from datetime import date, timedelta
 
 import numpy as np
@@ -162,6 +164,57 @@ class TestLoglik:
         bad_qbar = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular target
         p = DccParams(alpha=0.01, beta=0.01, joint_shape=8.0)
         assert dcc_loglik(Z, p, bad_qbar) == -math.inf
+
+
+    def test_non_finite_residual_minus_inf(self):
+        _, Z = _panel(n=100, k=2, seed=3)
+        Qbar = unconditional_corr(Z)
+        Z[5, 0] = math.inf
+        p = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)
+        with np.errstate(invalid="ignore"):
+            assert dcc_loglik(Z, p, Qbar) == -math.inf
+
+
+_P = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)
+
+
+@pytest.mark.parametrize("entry", [
+    unconditional_corr,
+    lambda Z: dcc_filter(Z, _P, np.eye(2)),
+    lambda Z: dcc_loglik(Z, _P, np.eye(2)),
+    lambda Z: dcc_score(Z, _P, np.eye(2)),
+], ids=["unconditional_corr", "dcc_filter", "dcc_loglik", "dcc_score"])
+def test_column_list_gives_the_panel_result(entry):
+    _, Z = _panel(n=300, k=2, seed=3)
+    want, got = entry(Z), entry([Z[:, 0], Z[:, 1]])
+    if not isinstance(want, tuple):
+        want, got = (want,), (got,)
+    assert [np.asarray(w).tobytes() for w in want] == [np.asarray(g).tobytes() for g in got]
+
+
+def _short_columns():
+    _, Z = _panel(n=300, k=2, seed=3)
+    return [Z[1:, 0], Z[:, 1]]
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: unconditional_corr(_short_columns()), DataError,
+     "residual series lengths differ: [299, 300]"),
+    (lambda: dcc_filter(_panel(n=300, k=2, seed=3)[1], _P, np.array([[1.0, 2.0], [2.0, 1.0]])),
+     ValueError, "correlation path left the positive-definite cone; "
+                 "check Qbar comes from the same Z"),
+    # conditional_covariance reads only the fit's correlation path
+    (lambda: conditional_covariance(types.SimpleNamespace(R_path=np.zeros((10, 2, 2))),
+                                    np.ones((9, 2)), 0),
+     ValueError, "h_paths shape (9, 2) does not match panel (10, 2)"),
+    (lambda: simulate_dcc_panel([_asset()], _P, np.eye(1), n=50, seed=0), ValueError,
+     "panel simulation needs >= 2 assets, got 1"),
+    (lambda: simulate_dcc_panel([_asset(), _asset()], _P, np.eye(3), n=50, seed=0), ValueError,
+     "Qbar has shape (3, 3), expected (2, 2)"),
+])
+def test_validation_branches(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _forward_gradient(Z, params, Qbar):

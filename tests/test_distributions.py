@@ -241,6 +241,10 @@ class TestMvt:
         with pytest.raises(ValueError):
             mvt_logpdf(np.zeros(3), np.eye(2), shape=6.0)
 
+    def test_shape_at_two_rejected(self):
+        with pytest.raises(ValueError, match=r"^shape must be > 2, got 2\.0$"):
+            mvt_logpdf(np.zeros(2), np.eye(2), shape=2.0)
+
 
 class TestSpecialFunctions:
     # scipy is the independent reference for the in-package special functions
@@ -309,5 +313,7 @@ class TestSpecialFunctions:
     @example(p=0.99)
     @example(p=1.0 - 0.95)
     @example(p=1.0 - 0.99)
+    @example(p=1.0)
+    @example(p=1.5)
     def test_ndtri_bitwise_equal_to_scipy(self, p):
         assert struct.pack("<d", _ndtri(p)) == struct.pack("<d", float(special.ndtri(p)))

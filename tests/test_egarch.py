@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,6 +27,7 @@ from volrisk.egarch import (
     fit_garch11,
     garch11_filter,
     garch11_loglik,
+    garch11_param_space,
     garch11_params_from_vector,
     garch11_score,
     mean_filter,
@@ -466,6 +468,119 @@ class TestObjectives:
         np.testing.assert_array_equal(ng, -g)
 
 
+# the position-counting decoders that egarch_params_from_vector and
+# garch11_params_from_vector replaced, kept verbatim as oracles
+
+def _oracle_egarch_params_from_vector(mean: MeanSpec, family: str, x) -> EgarchParams:
+    x = list(map(float, x))
+    pos = 0
+    mu = x[pos] if mean.include_constant else 0.0
+    pos += 1 if mean.include_constant else 0
+    ar = tuple(x[pos : pos + mean.ar_order]); pos += mean.ar_order
+    ma = tuple(x[pos : pos + mean.ma_order]); pos += mean.ma_order
+    omega, a_mag, xi, b_pers = x[pos : pos + 4]; pos += 4
+    shape = x[pos]; pos += 1
+    skew = x[pos] if family == "skew_student_t" else 1.0
+    return EgarchParams(
+        mean=MeanParams(mu=mu, ar=ar, ma=ma),
+        omega=omega, a_mag=a_mag, xi=xi, b_pers=b_pers,
+        dist=InnovationDist(family=family, shape=shape, skew=skew),
+    )
+
+
+def _oracle_garch11_params_from_vector(family: str, x) -> Garch11Params:
+    x = list(map(float, x))
+    mu, alpha0, alpha1, gamma1, shape = x[:5]
+    skew = x[5] if family == "skew_student_t" else 1.0
+    return Garch11Params(
+        mu=mu, alpha0=alpha0, alpha1=alpha1, gamma1=gamma1,
+        dist=InnovationDist(family=family, shape=shape, skew=skew),
+    )
+
+
+def _reprs(params):
+    # every field of a params tree, floats by repr so that -0.0 differs from 0.0
+    if isinstance(params, float):
+        return repr(params)
+    if isinstance(params, tuple):
+        return tuple(map(_reprs, params))
+    if hasattr(params, "__dataclass_fields__"):
+        return (type(params).__name__,
+                tuple((n, _reprs(getattr(params, n))) for n in params.__dataclass_fields__))
+    return params
+
+
+_FREE = st.floats(allow_nan=False, allow_infinity=False)
+_SHAPE = st.floats(2.0, 500.0, exclude_min=True, exclude_max=True)
+_SKEW = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FAMILIES = ("student_t", "skew_student_t")
+_SPECS = [MeanSpec(), MeanSpec(ar_order=2, ma_order=1, include_constant=False),
+          MeanSpec(ar_order=5, ma_order=5)]
+
+
+def _law(draw, family):
+    return [draw(_SHAPE)] + ([draw(_SKEW)] if family == "skew_student_t" else [])
+
+
+class TestDecoders:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(0, 5), q=st.integers(0, 5),
+           constant=st.booleans(), family=st.sampled_from(_FAMILIES))
+    def test_egarch_matches_the_position_counting_decoder(self, data, p, q, constant, family):
+        spec = MeanSpec(ar_order=p, ma_order=q, include_constant=constant)
+        x = data.draw(st.lists(_FREE, min_size=constant + p + q + 3,
+                               max_size=constant + p + q + 3))
+        x += [data.draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))]
+        x += _law(data.draw, family)
+        assert len(x) == egarch_param_space(spec, family).dimension
+        assert (_reprs(egarch_params_from_vector(spec, family, x))
+                == _reprs(_oracle_egarch_params_from_vector(spec, family, x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(_FAMILIES))
+    def test_garch11_matches_the_position_counting_decoder(self, data, family):
+        alpha1 = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        gamma1 = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        assume(alpha1 + gamma1 < 1.0)
+        x = [data.draw(_FREE), data.draw(st.floats(min_value=0.0, exclude_min=True,
+                                                   allow_infinity=False)),
+             alpha1, gamma1] + _law(data.draw, family)
+        assert len(x) == garch11_param_space(family).dimension
+        assert (_reprs(garch11_params_from_vector(family, x))
+                == _reprs(_oracle_garch11_params_from_vector(family, x)))
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @pytest.mark.parametrize("spec", _SPECS)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_egarch_rejects_a_vector_of_the_wrong_length(self, make_series, family, spec, extra):
+        space = egarch_param_space(spec, family)
+        x0 = space.from_unconstrained(np.zeros(space.dimension))
+        x = np.append(x0, 0.5)[: space.dimension + extra]
+        with pytest.raises(ValueError, match=f"expected {space.dimension} parameters"):
+            egarch_params_from_vector(spec, family, x)
+        r = make_series(np.random.default_rng(5).standard_normal(300))
+        neg_score = _objectives(lambda v: egarch_params_from_vector(spec, family, v),
+                                lambda params: egarch_score(r, params), space.dimension)
+        f, g = neg_score(x)
+        assert f == math.inf
+        np.testing.assert_array_equal(g, np.zeros(space.dimension))
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_garch11_rejects_a_vector_of_the_wrong_length(self, make_series, family, extra):
+        space = garch11_param_space(family)
+        x0 = space.from_unconstrained(np.zeros(space.dimension))
+        x = np.append(x0, 0.5)[: space.dimension + extra]
+        with pytest.raises(ValueError, match=f"expected {space.dimension} parameters"):
+            garch11_params_from_vector(family, x)
+        r = make_series(np.random.default_rng(5).standard_normal(300))
+        neg_score = _objectives(lambda v: garch11_params_from_vector(family, v),
+                                lambda params: garch11_score(r, params), space.dimension)
+        f, g = neg_score(x)
+        assert f == math.inf
+        np.testing.assert_array_equal(g, np.zeros(space.dimension))
+
+
 class TestStdErrors:
     SPACE = ParamSpace((("a", "free"), ("b", "positive")))
 
@@ -689,6 +804,37 @@ class TestScore:
         ll, g = egarch_score(r, _egarch(omega=60.0, a_mag=40.0, b_pers=0.999))
         assert ll == -math.inf
         assert np.all(np.isnan(g))
+
+    def test_garch_divergent_path_score(self, make_series):
+        # eps^2 overflows to inf in h
+        x = np.random.default_rng(5).standard_normal(300)
+        x[10] = 1e200
+        params = Garch11Params(mu=0.0, alpha0=0.1, alpha1=0.1, gamma1=0.5, dist=T7)
+        with np.errstate(over="ignore"):
+            ll, g = garch11_score(make_series(x), params)
+        assert ll == -math.inf
+        assert g.shape == (5,) and np.all(np.isnan(g))
+
+
+_G11 = Garch11Params(mu=0.0, alpha0=0.1, alpha1=0.1, gamma1=0.5, dist=T7)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: MeanParams(ar=[0.1] * 6), ValueError, "AR/MA orders capped at 5"),
+    (lambda: _egarch(omega=math.inf), ValueError, "omega must be finite"),
+    (lambda: Garch11Params(mu=0.0, alpha0=0.1, alpha1=-0.1, gamma1=0.5, dist=T7),
+     ValueError, "alpha1 and gamma1 must be nonnegative"),
+    (lambda: garch11_filter(np.zeros(50), _G11), DegenerateSeriesError,
+     "degenerate: zero variance"),
+    (lambda: simulate_egarch(_egarch(), 0, seed=1), ValueError, "n must be >= 1, got 0"),
+    (lambda: simulate_garch11(_G11, 0, seed=1), ValueError, "n must be >= 1, got 0"),
+    (lambda: egarch_param_space(MeanSpec(), "normal"), ValueError, "unknown family 'normal'"),
+    (lambda: garch11_params_from_vector("normal", [0.0] * 5), ValueError,
+     "unknown family 'normal'"),
+])
+def test_validation_branches(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestParamValidation:

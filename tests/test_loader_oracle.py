@@ -265,11 +265,14 @@ def test_generator_reaches_both_outcomes(tmp_path):
 
 def test_simulated_csv_takes_the_split_path(tmp_path):
     # what simulate writes, with either line end or blank lines, is read
-    # without csv.reader
+    # without csv.reader from the text that _read_text returns
     assert main(["simulate", "--out", str(tmp_path), "--seed", "7",
                  "--assets", "2", "--length", "300"]) == 0
     text = (tmp_path / "sim_SIM1.csv").read_text(encoding="utf-8")
-    for t in (text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n")):
+    for name, raw in (("LF.csv", text), ("CRLF.csv", text.replace("\n", "\r\n")),
+                      ("BLANK.csv", text.replace("\n", "\n\n"))):
+        (tmp_path / name).write_text(raw, encoding="utf-8", newline="")
+        t = _read_text(str(tmp_path / name))
         header, *rows = filter(None, csv.reader(io.StringIO(t)))
         assert header == ["date", "close"] and len(rows) == 301
         assert _split_columns(t, [0, 1]) == [list(c) for c in zip(*rows)]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 from datetime import date
 
 import numpy as np
@@ -13,6 +14,7 @@ from volrisk.market_data import (
     _SIGNIFICANCE_LEVELS,
     DataError,
     DegenerateSeriesError,
+    DescriptiveStats,
     PriceSeries,
     ReturnPanel,
     ReturnSeries,
@@ -122,6 +124,44 @@ class TestPriceSeriesValidation:
         for bad in ([1.0, 0.0], [1.0, math.inf], [1.0, math.nan]):
             with pytest.raises(DataError):
                 PriceSeries(symbol="x", dates=dates, close=np.array(bad))
+
+
+_D3 = (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3))
+_NOISE = np.random.default_rng(0).standard_normal(300)
+
+
+def _flat_stats():
+    return DescriptiveStats(n=30, mean=0.0, std=0.0, min=0.0, max=0.0, skewness=0.0,
+                            excess_kurtosis=0.0, q25=0.0, q75=0.0)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda ms: PriceSeries("p", _D3, np.ones(2)), DataError, "p: 3 dates but 2 closes"),
+    (lambda ms: ReturnSeries("r", (), np.ones(0)), DataError, "r: empty return series"),
+    (lambda ms: ReturnSeries("r", _D3, np.ones(2)), DataError, "r: 3 dates but 2 returns"),
+    (lambda ms: ReturnPanel((), _D3), DataError, "panel needs at least one series"),
+    # a price series holds at least 2 prices; a shorter duck-typed one
+    # reaches ReturnSeries' own check
+    (lambda ms: log_returns(types.SimpleNamespace(symbol="d", dates=_D3[:1], close=np.ones(1))),
+     DataError, "d: empty return series"),
+    (lambda ms: jarque_bera(_flat_stats()), DegenerateSeriesError, "degenerate: zero variance"),
+    (lambda ms: adf_test(ms(_NOISE), lags=-1), ValueError, "lags must be nonnegative, got -1"),
+    (lambda ms: kpss_test(ms(_NOISE), bandwidth=-1), ValueError,
+     "bandwidth must be nonnegative, got -1"),
+    (lambda ms: kpss_test(ms(_NOISE[:12])), DataError,
+     "test: need more than bandwidth + 10 = 12 observations, got 12"),
+    (lambda ms: pearson_correlation(ReturnPanel((ms(_NOISE, "a"), ms(np.zeros(300), "z")),
+                                                ms(_NOISE).dates)),
+     DegenerateSeriesError, "z: degenerate: zero variance"),
+])
+def test_validation_branches(make_series, call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call(make_series)
+
+
+def test_panel_length_is_its_calendar(make_series):
+    r = make_series([0.1, 0.2, 0.3])
+    assert len(ReturnPanel((r,), r.dates)) == 3
 
 
 def test_log_returns_hand_values(write_csv):

@@ -65,6 +65,12 @@ class TestParamSpace:
         with pytest.raises(ValueError):
             ParamSpace(params=(("a", ("pair_sum_lt_one", "b")), ("b", "positive")))
 
+    def test_pair_partner_must_be_in_space(self):
+        for partner in ("b", "a"):
+            with pytest.raises(ValueError,
+                               match=f"^pair partner '{partner}' of 'a' not in space$"):
+                ParamSpace(params=(("a", ("pair_sum_lt_one", partner)),))
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             ParamSpace(params=(("x", ("interval", 2.0, 1.0)),))
