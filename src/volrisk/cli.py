@@ -34,9 +34,9 @@ from .egarch import EgarchParams, MeanParams, MeanSpec, fit_egarch
 from .market_data import (
     DataError,
     ReturnPanel,
+    _describe_panel,
     adf_test,
     align_panel,
-    describe,
     jarque_bera,
     kpss_test,
     load_price_series,
@@ -312,6 +312,12 @@ def _slug(symbol: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in symbol)
 
 
+def _dated_rows(header: str, iso: list, fmt: str) -> str:
+    """CSV text of ``header`` and one ``<date>,<fmt>`` row per ISO date:
+    a template that ``% tuple(values)`` fills, one value per date."""
+    return header + "\n" + "".join([f"{d},{fmt}\n" for d in iso])
+
+
 def _fmt(v: float, places: int = 6) -> str:
     if not math.isfinite(v):
         return "nan"
@@ -378,7 +384,7 @@ def _test_tables(panel: ReturnPanel, stats: dict) -> list:
 # stage runs.
 
 def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
-    stats = {s.symbol: describe(s, cfg.risk_free) for s in panel.series}
+    stats = _describe_panel(panel, cfg.risk_free)
     header = ["symbol", "n", "mean", "std", "min", "max",
               "skewness", "excess_kurtosis", "q25", "q75"]
     if cfg.risk_free is not None:
@@ -406,7 +412,7 @@ def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
 
 
 def _test(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
-    stats = {s.symbol: describe(s, cfg.risk_free) for s in panel.series}
+    stats = _describe_panel(panel, cfg.risk_free)
     for table in _test_tables(panel, stats):
         _table(out, *table)
     return EXIT_OK
@@ -484,11 +490,11 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     report = risk_report(panel, spec)
     out.add("risk.csv", report.to_csv())
     out.add("risk.json", _json(report.to_dict()))
-    iso = [d.isoformat() for d in panel.dates]
+    # the report's drawdown paths need not stay alive beside the CSV text below
+    del report
+    rows = _dated_rows("date,drawdown", [d.isoformat() for d in panel.dates], "%.8f")
     for s in panel.series:
-        lines = ["date,drawdown"]
-        lines.extend(f"{d},{v:.8f}" for d, v in zip(iso, drawdown(s)[0].values.tolist()))
-        out.add(f"drawdown_{_slug(s.symbol)}.csv", "\n".join(lines) + "\n")
+        out.add(f"drawdown_{_slug(s.symbol)}.csv", rows % tuple(drawdown(s)[0].values.tolist()))
     return EXIT_OK
 
 
@@ -563,12 +569,10 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
     scale = 0.01
     symbols = [f"SIM{i + 1}" for i in range(n_assets)]
     out = OutputCollector()
+    rows = _dated_rows("date,close", iso, "%.10f")
     for j, sym in enumerate(symbols):
         prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(scale * returns[:, j]))))
-        lines = ["date,close"]
-        # %-formatted Python floats: the fastest byte-identical row form measured
-        lines.extend(["%s,%.10f" % row for row in zip(iso, prices.tolist())])
-        out.add(f"sim_{sym}.csv", "\n".join(lines) + "\n")
+        out.add(f"sim_{sym}.csv", rows % tuple(prices.tolist()))
     root = Path(out_dir).resolve()
     cfg_doc = {
         "seed": seed,

@@ -143,7 +143,9 @@ def _filter_core(Z: np.ndarray, alpha: float, beta: float, Qbar: np.ndarray):
     Q[:, iu, ju] = Y
     Q[:, ju, iu] = Y
     d = np.sqrt(np.diagonal(Q, axis1=1, axis2=2))
-    R = Q / (d[:, :, None] * d[:, None, :])
+    # an infinite residual gives inf / inf here; the likelihood rejects the path
+    with np.errstate(invalid="ignore"):
+        R = Q / (d[:, :, None] * d[:, None, :])
     idx = np.arange(k)
     R[:, idx, idx] = 1.0
     return Q, R

@@ -261,13 +261,15 @@ def egarch_filter(eps, params: EgarchParams) -> np.ndarray:
 def garch11_filter(eps, params: Garch11Params) -> np.ndarray:
     """h_t = alpha0 + alpha1 eps_{t-1}^2 + gamma1 h_{t-1}, h_0 = var(eps)."""
     eps = np.asarray(eps, dtype=float)
-    h0 = float(eps.var())
-    if not h0 > 0.0:
-        raise DegenerateSeriesError("degenerate: zero variance")
-    h = np.empty(eps.size)
-    h[0] = h0
-    h[1:] = params.alpha0 + params.alpha1 * eps[:-1] ** 2
-    return _scan(h, params.gamma1)
+    # a residual past 1e154 squares to inf; the likelihood rejects the path
+    with np.errstate(over="ignore"):
+        h0 = float(eps.var())
+        if not h0 > 0.0:
+            raise DegenerateSeriesError("degenerate: zero variance")
+        h = np.empty(eps.size)
+        h[0] = h0
+        h[1:] = params.alpha0 + params.alpha1 * eps[:-1] ** 2
+        return _scan(h, params.gamma1)
 
 
 def _path_loglik(eps: np.ndarray, h: np.ndarray, d: InnovationDist) -> float:

@@ -245,8 +245,13 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
             cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader)))) or ((),) * len(idx)
         raw_dates, raw_close, *raw_extras = cells
         n = len(raw_dates)
-        # intraday timestamps truncated to the calendar day
-        dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
+        try:
+            dates = tuple(map(Date.fromisoformat, raw_dates))
+        except ValueError:
+            # intraday timestamps truncated to the calendar day; a cell
+            # fromisoformat takes whole has at most 10 characters and no
+            # blank, so the truncation reads it as the same day
+            dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
         close = np.fromiter(map(float, raw_close), float, count=n)
         if not np.all(np.isfinite(close) & (close > 0.0)):
             raise ValueError("non-positive price")
@@ -255,10 +260,10 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
         _raise_row_error(source, text, mapping)
         raise
 
-    ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
-    if not np.all(ords[1:] > ords[:-1]):
+    if not all(map(operator.lt, dates, dates[1:])):
         # a stable sort keeps equal dates in file order, so the second of
         # the first duplicate pair is the row reported
+        ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
         order = np.argsort(ords, kind="stable")
         ords = ords[order]
         dup = np.flatnonzero(ords[1:] == ords[:-1])
@@ -391,6 +396,55 @@ def align_panel(series: Sequence[ReturnSeries]) -> ReturnPanel:
 # ---------------------------------------------------------------------------
 # descriptive statistics and tests
 
+_QUARTILES = (0.25, 0.75)
+
+
+def _moments(X: np.ndarray, q: Sequence[float] = _QUARTILES) -> list:
+    """One tuple of Python floats per row of the (k, n) array ``X``: the
+    mean, the central moments m2, m3 and m4 (denominator n), the std
+    (denominator n - 1), the min, the max and the quantiles at ``q``.
+
+    Every step is an axis-1 reduction or elementwise, so each row gets
+    bitwise what its own 1-D array would.
+    """
+    n = X.shape[1]
+    mean = X.mean(axis=1)
+    c = X - mean[:, None]
+    # one buffer takes c^2, c^3 and c^4 in turn
+    p = c * c
+    ss = p.sum(axis=1)
+    m3 = np.multiply(p, c, out=p).mean(axis=1)
+    m4 = np.multiply(p, c, out=p).mean(axis=1)
+    # n = 1 makes the std 0 / 0, which _stats rejects for its length
+    with np.errstate(invalid="ignore"):
+        std = np.sqrt(ss / (n - 1))
+    cols = (mean, ss / n, m3, m4, std, X.min(axis=1), X.max(axis=1),
+            *np.quantile(X, q, axis=1))
+    return list(zip(*(a.tolist() for a in cols)))
+
+
+def _stats(symbol: str, n: int, row: tuple, risk_free: "float | None" = None) -> DescriptiveStats:
+    """``describe`` of the n returns named ``symbol`` from their
+    ``_moments`` row, taken with the quartiles first in ``q``."""
+    if n < 4:
+        raise DataError(f"{symbol}: need at least 4 observations, got {n}")
+    mean, m2, m3, m4, std, lo, hi, q25, q75, *_ = row
+    if m2 == 0.0:
+        raise DegenerateSeriesError(f"{symbol}: degenerate: zero variance")
+    return DescriptiveStats(
+        n=n,
+        mean=mean,
+        std=std,
+        min=lo,
+        max=hi,
+        skewness=m3 / m2 ** 1.5,
+        excess_kurtosis=m4 / (m2 * m2) - 3.0,
+        q25=q25,
+        q75=q75,
+        sharpe=None if risk_free is None else (mean - risk_free) / std,
+    )
+
+
 def describe(r: ReturnSeries, risk_free: "float | None" = None) -> DescriptiveStats:
     """Sample moments of a return series.
 
@@ -399,32 +453,15 @@ def describe(r: ReturnSeries, risk_free: "float | None" = None) -> DescriptiveSt
     a per-period rate; when supplied the Sharpe ratio (mean - rf)/std is
     included.
     """
-    x = r.values
-    n = x.size
-    if n < 4:
-        raise DataError(f"{r.symbol}: need at least 4 observations, got {n}")
-    mean = float(x.mean())
-    c = x - mean
-    m2 = float((c * c).mean())
-    if m2 == 0.0:
-        raise DegenerateSeriesError(f"{r.symbol}: degenerate: zero variance")
-    m3 = float((c * c * c).mean())
-    m4 = float((c * c * c * c).mean())
-    std = float(x.std(ddof=1))
-    q25, q75 = (float(q) for q in np.quantile(x, [0.25, 0.75]))
-    sharpe = None if risk_free is None else (mean - risk_free) / std
-    return DescriptiveStats(
-        n=n,
-        mean=mean,
-        std=std,
-        min=float(x.min()),
-        max=float(x.max()),
-        skewness=m3 / m2 ** 1.5,
-        excess_kurtosis=m4 / (m2 * m2) - 3.0,
-        q25=q25,
-        q75=q75,
-        sharpe=sharpe,
-    )
+    return _stats(r.symbol, len(r), _moments(r.values[None, :])[0], risk_free)
+
+
+def _describe_panel(panel: ReturnPanel, risk_free: "float | None" = None) -> dict:
+    """``describe`` of every series of the panel by symbol, from one
+    ``_moments`` pass; raises the error of the first series that has one."""
+    rows = _moments(np.stack([s.values for s in panel.series]))
+    return {sym: _stats(sym, len(panel), row, risk_free)
+            for sym, row in zip(panel.symbols, rows)}
 
 
 def jarque_bera(s: DescriptiveStats, significance: float = 0.05) -> TestResult:

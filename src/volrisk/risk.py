@@ -19,12 +19,14 @@ import numpy as np
 
 from .distributions import _ndtri
 from .market_data import (
+    _QUARTILES,
     DataError,
     DegenerateSeriesError,
     DescriptiveStats,
     ReturnPanel,
     ReturnSeries,
-    describe,
+    _moments,
+    _stats,
 )
 
 __all__ = [
@@ -181,27 +183,26 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     return -(stats.mean + z_cf * stats.std) * amount
 
 
-def _empirical_quantiles(r: ReturnSeries, levels) -> list:
-    """Empirical (1-level)-quantiles of the returns for every level, by
-    linear interpolation between order statistics in one pass."""
-    n = len(r)
+def _check_sample(symbol: str, n: int, levels) -> None:
+    """Raise, or warn of a thin sample, as the empirical quantiles of n
+    returns at every level require."""
     for level in levels:
         _check_level(level)
         if n < 10:
-            raise DataError(f"{r.symbol}: need at least 10 observations, got {n}")
+            raise DataError(f"{symbol}: need at least 10 observations, got {n}")
         needed = 1.0 / (1.0 - level)
         if n < needed:
             log.warning(
                 "%s: %d observations is thin for level %g (want >= %.0f)",
-                r.symbol, n, level, needed,
+                symbol, n, level, needed,
             )
-    return np.quantile(r.values, [1.0 - lv for lv in levels]).tolist()
 
 
 def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     """-(empirical (1-level)-quantile of returns) W, linear interpolation
     between order statistics."""
-    return -_empirical_quantiles(r, (level,))[0] * amount
+    _check_sample(r.symbol, len(r), (level,))
+    return -float(np.quantile(r.values, 1.0 - level)) * amount
 
 
 class DrawdownSeries(Sequence):
@@ -231,6 +232,15 @@ class DrawdownSeries(Sequence):
         return zip(self.dates, self.values.tolist())
 
 
+def _drawdowns(X: np.ndarray) -> np.ndarray:
+    """Read-only drawdown paths of the rows of the (k, n) return array X."""
+    dd = np.exp(np.cumsum(X, axis=1))
+    dd /= np.maximum.accumulate(dd, axis=1)
+    dd -= 1.0
+    dd.setflags(write=False)
+    return dd
+
+
 def drawdown(r: ReturnSeries) -> tuple:
     """Drawdown path and its minimum.
 
@@ -239,16 +249,22 @@ def drawdown(r: ReturnSeries) -> tuple:
     where series is a ``DrawdownSeries`` of (date, dd) pairs with Python
     float values; ``tuple(series)`` gives them as a tuple.
     """
-    wealth = np.exp(np.cumsum(r.values))
-    dd = wealth / np.maximum.accumulate(wealth) - 1.0
-    dd.setflags(write=False)
+    dd = _drawdowns(r.values[None, :])[0]
     return DrawdownSeries(r.dates, dd), float(dd.min())
 
 
+def _span(dates: tuple, start, end) -> tuple:
+    """The index range [lo, hi) of the strictly increasing ``dates`` that
+    fall within [start, end]; a None bound is open."""
+    lo = 0 if start is None else bisect_left(dates, start)
+    hi = len(dates) if end is None else bisect_right(dates, end)
+    return lo, hi
+
+
 def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":
-    # r is a panel series, so its dates are strictly increasing
-    lo = 0 if start is None else bisect_left(r.dates, start)
-    hi = len(r.dates) if end is None else bisect_right(r.dates, end)
+    """The part of the panel series ``r`` within [start, end], or None if
+    that is empty."""
+    lo, hi = _span(r.dates, start, end)
     if lo >= hi:
         return None
     return ReturnSeries(symbol=r.symbol, dates=r.dates[lo:hi], values=r.values[lo:hi])
@@ -257,26 +273,38 @@ def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":
 def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     """All three VaR variants plus drawdown per (asset, period, level).
 
-    Moments are recomputed on each restricted sample.  An empty period is
-    an error naming the period and asset.
+    Moments are recomputed on each period's sample, for every asset at
+    once.  Errors and thin-level warnings come in (asset, period) order.
+    An empty period is an error naming the period and asset.
     """
+    V = np.stack([s.values for s in panel.series])
+    q = (*_QUARTILES, *(1.0 - lv for lv in spec.levels))
+    blocks = []
     var: dict = {}
     dds: dict = {}
     stats: dict = {}
-    for s in panel.series:
-        for name, start, end in spec.periods:
-            sub = _restrict(s, start, end)
-            if sub is None:
-                raise DataError(f"period {name!r}: no observations for {s.symbol}")
-            cell_stats = describe(sub)
-            stats[(s.symbol, name)] = cell_stats
-            dds[(s.symbol, name)] = drawdown(sub)
-            quantiles = _empirical_quantiles(sub, spec.levels)
-            for lv, q in zip(spec.levels, quantiles):
-                var[(s.symbol, name, lv)] = {
+    for i, symbol in enumerate(panel.symbols):
+        for j, (name, start, end) in enumerate(spec.periods):
+            if i == 0:
+                # each period's block is built when the first asset reaches
+                # it, so errors and warnings keep a per-cell loop's order
+                lo, hi = _span(panel.dates, start, end)
+                if lo >= hi:
+                    raise DataError(f"period {name!r}: no observations for {symbol}")
+                dd = _drawdowns(V[:, lo:hi])
+                blocks.append((panel.dates[lo:hi], _moments(V[:, lo:hi], q),
+                               dd, dd.min(axis=1).tolist()))
+            dates, rows, dd, dd_min = blocks[j]
+            n = len(dates)
+            cell_stats = _stats(symbol, n, rows[i])
+            stats[(symbol, name)] = cell_stats
+            dds[(symbol, name)] = (DrawdownSeries(dates, dd[i]), dd_min[i])
+            _check_sample(symbol, n, spec.levels)
+            for lv, quantile in zip(spec.levels, rows[i][-len(spec.levels):]):
+                var[(symbol, name, lv)] = {
                     "gaussian": gaussian_var(cell_stats, lv, spec.amount),
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": -q * spec.amount,
+                    "empirical": -quantile * spec.amount,
                 }
     return RiskReport(
         spec=spec,

@@ -1092,6 +1092,27 @@ class TestExitCodes:
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
 
 
+# drawdowns reach toward -1; prices are positive, but any float must keep its bytes
+_ROW_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1.0, -0.999),
+    st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0, -0.999999995,
+                     -0.9999999949999999, 0.000000005, 99.99999999995)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(_ROW_FLOATS, max_size=40))
+def test_row_template_gives_the_per_row_formats(values):
+    # the reference is one f-string per drawdown row and one %-format per price row
+    iso = [(datetime.date(2020, 2, 27) + datetime.timedelta(days=i)).isoformat()
+           for i in range(len(values))]
+    drawdowns = "\n".join(["date,drawdown"] + [f"{d},{v:.8f}" for d, v in zip(iso, values)])
+    prices = "\n".join(["date,close"] + ["%s,%.10f" % row for row in zip(iso, values)])
+    assert cli_mod._dated_rows("date,drawdown", iso, "%.8f") % tuple(values) == drawdowns + "\n"
+    assert cli_mod._dated_rows("date,close", iso, "%.10f") % tuple(values) == prices + "\n"
+
+
 _WITHOUT_SCIPY = """
 import sys
 

@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -173,6 +174,18 @@ class TestLoglik:
         p = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)
         with np.errstate(invalid="ignore"):
             assert dcc_loglik(Z, p, Qbar) == -math.inf
+
+    def test_non_finite_residual_warns_nothing(self):
+        # library calls count on no caller to silence numpy's warnings
+        _, Z = _panel(n=100, k=2, seed=3)
+        Qbar = unconditional_corr(Z)
+        Z[5, 0] = math.inf
+        p = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dcc_loglik(Z, p, Qbar) == -math.inf
+            ll, g = dcc_score(Z, p, Qbar)
+        assert ll == -math.inf and np.all(np.isnan(g))
 
 
 _P = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)

@@ -815,6 +815,17 @@ class TestScore:
         assert ll == -math.inf
         assert g.shape == (5,) and np.all(np.isnan(g))
 
+    def test_garch_divergent_path_warns_nothing(self, make_series):
+        # library calls count on no caller to silence numpy's warnings
+        x = np.random.default_rng(5).standard_normal(300)
+        x[10] = 1e200
+        params = Garch11Params(mu=0.0, alpha0=0.1, alpha1=0.1, gamma1=0.5, dist=T7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, g = garch11_score(make_series(x), params)
+            assert garch11_loglik(make_series(x), params) == -math.inf
+        assert ll == -math.inf and np.all(np.isnan(g))
+
 
 _G11 = Garch11Params(mu=0.0, alpha0=0.1, alpha1=0.1, gamma1=0.5, dist=T7)
 

@@ -109,13 +109,18 @@ _COLUMNS = (
 
 def _valid_date_cells(d):
     iso = d.isoformat()
-    return (iso, iso, f"{iso}T09:30:00", f"{iso} 16:00", f" {iso} ")
+    year, week, day = d.isocalendar()
+    # the ISO, basic and week-date forms parse whole; the rest once stripped and cut to 10
+    return (iso, iso, f"{iso}T09:30:00", f"{iso} 16:00", f" {iso} ", d.strftime("%Y%m%d"),
+            f"{year}-W{week:02d}-{day}", f"{year}W{week:02d}{day}")
 
 
 @st.composite
 def _date_cell(draw):
     d = _BASE + timedelta(days=draw(st.integers(0, 40)))
-    junk = ("not-a-date", "", "2020-13-01", "20200101")
+    # the last four name a week's day, or its Monday
+    junk = ("not-a-date", "", "2020-13-01", "20200101", "2020-W01-4", "2020W014", "2020-W01",
+            "2020W01")
     return draw(st.sampled_from(_valid_date_cells(d) + junk))
 
 

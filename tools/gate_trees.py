@@ -15,7 +15,10 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   the one panel width between k=3 and k=32 that is gated;
 - ``report`` on a variant of the seed-7 workspace that covers the other
   config paths: ARMA(1,1) and AR(2) without a constant, skew-t
-  innovations, a risk-free rate and two periods.
+  innovations, a risk-free rate and two periods;
+- ``report`` on the seed-7 workspace with a second period that holds 5
+  returns, too few for the risk step: it exits 2 with the describe and
+  fit files written.
 
 It writes one JSON document mapping each run to the SHA-256 digest of
 every input price file and output file, the ``converged`` flag, estimates
@@ -48,6 +51,15 @@ VARIANT_SEED = 7
 FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
 
 
+def _write_config(sim_config: Path, name: str, doc: dict) -> Path:
+    """Write ``doc`` beside ``sim_config`` as ``<name>_config.yaml``, its
+    outputs going to ``<name>_results``."""
+    doc["output_dir"] = str(sim_config.parent / f"{name}_results")
+    path = sim_config.parent / f"{name}_config.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=True))
+    return path
+
+
 def _variant_config(sim_config: Path) -> Path:
     doc = yaml.safe_load(sim_config.read_text())
     doc["distribution"] = "skew_student_t"
@@ -56,10 +68,14 @@ def _variant_config(sim_config: Path) -> Path:
     doc["assets"][1]["mean"] = {"ar": 2, "constant": False}
     full = doc["periods"]["full"]
     doc["periods"]["first"] = {"start": full["start"], "end": "2020-06-30"}
-    doc["output_dir"] = str(sim_config.parent / "variant_results")
-    path = sim_config.parent / "variant_config.yaml"
-    path.write_text(yaml.safe_dump(doc, sort_keys=True))
-    return path
+    return _write_config(sim_config, "variant", doc)
+
+
+def _short_period_config(sim_config: Path) -> Path:
+    doc = yaml.safe_load(sim_config.read_text())
+    # the first 5 weekdays of returns: simulate's prices start on 2019-01-01
+    doc["periods"]["week"] = {"start": "2019-01-02", "end": "2019-01-08"}
+    return _write_config(sim_config, "short_period", doc)
 
 
 def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
@@ -94,6 +110,9 @@ def gate(src: Path, work: Path) -> dict:
     config = _variant_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
     runs[f"variant-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
                                                   results_dir(config))
+    config = _short_period_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
+    runs[f"short_period-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
+                                                       results_dir(config))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
                                                      results_dir(config))
