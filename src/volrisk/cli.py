@@ -36,11 +36,9 @@ from .market_data import (
     ReturnPanel,
     _describe_panel,
     adf_test,
-    align_panel,
     jarque_bera,
     kpss_test,
-    load_price_series,
-    log_returns,
+    load_panel,
     pearson_correlation,
 )
 from .risk import RiskSpec, drawdown, risk_report
@@ -328,18 +326,7 @@ def _fmt(v: float, places: int = 6) -> str:
 # shared pipeline steps
 
 def _load_panel(cfg: RunConfig) -> ReturnPanel:
-    series = []
-    for a in cfg.assets:
-        try:
-            prices = load_price_series(a.source, a.columns, symbol=a.symbol)
-        except DataError as exc:
-            raise DataError(f"{a.symbol}: {exc}") from exc
-        series.append(log_returns(prices))
-        log.info("loaded %s: %d returns", a.symbol, len(series[-1]))
-    if len(series) == 1:
-        only = series[0]
-        return ReturnPanel(series=(only,), dates=only.dates)
-    return align_panel(series)
+    return load_panel([(a.symbol, a.source, a.columns) for a in cfg.assets])
 
 
 def _table(out: OutputCollector, name: str, header: list, rows, doc) -> None:

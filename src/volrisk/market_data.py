@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DataError",
@@ -25,6 +27,7 @@ __all__ = [
     "DescriptiveStats",
     "TestResult",
     "load_price_series",
+    "load_panel",
     "log_returns",
     "align_panel",
     "describe",
@@ -33,6 +36,9 @@ __all__ = [
     "kpss_test",
     "pearson_correlation",
 ]
+
+
+log = logging.getLogger("volrisk.market_data")
 
 
 class DataError(Exception):
@@ -117,7 +123,7 @@ class ReturnPanel:
         if not self.series:
             raise DataError("panel needs at least one series")
         for s in self.series:
-            if s.dates != self.dates:
+            if s.dates is not self.dates and s.dates != self.dates:
                 raise DataError(f"{s.symbol}: dates differ from the panel calendar")
         # period slicing bisects the calendar
         _check_increasing("panel", self.dates)
@@ -144,7 +150,8 @@ class DescriptiveStats:
     sharpe: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # the instance dict holds the fields, in field order
+        d = dict(vars(self))
         if self.sharpe is None:
             del d["sharpe"]
         return d
@@ -230,6 +237,26 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     by ``csv.reader``.  Both give the same cells, and only the
     ``csv.reader`` walk names an error.
     """
+    dates, close, extras, _ = _read_prices(source, columns)
+    return PriceSeries(
+        symbol=symbol if symbol is not None else _infer_symbol(source),
+        dates=dates,
+        close=close,
+        **extras,
+    )
+
+
+def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" = None) -> tuple:
+    """The dates, close prices and optional fields by name of the price
+    file ``source``, sorted by date as ``load_price_series`` reads them,
+    and the calendar a later file may share: the pair of its date cells
+    and its dates when those were strictly increasing in file order, else
+    None.
+
+    ``calendar`` is such a pair from another file.  When this file's date
+    cells equal the pair's, the pair is this file's calendar, returned as
+    it came: its dates are taken without being parsed or checked again.
+    """
     mapping = dict(_DEFAULT_COLUMNS)
     if columns:
         mapping.update(columns)
@@ -245,13 +272,17 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
             cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader)))) or ((),) * len(idx)
         raw_dates, raw_close, *raw_extras = cells
         n = len(raw_dates)
-        try:
-            dates = tuple(map(Date.fromisoformat, raw_dates))
-        except ValueError:
-            # intraday timestamps truncated to the calendar day; a cell
-            # fromisoformat takes whole has at most 10 characters and no
-            # blank, so the truncation reads it as the same day
-            dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
+        shared = calendar is not None and raw_dates == calendar[0]
+        if shared:
+            dates = calendar[1]
+        else:
+            try:
+                dates = tuple(map(Date.fromisoformat, raw_dates))
+            except ValueError:
+                # intraday timestamps truncated to the calendar day; a cell
+                # fromisoformat takes whole has at most 10 characters and no
+                # blank, so the truncation reads it as the same day
+                dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
         close = np.fromiter(map(float, raw_close), float, count=n)
         if not np.all(np.isfinite(close) & (close > 0.0)):
             raise ValueError("non-positive price")
@@ -260,26 +291,55 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
         _raise_row_error(source, text, mapping)
         raise
 
-    if not all(map(operator.lt, dates, dates[1:])):
-        # a stable sort keeps equal dates in file order, so the second of
-        # the first duplicate pair is the row reported
-        ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
-        order = np.argsort(ords, kind="stable")
-        ords = ords[order]
-        dup = np.flatnonzero(ords[1:] == ords[:-1])
-        if dup.size:
-            i = int(order[dup[0] + 1])
-            raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
-        dates = tuple(dates[i] for i in order.tolist())
-        close = close[order]
-        extra_vals = [v[order] for v in extra_vals]
+    fields = dict(zip(extras, extra_vals))
+    if shared:
+        return dates, close, fields, calendar
+    if all(map(operator.lt, dates, dates[1:])):
+        return dates, close, fields, (raw_dates, dates)
+    # a stable sort keeps equal dates in file order, so the second of
+    # the first duplicate pair is the row reported
+    ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
+    order = np.argsort(ords, kind="stable")
+    ords = ords[order]
+    dup = np.flatnonzero(ords[1:] == ords[:-1])
+    if dup.size:
+        i = int(order[dup[0] + 1])
+        raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
+    dates = tuple(dates[i] for i in order.tolist())
+    return dates, close[order], {f: v[order] for f, v in fields.items()}, None
 
-    return PriceSeries(
-        symbol=symbol if symbol is not None else _infer_symbol(source),
-        dates=dates,
-        close=close,
-        **dict(zip(extras, extra_vals)),
-    )
+
+def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
+    """The log-return panel of the price files ``assets``, (symbol,
+    source, columns) triples in panel order: ``log_returns`` of each
+    file's ``load_price_series``, aligned by ``align_panel`` when there
+    are several.  A DataError names the asset before the file's own text.
+
+    A file whose date cells equal those of the file read before it, when
+    that file's dates were strictly increasing in file order, shares its
+    calendar: the same dates tuple, not parsed or checked again, and the
+    same returns dates tuple.  Any other file is parsed on its own, and
+    ``align_panel`` intersects the calendars.
+    """
+    series = []
+    calendar = None
+    for symbol, source, columns in assets:
+        try:
+            dates, close, extras, own = _read_prices(source, columns, calendar)
+            if own is not None and own is calendar:
+                # the last file's calendar, so its returns dates are this file's
+                r = ReturnSeries(symbol=symbol, dates=series[-1].dates,
+                                 values=np.diff(np.log(close)))
+            else:
+                r = log_returns(PriceSeries(symbol=symbol, dates=dates, close=close, **extras))
+        except DataError as exc:
+            raise DataError(f"{symbol}: {exc}") from exc
+        calendar = own
+        series.append(r)
+        log.info("loaded %s: %d returns", symbol, len(r))
+    if len(series) == 1:
+        return ReturnPanel(series=tuple(series), dates=series[0].dates)
+    return align_panel(series)
 
 
 def _header(source: str, reader, mapping: dict) -> tuple:
@@ -376,8 +436,9 @@ def align_panel(series: Sequence[ReturnSeries]) -> ReturnPanel:
     if len(series) < 2:
         raise DataError("alignment needs at least 2 series")
     dates = series[0].dates
-    if all(s.dates == dates for s in series[1:]):
-        aligned = [ReturnSeries(symbol=s.symbol, dates=dates, values=s.values) for s in series]
+    if all(s.dates is dates or s.dates == dates for s in series[1:]):
+        aligned = [s if s.dates is dates else ReturnSeries(symbol=s.symbol, dates=dates, values=s.values)
+                   for s in series]
         return ReturnPanel(series=tuple(aligned), dates=dates)
     common = set(dates)
     for s in series[1:]:
@@ -518,8 +579,8 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
     X = np.empty((y.size, p + 2))
     X[:, 0] = 1.0
     X[:, 1] = x[p:-1]
-    for i in range(1, p + 1):
-        X[:, i + 1] = dx[p - i : dx.size - i]
+    # row t holds the lagged differences dx[t+p-1], ..., dx[t]
+    X[:, 2:] = sliding_window_view(dx[:-1], p)[:, ::-1]
     xtx = X.T @ X
     try:
         L = np.linalg.cholesky(xtx)

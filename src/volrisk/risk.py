@@ -261,15 +261,6 @@ def _span(dates: tuple, start, end) -> tuple:
     return lo, hi
 
 
-def _restrict(r: ReturnSeries, start, end) -> "ReturnSeries | None":
-    """The part of the panel series ``r`` within [start, end], or None if
-    that is empty."""
-    lo, hi = _span(r.dates, start, end)
-    if lo >= hi:
-        return None
-    return ReturnSeries(symbol=r.symbol, dates=r.dates[lo:hi], values=r.values[lo:hi])
-
-
 def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     """All three VaR variants plus drawdown per (asset, period, level).
 

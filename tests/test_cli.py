@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import volrisk.cli as cli_mod
 import volrisk.dcc as dcc_mod
+import volrisk.market_data as md_mod
 import volrisk.optimize as opt_mod
 from volrisk.cli import (
     ConfigError,
@@ -823,14 +824,14 @@ class TestFit:
 
 class TestReport:
     def test_loads_each_csv_once(self, sim_ws, sim_cfg, fit_dir, monkeypatch):
-        real = cli_mod.load_price_series
+        real = md_mod._read_text
         sources = []
 
-        def counting(source, *args, **kwargs):
+        def counting(source):
             sources.append(source)
-            return real(source, *args, **kwargs)
+            return real(source)
 
-        monkeypatch.setattr(cli_mod, "load_price_series", counting)
+        monkeypatch.setattr(md_mod, "_read_text", counting)
         d = sim_ws / "report1"
         assert main(["report", "--config", sim_cfg, "--out", str(d)]) == 0
         assert sorted(sources) == [str(sim_ws / "sim_SIM1.csv"), str(sim_ws / "sim_SIM2.csv")]

@@ -245,6 +245,13 @@ class TestDescribe:
         with_rf = describe(make_series(x), risk_free=0.001)
         assert with_rf.sharpe == pytest.approx((plain.mean - 0.001) / plain.std)
 
+    def test_to_dict_is_the_fields_in_order(self, make_series):
+        x = [0.01, -0.02, 0.015, 0.002, -0.004]
+        for s in (describe(make_series(x)), describe(make_series(x), risk_free=0.001)):
+            want = [(f.name, getattr(s, f.name)) for f in dataclasses.fields(s)
+                    if getattr(s, f.name) is not None]
+            assert list(s.to_dict().items()) == want
+
     def test_too_short(self, make_series):
         with pytest.raises(DataError):
             describe(make_series([0.01, 0.02, 0.03]))

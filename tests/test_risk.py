@@ -21,7 +21,7 @@ from volrisk.market_data import (
 from volrisk.risk import (
     RiskReport,
     RiskSpec,
-    _restrict,
+    _span,
     cf_var,
     cornish_fisher_z,
     drawdown,
@@ -195,15 +195,15 @@ class TestDrawdown:
         rng = np.random.default_rng(3)
         r = make_series(list(0.02 * rng.standard_normal(50)))
         series, max_dd = drawdown(r)
-        pairs = _dated_drawdowns(r)
+        pairs = _dated_drawdowns(r.dates, r.values)
         _assert_same_pairs(series, pairs)
         assert max_dd == min(v for _, v in pairs)
 
 
-def _dated_drawdowns(r):
-    wealth = np.exp(np.cumsum(r.values))
+def _dated_drawdowns(dates, values):
+    wealth = np.exp(np.cumsum(values))
     dd = wealth / np.maximum.accumulate(wealth) - 1.0
-    return tuple(zip(r.dates, dd.tolist()))
+    return tuple(zip(dates, dd.tolist()))
 
 
 def _assert_same_pairs(series, pairs):
@@ -264,7 +264,8 @@ class TestRiskReport:
         for s in panel.series:
             for name, start, end in spec.periods:
                 series, max_dd = rep.drawdowns[(s.symbol, name)]
-                pairs = _dated_drawdowns(_restrict(s, start, end))
+                lo, hi = _span(s.dates, start, end)
+                pairs = _dated_drawdowns(s.dates[lo:hi], s.values[lo:hi])
                 _assert_same_pairs(series, pairs)
                 assert max_dd == min(v for _, v in pairs)
 
@@ -280,7 +281,7 @@ class TestRiskReport:
         d = panel.dates
         spec = RiskSpec(periods=(("full", None, None), ("early", None, d[n // 2]),
                                  ("late", d[n // 3], None)))
-        cells = k * sum(len(_restrict(series[0], a, b)) for _, a, b in spec.periods)
+        cells = k * sum(hi - lo for lo, hi in (_span(d, a, b) for _, a, b in spec.periods))
         risk_report(panel, spec)  # lazy imports and caches load outside the measurement
         tracemalloc.start()
         try:
@@ -392,6 +393,8 @@ def _filter_reference(r, start, end):
 
 
 class TestRestrict:
+    """A period restricts the calendar to the index range ``_span`` gives."""
+
     def test_bisection_equals_date_filter(self):
         r = _weekday_series()
         first, last = r.dates[0], r.dates[-1]
@@ -404,24 +407,25 @@ class TestRestrict:
             for end in bounds:
                 if start is not None and end is not None and start > end:
                     continue
-                sub = _restrict(r, start, end)
+                lo, hi = _span(r.dates, start, end)
                 ref = _filter_reference(r, start, end)
                 if ref is None:
-                    assert sub is None, (start, end)
+                    assert lo >= hi, (start, end)
                 else:
-                    assert sub.dates == ref[0], (start, end)
-                    assert np.array_equal(sub.values, ref[1]), (start, end)
+                    assert r.dates[lo:hi] == ref[0], (start, end)
+                    assert np.array_equal(r.values[lo:hi], ref[1]), (start, end)
 
     def test_single_day(self):
         r = _weekday_series()
-        sub = _restrict(r, r.dates[5], r.dates[5])
-        assert sub.dates == (r.dates[5],)
-        assert sub.values.tolist() == [r.values[5]]
+        lo, hi = _span(r.dates, r.dates[5], r.dates[5])
+        assert r.dates[lo:hi] == (r.dates[5],)
+        assert r.values[lo:hi].tolist() == [r.values[5]]
 
     def test_weekend_period_has_no_observations(self):
         r = _weekday_series()
         saturday, sunday = date(2021, 1, 9), date(2021, 1, 10)
-        assert _restrict(r, saturday, sunday) is None
+        lo, hi = _span(r.dates, saturday, sunday)
+        assert lo >= hi
         panel = ReturnPanel(series=(r,), dates=r.dates)
         spec = RiskSpec(periods=(("weekend", saturday, sunday),))
         with pytest.raises(DataError, match="no observations for WKD"):

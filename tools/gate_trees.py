@@ -18,7 +18,14 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   innovations, a risk-free rate and two periods;
 - ``report`` on the seed-7 workspace with a second period that holds 5
   returns, too few for the risk step: it exits 2 with the describe and
-  fit files written.
+  fit files written;
+- ``report`` on copies of the seed-7 price files that do not share one
+  date column: SIM2's without rows 100-199 (the header being row 1) and
+  SIM3's with every date written ``YYYY-MM-DDT00:00:00``, the same days in
+  other cells, so each file is parsed on its own and the panel is the
+  calendars' intersection.
+
+That makes 30 runs.
 
 It writes one JSON document mapping each run to the SHA-256 digest of
 every input price file and output file, the ``converged`` flag, estimates
@@ -78,6 +85,24 @@ def _short_period_config(sim_config: Path) -> Path:
     return _write_config(sim_config, "short_period", doc)
 
 
+def _calendars_config(sim_config: Path) -> Path:
+    """The workspace of ``sim_config`` with SIM2's rows 100-199 dropped
+    and SIM3's dates as midnight timestamps, in its own directory."""
+    ws = sim_config.parent / "calendars"
+    ws.mkdir()
+    doc = yaml.safe_load(sim_config.read_text())
+    for asset in doc["assets"]:
+        source = Path(asset["source"])
+        lines = source.read_text().splitlines(keepends=True)
+        if asset["symbol"] == "SIM2":
+            del lines[99:199]
+        elif asset["symbol"] == "SIM3":
+            lines[1:] = [line.replace(",", "T00:00:00,", 1) for line in lines[1:]]
+        asset["source"] = str(ws / source.name)
+        (ws / source.name).write_text("".join(lines))
+    return _write_config(ws / sim_config.name, "calendars", doc)
+
+
 def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
     exits = {c: cli_main([c, "--config", str(config)]) for c in commands}
     files = {}
@@ -113,6 +138,9 @@ def gate(src: Path, work: Path) -> dict:
     config = _short_period_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
     runs[f"short_period-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
                                                        results_dir(config))
+    config = _calendars_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
+    runs[f"calendars-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
+                                                    results_dir(config))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
                                                      results_dir(config))
