@@ -60,6 +60,12 @@ class ConfigError(Exception):
     pass
 
 
+def _plain_cell(name, where: str) -> None:
+    # the CSV writers join cells, each name's str, without quoting
+    if not set(str(name)).isdisjoint(',"\n\r'):
+        raise ConfigError(f"""{where} {name!r} must not contain ',', '"', '\\n' or '\\r'""")
+
+
 @dataclass(frozen=True)
 class AssetConfig:
     symbol: str
@@ -83,9 +89,14 @@ class RunConfig:
         object.__setattr__(self, "assets", tuple(self.assets))
         if not self.assets:
             raise ConfigError("at least one asset required")
-        symbols = [a.symbol for a in self.assets]
-        if len(set(symbols)) != len(symbols):
-            raise ConfigError(f"duplicate asset symbols: {symbols}")
+        # a symbol is a CSV cell and, slugged, part of the names of its files
+        files = {}
+        for i, a in enumerate(self.assets):
+            _plain_cell(a.symbol, f"assets[{i}]: symbol")
+            j = files.setdefault(_slug(a.symbol), i)
+            if j != i:
+                raise ConfigError(f"duplicate file fit_{_slug(a.symbol)}.json of assets "
+                                  f"{self.assets[j].symbol!r} and {a.symbol!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown distribution {self.family!r}; expected one of {FAMILIES}")
         # the risk report's rules on levels, amount and periods are the config's
@@ -95,6 +106,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         for name in ("levels", "amount", "periods"):
             object.__setattr__(self, name, getattr(spec, name))
+        for name, _, _ in self.periods:
+            _plain_cell(name, "period")
         if self.risk_free is not None and not math.isfinite(self.risk_free):
             raise ConfigError(f"risk_free_rate must be finite, got {self.risk_free}")
 
@@ -121,38 +134,24 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(extra, key=str)}")
 
 
-def _int_key(section: dict, key: str, default: int, where: str) -> int:
-    v = section.get(key, default)
-    # bool is a subclass of int, but `true` is neither an order nor a seed
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}: {key!r} must be an integer, got {v!r}")
-    return v
+# the types of each kind of config value; bool is a subclass of int, but
+# `true` is neither an order, a seed nor a number
+_KINDS = {"an integer": int, "a number": (int, float), "a string": str,
+          "a mapping": dict, "true or false": bool}
 
 
-def _str_key(section: dict, key: str, default: str, where: str) -> str:
-    v = section.get(key)
-    if v is None:
-        return default
-    if not isinstance(v, str):
-        raise ConfigError(f"{where}: {key!r} must be a string, got {v!r}")
-    return v
+def _typed(value, kind: str, key, where: str):
+    """``value``, which must be of ``kind``, a key of ``_KINDS``; a quoted
+    "0.95" or a `true` is a typo, not a value to coerce."""
+    types = _KINDS[kind]
+    if isinstance(value, bool) is not (types is bool) or not isinstance(value, types):
+        raise ConfigError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return value
 
 
-def _mapping_key(section: dict, key, where: str) -> dict:
-    # null is an absent section; `0`, `false`, `''` or `[]` is a typo
-    v = section.get(key)
-    if v is None:
-        return {}
-    if not isinstance(v, dict):
-        raise ConfigError(f"{where}: {key!r} must be a mapping, got {v!r}")
-    return v
-
-
-def _float_key(v, key: str, where: str) -> float:
-    # a quoted "0.95" or a `true` is a typo, not a number to coerce
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number, got {v!r}")
-    return float(v)
+def _unless_null(value, default):
+    # where null reads as the key left out; `0`, `false`, `''` or `[]` is a typo
+    return default if value is None else value
 
 
 def _parse_asset(raw, idx: int) -> AssetConfig:
@@ -163,20 +162,17 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
     for key in ("symbol", "source"):
         if not isinstance(raw.get(key), str) or not raw[key]:
             raise ConfigError(f"{where}: {key!r} must be a non-empty string")
-    columns = _mapping_key(raw, "columns", where)
+    columns = _typed(_unless_null(raw.get("columns"), {}), "a mapping", "columns", where)
     _check_keys(columns, {"date", "close", "open", "high", "low", "volume"}, f"{where}.columns")
     for key, name in columns.items():
-        if not isinstance(name, str):
-            raise ConfigError(f"{where}.columns: {key!r} must be a string, got {name!r}")
-    mean_raw = _mapping_key(raw, "mean", where)
+        _typed(name, "a string", key, f"{where}.columns")
+    mean_raw = _typed(_unless_null(raw.get("mean"), {}), "a mapping", "mean", where)
     _check_keys(mean_raw, {"ar", "ma", "constant"}, f"{where}.mean")
-    constant = mean_raw.get("constant", True)
-    if not isinstance(constant, bool):
-        raise ConfigError(f"{where}.mean: 'constant' must be true or false, got {constant!r}")
+    constant = _typed(mean_raw.get("constant", True), "true or false", "constant", f"{where}.mean")
     try:
         mean = MeanSpec(
-            ar_order=_int_key(mean_raw, "ar", 0, f"{where}.mean"),
-            ma_order=_int_key(mean_raw, "ma", 0, f"{where}.mean"),
+            ar_order=_typed(mean_raw.get("ar", 0), "an integer", "ar", f"{where}.mean"),
+            ma_order=_typed(mean_raw.get("ma", 0), "an integer", "ma", f"{where}.mean"),
             include_constant=constant,
         )
     except ValueError as exc:
@@ -193,7 +189,7 @@ def _parse_periods(raw) -> tuple:
     periods = []
     for name in raw:
         where = f"periods[{name}]"
-        bounds = _mapping_key(raw, name, "periods")
+        bounds = _typed(_unless_null(raw[name], {}), "a mapping", name, "periods")
         _check_keys(bounds, {"start", "end"}, where)
         start = _as_date(bounds.get("start"), f"{where}.start")
         end = _as_date(bounds.get("end"), f"{where}.end")
@@ -233,14 +229,16 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
     fields = {
         "assets": assets,
         "periods": _parse_periods(raw.get("periods")),
-        "family": _str_key(raw, "distribution", RunConfig.family, "config"),
-        "levels": tuple(_float_key(v, "levels", "config") for v in levels),
-        "amount": _float_key(raw.get("portfolio_amount", RiskSpec.amount), "portfolio_amount",
-                             "config"),
-        "out_dir": _str_key(raw, "output_dir", RunConfig.out_dir, "config"),
-        "seed": _int_key(raw, "seed", RunConfig.seed, "config"),
+        "family": _typed(_unless_null(raw.get("distribution"), RunConfig.family), "a string",
+                         "distribution", "config"),
+        "levels": tuple(float(_typed(v, "a number", "levels", "config")) for v in levels),
+        "amount": float(_typed(raw.get("portfolio_amount", RiskSpec.amount), "a number",
+                               "portfolio_amount", "config")),
+        "out_dir": _typed(_unless_null(raw.get("output_dir"), RunConfig.out_dir), "a string",
+                          "output_dir", "config"),
+        "seed": _typed(raw.get("seed", RunConfig.seed), "an integer", "seed", "config"),
         "risk_free": (None if risk_free is None
-                      else _float_key(risk_free, "risk_free_rate", "config")),
+                      else float(_typed(risk_free, "a number", "risk_free_rate", "config"))),
     }
     fields.update(overrides or {})
     return RunConfig(**fields)
@@ -372,23 +370,13 @@ def _test_tables(panel: ReturnPanel, stats: dict) -> list:
 
 def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     stats = _describe_panel(panel, cfg.risk_free)
-    header = ["symbol", "n", "mean", "std", "min", "max",
-              "skewness", "excess_kurtosis", "q25", "q75"]
-    if cfg.risk_free is not None:
-        header.append("sharpe")
-    rows = []
-    for sym, d in stats.items():
-        row = [sym, str(d.n)] + [
-            _fmt(v) for v in (d.mean, d.std, d.min, d.max,
-                              d.skewness, d.excess_kurtosis, d.q25, d.q75)
-        ]
-        if cfg.risk_free is not None:
-            row.append(_fmt(d.sharpe))
-        rows.append(row)
+    names = ["mean", "std", "min", "max", "skewness", "excess_kurtosis", "q25", "q75",
+             *(["sharpe"] if cfg.risk_free is not None else [])]
+    rows = [[sym, str(d.n), *(_fmt(getattr(d, f)) for f in names)] for sym, d in stats.items()]
     symbols = list(panel.symbols)
     C = pearson_correlation(panel) if len(symbols) >= 2 else np.ones((1, 1))
     tables = [
-        ("stats", header, rows, {sym: st.to_dict() for sym, st in stats.items()}),
+        ("stats", ["symbol", "n", *names], rows, {sym: st.to_dict() for sym, st in stats.items()}),
         ("correlation", ["symbol"] + symbols,
          [[sym] + [_fmt(v) for v in C[i]] for i, sym in enumerate(symbols)],
          {"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]}),

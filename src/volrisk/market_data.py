@@ -230,8 +230,8 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     last column.
 
     The file is read with universal newlines, so its text arrives with
-    every line end as ``\n``.  A file without quote characters, with the
-    header's comma count on every nonblank line and no field over
+    every line end as ``\n``.  A file without quote characters or blank
+    lines, with the header's comma count on every line and no field over
     ``csv.field_size_limit()`` (what ``simulate`` writes, and most vendor
     exports) is cut into cells by ``str.split``; any other file is read
     by ``csv.reader``.  Both give the same cells, and only the
@@ -361,15 +361,12 @@ def _header(source: str, reader, mapping: dict) -> tuple:
 def _split_columns(text: str, idx: list) -> "list | None":
     r"""Columns ``idx`` of the rows after the header, cell for cell as
     csv.reader reads them, or None unless ``text`` splits plainly: no
-    quote character, the header's comma count on every nonblank line and
-    no field longer than csv.field_size_limit().  ``text`` is what
+    quote character, no blank line, the header's comma count on every line
+    and no field longer than csv.field_size_limit().  ``text`` is what
     ``_read_text`` returns, every line end read as ``\n``."""
-    if '"' in text:
+    if '"' in text or "\n\n" in text:
         return None
     header, _, body = text.partition("\n")
-    if body[:1] == "\n" or "\n\n" in body:
-        # csv.reader skips empty lines only: "\x0c", "\x85" and " " are cells
-        body = "\n".join(filter(None, body.split("\n")))
     body = body.removesuffix("\n")
     commas = header.count(",")
     rows = body.count("\n") + 1 if body else 0

@@ -179,6 +179,9 @@ class TestConfigParsing:
     ] + [
         ({"assets": [{"symbol": "X", "source": "x.csv", "mean": v}]},
          r"assets\[0\]: 'mean' must be a mapping") for v in (0, False, [])
+    ] + [
+        ({"levels": None}, "config: 'levels' must be a non-empty list"),
+        ({"portfolio_amount": None}, "config: 'portfolio_amount' must be a number, got None"),
     ])
     def test_wrong_types_found_by_the_property_test(self, tmp_path, doc, match):
         # none may fall back to a default: an open period, the default mean,
@@ -188,12 +191,15 @@ class TestConfigParsing:
 
     def test_null_sections_are_absent(self, tmp_path):
         doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": None, "columns": None}],
-               "periods": {"w": None}, "output_dir": None, "distribution": None}
+               "periods": {"w": None}, "output_dir": None, "distribution": None,
+               "risk_free_rate": None}
         cfg = load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
         assert cfg.assets[0].mean == MeanSpec()
         assert cfg.assets[0].columns is None
         assert cfg.periods == (("w", None, None),)
         assert (cfg.out_dir, cfg.family) == ("out", "student_t")
+        # no sharpe column in describe
+        assert cfg.risk_free is None
 
     def test_bad_distribution(self, tmp_path):
         doc = dict(MINIMAL, distribution="cauchy")
@@ -223,7 +229,8 @@ class TestConfigParsing:
         cfg = load_run_config(_write_cfg(tmp_path / "c.yaml", doc))
         assert (cfg.risk_free, cfg.amount, cfg.levels) == (0.0, 250.0, (0.95,))
 
-    @pytest.mark.parametrize("key,value", [("ar", 1.5), ("ma", 1.0), ("ar", True), ("ma", "1")])
+    @pytest.mark.parametrize("key,value", [("ar", 1.5), ("ma", 1.0), ("ar", True), ("ma", "1"),
+                                           ("ar", None), ("ma", None)])
     def test_arma_orders_must_be_integers(self, tmp_path, key, value):
         doc = {"assets": [{"symbol": "X", "source": "x.csv", "mean": {key: value}}]}
         with pytest.raises(ConfigError, match=rf"assets\[0\]\.mean: '{key}' must be an integer"):
@@ -1076,6 +1083,37 @@ class TestExitCodes:
         argv = ["describe", "--config", cfg, "--validate", "--portfolio-amount", amount]
         assert main(argv) == 3
         assert "config error: portfolio amount must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "risk"])
+    def test_symbols_with_one_file_name_are_3(self, sim_ws, tmp_path, capsys, command):
+        # "A/B" and "A_B" would both write fit_A_B.json and drawdown_A_B.csv
+        doc = {"assets": [{"symbol": sym, "source": str(sim_ws / f"sim_SIM{i + 1}.csv")}
+                          for i, sym in enumerate(("A/B", "A_B"))]}
+        d = tmp_path / "out"
+        assert main([command, "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                     "--out", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: duplicate file fit_A_B.json")
+        assert "'A/B'" in err and "'A_B'" in err
+        assert not d.exists()
+
+    @pytest.mark.parametrize("name", ["A,B", 'A"B', "A\nB", "A\rB"])
+    @pytest.mark.parametrize("where", ["symbol", "period"])
+    def test_names_that_break_csv_rows_are_3(self, sim_ws, tmp_path, capsys, name, where):
+        # the CSV writers join cells unquoted, so each would widen or split a row
+        doc = yaml.safe_load((sim_ws / "sim_config.yaml").read_text(encoding="utf-8"))
+        if where == "symbol":
+            doc["assets"][1]["symbol"] = name
+            want = f"config error: assets[1]: symbol {name!r} must not contain"
+        else:
+            doc["periods"] = {"full": None, name: None}
+            want = f"config error: period {name!r} must not contain"
+        d = tmp_path / "out"
+        for command in ("describe", "risk"):
+            assert main([command, "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                         "--out", str(d)]) == 3
+            assert capsys.readouterr().err.startswith(want)
+        assert not d.exists()
 
     def test_validate_short_circuits(self, sim_cfg, capsys):
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0

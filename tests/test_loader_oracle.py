@@ -235,6 +235,8 @@ def _outcome(loader, path, columns):
 @example(text="date,close,note\n2020-01-02,1,a\rb\n2020-01-03,2,c\n", columns=None)
 @example(text='date,close\n"2020-01-02",1\n2020-01-03,"2"\n', columns=None)
 @example(text="date,close\n\n2020-01-02,1\n\n\n2020-01-03,2\n\n", columns=None)
+# under a one-column header, a blank line has the separators of a row
+@example(text="date\n\n\n", columns={"close": "date"})
 @example(text="date,close\n2020-01-02,1\n \n2020-01-03,2\n", columns=None)
 @example(text="date,close,note\n2020-01-02,1\n2020-01-03,2,x\n", columns=None)
 @example(text="date,close\n2020-01-02,1,x\n2020-01-03,2\n", columns=None)
@@ -269,8 +271,9 @@ def test_generator_reaches_both_outcomes(tmp_path):
 
 
 def test_simulated_csv_takes_the_split_path(tmp_path):
-    # what simulate writes, with either line end or blank lines, is read
-    # without csv.reader from the text that _read_text returns
+    # what simulate writes, with either line end, is read without csv.reader
+    # from the text that _read_text returns; with blank lines it takes the
+    # csv.reader pass and loads as its plain twin
     assert main(["simulate", "--out", str(tmp_path), "--seed", "7",
                  "--assets", "2", "--length", "300"]) == 0
     text = (tmp_path / "sim_SIM1.csv").read_text(encoding="utf-8")
@@ -280,7 +283,13 @@ def test_simulated_csv_takes_the_split_path(tmp_path):
         t = _read_text(str(tmp_path / name))
         header, *rows = filter(None, csv.reader(io.StringIO(t)))
         assert header == ["date", "close"] and len(rows) == 301
-        assert _split_columns(t, [0, 1]) == [list(c) for c in zip(*rows)]
+        if name == "BLANK.csv":
+            assert _split_columns(t, [0, 1]) is None
+            blank, plain = (load_price_series(str(tmp_path / n)) for n in (name, "LF.csv"))
+            assert blank.dates == plain.dates
+            assert blank.close.tobytes() == plain.close.tobytes()
+        else:
+            assert _split_columns(t, [0, 1]) == [list(c) for c in zip(*rows)]
 
 
 def test_lone_carriage_return_leaves_the_split_path(tmp_path):
