@@ -41,7 +41,7 @@ from .market_data import (
     load_panel,
     pearson_correlation,
 )
-from .risk import RiskSpec, drawdown, risk_report
+from .risk import RiskSpec, _drawdowns, risk_report
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
 
@@ -465,11 +465,9 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     report = risk_report(panel, spec)
     out.add("risk.csv", report.to_csv())
     out.add("risk.json", _json(report.to_dict()))
-    # the report's drawdown paths need not stay alive beside the CSV text below
-    del report
     rows = _dated_rows("date,drawdown", [d.isoformat() for d in panel.dates], "%.8f")
     for s in panel.series:
-        out.add(f"drawdown_{_slug(s.symbol)}.csv", rows % tuple(drawdown(s)[0].values.tolist()))
+        out.add(f"drawdown_{_slug(s.symbol)}.csv", rows % tuple(_drawdowns(s.values[None])[0].tolist()))
     return EXIT_OK
 
 

@@ -308,29 +308,29 @@ def _skew_moments(nu: float, lam: float) -> tuple[float, float]:
 
 
 def logpdf(d: InnovationDist, z) -> np.ndarray:
-    """Log density of the standardized innovation law at ``z`` (vectorized)."""
+    """Log density of the standardized innovation law at ``z`` (vectorized);
+    -inf at a non-finite ``z`` or one whose square overflows."""
     nu, lam = d.shape, d.skew
-    if lam == 1.0:
-        return _t_logpdf(z, nu)
-    mu_x, sig_x = _skew_moments(nu, lam)
-    z = np.asarray(z, dtype=float)
-    x = sig_x * z + mu_x
-    arg = np.where(x >= 0.0, x / lam, x * lam)
-    out = math.log(sig_x) + math.log(2.0 / (lam + 1.0 / lam)) + _t_logpdf(arg, nu)
-    return np.where(np.isfinite(z), out, -np.inf)
+    with np.errstate(over="ignore"):
+        if lam == 1.0:
+            return _t_logpdf(z, nu)
+        mu_x, sig_x = _skew_moments(nu, lam)
+        x = sig_x * np.asarray(z, dtype=float) + mu_x
+        arg = np.where(x >= 0.0, x / lam, x * lam)
+        return math.log(sig_x) + math.log(2.0 / (lam + 1.0 / lam)) + _t_logpdf(arg, nu)
 
 
 def cdf(d: InnovationDist, z) -> np.ndarray:
     """Distribution function of the standardized innovation law (vectorized)."""
     nu, lam = d.shape, d.skew
-    if lam == 1.0:
-        return _t_cdf(z, nu)
-    mu_x, sig_x = _skew_moments(nu, lam)
-    z = np.asarray(z, dtype=float)
-    x = sig_x * z + mu_x
-    l2 = lam * lam
-    neg = 2.0 / (l2 + 1.0) * _t_cdf(x * lam, nu)
-    pos = 1.0 / (l2 + 1.0) + 2.0 * l2 / (l2 + 1.0) * (_t_cdf(x / lam, nu) - 0.5)
+    with np.errstate(over="ignore"):
+        if lam == 1.0:
+            return _t_cdf(z, nu)
+        mu_x, sig_x = _skew_moments(nu, lam)
+        x = sig_x * np.asarray(z, dtype=float) + mu_x
+        l2 = lam * lam
+        neg = 2.0 / (l2 + 1.0) * _t_cdf(x * lam, nu)
+        pos = 1.0 / (l2 + 1.0) + 2.0 * l2 / (l2 + 1.0) * (_t_cdf(x / lam, nu) - 0.5)
     return np.where(x < 0.0, neg, pos)
 
 
@@ -340,20 +340,17 @@ def abs_moment(d: InnovationDist) -> float:
     if lam == 1.0:
         return _t_abs_moment(nu)
     mu_x, sig_x = _skew_moments(nu, lam)
-    # E|X - mu_X| = 2 (c F(c) - P1(c)) at c = mu_X, with P1 the partial first moment
+    # E|X - mu_X| = 2 (c F(c) - P1(c)) at c = mu_X, with P1 the partial first
+    # moment; F(mu_X) is the law's cdf at z = 0
     c = mu_x
     k = 2.0 / (lam + 1.0 / lam)
     if c < 0.0:
-        cdf_c = 2.0 / (lam * lam + 1.0) * float(_t_cdf(lam * c, nu))
         p1 = k / (lam * lam) * _t_partial_first(lam * c, nu)
     else:
-        cdf_c = 1.0 / (lam * lam + 1.0) + 2.0 * lam * lam / (lam * lam + 1.0) * (
-            float(_t_cdf(c / lam, nu)) - 0.5
-        )
         neg_half = k / (lam * lam) * _t_partial_first(0.0, nu)
         pos_part = k * lam * lam * (_t_partial_first(c / lam, nu) - _t_partial_first(0.0, nu))
         p1 = neg_half + pos_part
-    return 2.0 * (c * cdf_c - p1) / sig_x
+    return 2.0 * (c * float(cdf(d, 0.0)) - p1) / sig_x
 
 
 # relative step of the central differences in (shape, skew) for the skewed family
@@ -385,16 +382,17 @@ def logpdf_grad(d: InnovationDist, z) -> tuple:
     """
     z = np.asarray(z, dtype=float)
     nu, lam = d.shape, d.skew
-    if d.family == "student_t":
-        lp = _t_logpdf(z, nu)
-        dz = -(nu + 1.0) * z / (nu - 2.0 + z * z)
-        return lp, dz, _t_dlogpdf_dnu(z, nu)[:, None]
-    mu_x, sig_x = _skew_moments(nu, lam)
-    x = sig_x * z + mu_x
-    slope = np.where(x >= 0.0, 1.0 / lam, lam)
-    arg = x * slope
-    dz = -(nu + 1.0) * arg / (nu - 2.0 + arg * arg) * slope * sig_x
-    dparams = np.column_stack(_central_in_params(lambda e: logpdf(e, z), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d.family == "student_t":
+            lp = _t_logpdf(z, nu)
+            dz = -(nu + 1.0) * z / (nu - 2.0 + z * z)
+            return lp, dz, _t_dlogpdf_dnu(z, nu)[:, None]
+        mu_x, sig_x = _skew_moments(nu, lam)
+        x = sig_x * z + mu_x
+        slope = np.where(x >= 0.0, 1.0 / lam, lam)
+        arg = x * slope
+        dz = -(nu + 1.0) * arg / (nu - 2.0 + arg * arg) * slope * sig_x
+        dparams = np.column_stack(_central_in_params(lambda e: logpdf(e, z), d))
     return logpdf(d, z), dz, dparams
 
 

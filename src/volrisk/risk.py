@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +83,16 @@ class RiskReport:
     """Keyed risk results.
 
     ``var`` maps (symbol, period, level) to a dict with the three
-    variants; ``drawdowns`` maps (symbol, period) to (series, max_drawdown)
-    as ``drawdown`` returns them, the series a ``DrawdownSeries`` of
-    (date, drawdown) pairs; ``stats`` holds the per-cell moments the
-    parametric measures were computed from.
+    variants; ``max_drawdown`` maps (symbol, period) to the minimum of the
+    period's drawdown path, as ``drawdown`` of that period's slice returns
+    it; ``stats`` holds the per-cell moments the parametric measures were
+    computed from.
     """
 
     spec: RiskSpec
     symbols: tuple
     var: dict
-    drawdowns: dict
+    max_drawdown: dict
     stats: dict
 
     def to_dict(self) -> dict:
@@ -101,7 +100,6 @@ class RiskReport:
         for symbol in self.symbols:
             per: dict = {}
             for name, start, end in self.spec.periods:
-                series, max_dd = self.drawdowns[(symbol, name)]
                 per[name] = {
                     "start": None if start is None else start.isoformat(),
                     "end": None if end is None else end.isoformat(),
@@ -110,7 +108,7 @@ class RiskReport:
                         f"{lv:g}": self.var[(symbol, name, lv)]
                         for lv in self.spec.levels
                     },
-                    "max_drawdown": max_dd,
+                    "max_drawdown": self.max_drawdown[(symbol, name)],
                 }
             assets[symbol] = per
         return {
@@ -205,33 +203,6 @@ def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     return -float(np.quantile(r.values, 1.0 - level)) * amount
 
 
-class DrawdownSeries(Sequence):
-    """Read-only sequence of (date, drawdown) pairs over a date tuple and a
-    float64 array of the same length.
-
-    Item i is ``(dates[i], float(values[i]))``; a slice is a tuple of such
-    pairs, and ``tuple(series)`` is the tuple of all of them.  Holding the
-    array rather than the pairs keeps 16 bytes per date.
-    """
-
-    __slots__ = ("dates", "values")
-
-    def __init__(self, dates: tuple, values: np.ndarray) -> None:
-        self.dates = dates
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(self.dates[i], self.values[i].tolist()))
-        return self.dates[i], float(self.values[i])
-
-    def __iter__(self):
-        return zip(self.dates, self.values.tolist())
-
-
 def _drawdowns(X: np.ndarray) -> np.ndarray:
     """Read-only drawdown paths of the rows of the (k, n) return array X."""
     dd = np.exp(np.cumsum(X, axis=1))
@@ -246,11 +217,10 @@ def drawdown(r: ReturnSeries) -> tuple:
 
     Wealth is exp of the running return sum; the drawdown at t is wealth
     relative to its running peak, minus one.  Returns (series, max_dd)
-    where series is a ``DrawdownSeries`` of (date, dd) pairs with Python
-    float values; ``tuple(series)`` gives them as a tuple.
+    where series is the tuple of (date, dd) pairs, dd a Python float.
     """
     dd = _drawdowns(r.values[None, :])[0]
-    return DrawdownSeries(r.dates, dd), float(dd.min())
+    return tuple(zip(r.dates, dd.tolist())), float(dd.min())
 
 
 def _span(dates: tuple, start, end) -> tuple:
@@ -262,7 +232,8 @@ def _span(dates: tuple, start, end) -> tuple:
 
 
 def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
-    """All three VaR variants plus drawdown per (asset, period, level).
+    """All three VaR variants per (asset, period, level), and the maximum
+    drawdown per (asset, period).
 
     Moments are recomputed on each period's sample, for every asset at
     once.  Errors and thin-level warnings come in (asset, period) order.
@@ -272,7 +243,7 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     q = (*_QUARTILES, *(1.0 - lv for lv in spec.levels))
     blocks = []
     var: dict = {}
-    dds: dict = {}
+    max_dd: dict = {}
     stats: dict = {}
     for i, symbol in enumerate(panel.symbols):
         for j, (name, start, end) in enumerate(spec.periods):
@@ -282,14 +253,12 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                 lo, hi = _span(panel.dates, start, end)
                 if lo >= hi:
                     raise DataError(f"period {name!r}: no observations for {symbol}")
-                dd = _drawdowns(V[:, lo:hi])
-                blocks.append((panel.dates[lo:hi], _moments(V[:, lo:hi], q),
-                               dd, dd.min(axis=1).tolist()))
-            dates, rows, dd, dd_min = blocks[j]
-            n = len(dates)
+                blocks.append((hi - lo, _moments(V[:, lo:hi], q),
+                               _drawdowns(V[:, lo:hi]).min(axis=1).tolist()))
+            n, rows, dd_min = blocks[j]
             cell_stats = _stats(symbol, n, rows[i])
             stats[(symbol, name)] = cell_stats
-            dds[(symbol, name)] = (DrawdownSeries(dates, dd[i]), dd_min[i])
+            max_dd[(symbol, name)] = dd_min[i]
             _check_sample(symbol, n, spec.levels)
             for lv, quantile in zip(spec.levels, rows[i][-len(spec.levels):]):
                 var[(symbol, name, lv)] = {
@@ -297,10 +266,5 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
                     "empirical": -quantile * spec.amount,
                 }
-    return RiskReport(
-        spec=spec,
-        symbols=panel.symbols,
-        var=var,
-        drawdowns=dds,
-        stats=stats,
-    )
+    return RiskReport(spec=spec, symbols=panel.symbols, var=var,
+                      max_drawdown=max_dd, stats=stats)

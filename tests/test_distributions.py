@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from volrisk.distributions import (
     abs_moment,
     cdf,
     logpdf,
+    logpdf_grad,
     mvt_logpdf,
     quantile,
     sample,
@@ -175,6 +177,23 @@ def test_skew_at_unity_reduces_to_symmetric():
     for p in (0.01, 0.3, 0.5, 0.77, 0.99):
         assert quantile(skw, p) == quantile(sym, p)
     assert abs_moment(skw) == abs_moment(sym)
+
+
+@pytest.mark.parametrize("law", [InnovationDist("student_t", shape=5.0),
+                                 InnovationDist("skew_student_t", shape=5.0, skew=1.5)],
+                         ids=["t", "skew_t"])
+@pytest.mark.parametrize("fn, expected", [
+    (logpdf, [-np.inf] * 5),
+    (lambda d, z: logpdf_grad(d, z)[0], [-np.inf] * 5),
+    (cdf, [1.0, 0.0, 1.0, 0.0, np.nan]),
+], ids=["logpdf", "logpdf_grad", "cdf"])
+def test_extreme_arguments_raise_no_numpy_warning(law, fn, expected):
+    # a z whose square overflows, an infinite z and nan take their limits
+    # without numpy's overflow or invalid-value warnings reaching the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(law, np.array([1e200, -1e200, np.inf, -np.inf, np.nan]))
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestSample:

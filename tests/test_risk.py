@@ -263,16 +263,16 @@ class TestRiskReport:
         rep = risk_report(panel, spec)
         for s in panel.series:
             for name, start, end in spec.periods:
-                series, max_dd = rep.drawdowns[(s.symbol, name)]
                 lo, hi = _span(s.dates, start, end)
-                pairs = _dated_drawdowns(s.dates[lo:hi], s.values[lo:hi])
+                sub = ReturnSeries(symbol=s.symbol, dates=s.dates[lo:hi], values=s.values[lo:hi])
+                series, max_dd = drawdown(sub)
+                pairs = _dated_drawdowns(sub.dates, sub.values)
                 _assert_same_pairs(series, pairs)
-                assert max_dd == min(v for _, v in pairs)
+                assert rep.max_drawdown[(s.symbol, name)] == max_dd == min(v for _, v in pairs)
 
     def test_report_keeps_few_bytes_per_date(self, make_series):
-        # A report keeps each cell's drawdowns as one float64 array plus a
-        # slot of a date tuple: 16 bytes a date.  A (date, float) pair costs
-        # at least 80 (a 2-tuple of 56 plus a float of 24).
+        # A report keeps one maximum drawdown per cell and no per-date data;
+        # a float64 drawdown path alone would cost 8 bytes a date.
         k, n = 4, 3000
         rng = np.random.default_rng(8)
         series = [make_series(list(0.01 * rng.standard_normal(n)), symbol=f"S{i}")
@@ -290,8 +290,8 @@ class TestRiskReport:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(rep.drawdowns) == k * 3
-        assert kept / cells < 40.0
+        assert len(rep.max_drawdown) == k * 3
+        assert kept / cells < 2.0
 
     def test_cell_values_match_direct_calls(self, make_series):
         panel = _two_asset_panel(make_series)
@@ -314,7 +314,9 @@ class TestRiskReport:
         rep = risk_report(panel, spec)
         st = rep.stats[("AAA", "window")]
         assert st.n == 41
-        series, _ = rep.drawdowns[("AAA", "window")]
+        s = panel.series[0]
+        lo, hi = _span(s.dates, d0, d1)
+        series, _ = drawdown(ReturnSeries(symbol="AAA", dates=s.dates[lo:hi], values=s.values[lo:hi]))
         assert series[0][0] == d0
         assert series[-1][0] == d1
 

@@ -4,8 +4,8 @@ The reference below is the per-cell loop the panel pass replaced, kept
 verbatim: for each (asset, period) cell it restricts the series by
 bisection, then runs ``describe``, ``drawdown`` and the empirical
 quantiles on the 1-D sample.  On any panel both must give the same
-report to the last bit (``to_dict``, ``to_csv`` and every drawdown
-array's bytes), or raise the same error, after logging the same warnings
+report to the last bit (``to_dict``, ``to_csv`` and the repr of every
+maximum drawdown), or raise the same error, after logging the same warnings
 in the same order.
 """
 import logging
@@ -26,7 +26,6 @@ from volrisk.market_data import (
     describe,
 )
 from volrisk.risk import (
-    DrawdownSeries,
     RiskReport,
     RiskSpec,
     _check_level,
@@ -75,8 +74,7 @@ def reference_describe(r, risk_free=None):
 def reference_drawdown(r):
     wealth = np.exp(np.cumsum(r.values))
     dd = wealth / np.maximum.accumulate(wealth) - 1.0
-    dd.setflags(write=False)
-    return DrawdownSeries(r.dates, dd), float(dd.min())
+    return tuple(zip(r.dates, dd.tolist())), float(dd.min())
 
 
 def reference_empirical_quantiles(r, levels):
@@ -111,7 +109,7 @@ def reference_risk_report(panel, spec):
                 raise DataError(f"period {name!r}: no observations for {s.symbol}")
             cell_stats = reference_describe(sub)
             stats[(s.symbol, name)] = cell_stats
-            dds[(s.symbol, name)] = reference_drawdown(sub)
+            dds[(s.symbol, name)] = reference_drawdown(sub)[1]
             quantiles = reference_empirical_quantiles(sub, spec.levels)
             for lv, q in zip(spec.levels, quantiles):
                 var[(s.symbol, name, lv)] = {
@@ -119,7 +117,7 @@ def reference_risk_report(panel, spec):
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
                     "empirical": -q * spec.amount,
                 }
-    return RiskReport(spec=spec, symbols=panel.symbols, var=var, drawdowns=dds, stats=stats)
+    return RiskReport(spec=spec, symbols=panel.symbols, var=var, max_drawdown=dds, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +148,8 @@ def _outcome(fn, *args):
         log.removeHandler(handler)
         log.setLevel(level)
     if isinstance(result, RiskReport):
-        drawdowns = {key: (series.dates, series.values.tobytes(), repr(max_dd))
-                     for key, (series, max_dd) in result.drawdowns.items()}
-        return ("ok", repr(result.to_dict()), result.to_csv(), drawdowns, handler.messages)
+        max_dd = {key: repr(v) for key, v in result.max_drawdown.items()}
+        return ("ok", repr(result.to_dict()), result.to_csv(), max_dd, handler.messages)
     return ("ok", repr(result), handler.messages)
 
 
@@ -289,6 +286,6 @@ def test_describe_is_the_one_row_case(data, k, n, risk_free):
         assert _outcome(describe, s, risk_free) == _outcome(reference_describe, s, risk_free)
         series, max_dd = drawdown(s)
         ref, ref_max = reference_drawdown(s)
-        assert series.values.tobytes() == ref.values.tobytes() and repr(max_dd) == repr(ref_max)
+        assert repr(series) == repr(ref) and repr(max_dd) == repr(ref_max)
     assert _outcome(_describe_panel, panel, risk_free) == _outcome(
         lambda p, rf: {s.symbol: reference_describe(s, rf) for s in p.series}, panel, risk_free)
