@@ -163,7 +163,7 @@ def _parse_asset(raw, idx: int) -> AssetConfig:
         if not isinstance(raw.get(key), str) or not raw[key]:
             raise ConfigError(f"{where}: {key!r} must be a non-empty string")
     columns = _typed(_unless_null(raw.get("columns"), {}), "a mapping", "columns", where)
-    _check_keys(columns, {"date", "close", "open", "high", "low", "volume"}, f"{where}.columns")
+    _check_keys(columns, {"date", "close"}, f"{where}.columns")
     for key, name in columns.items():
         _typed(name, "a string", key, f"{where}.columns")
     mean_raw = _typed(_unless_null(raw.get("mean"), {}), "a mapping", "mean", where)
@@ -276,31 +276,26 @@ class OutputCollector:
         return names
 
 
-def _sanitize(obj):
-    # non-finite floats have no strict-JSON encoding
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _json(obj, indent: str = "") -> str:
-    # json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n" at the top; json
-    # indents in pure Python, so lists of scalars go to its C encoder, indent in the separator
+    # json.dumps(obj, sort_keys=True, indent=2) + "\n" at the top, non-finite floats as
+    # null; json indents in pure Python, so only lists of scalars go to its C encoder,
+    # the indent in the separator
     inner = indent + "  "
-    if isinstance(obj, list) and obj and {str, int, float, bool, type(None)}.issuperset(
-            map(type, obj)):
-        body = json.dumps(_sanitize(obj), separators=(",\n" + inner, ": "))
-        text = "[\n" + inner + body[1:-1] + "\n" + indent + "]"
-    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj) and any(
-            isinstance(v, list) for v in obj.values()):
-        items = (f"{inner}{json.dumps(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
+    if isinstance(obj, float):
+        text = float.__repr__(obj) if math.isfinite(obj) else "null"
+    elif isinstance(obj, dict) and obj:
+        # json writes a non-string key as its scalar's text, quoted
+        items = (f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json(v, inner)}" for k, v in sorted(obj.items()))
         text = "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        text = "[\n" + ",\n".join(inner + _json(v, inner) for v in obj) + "\n" + indent + "]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        body = json.dumps([None if isinstance(v, float) and not math.isfinite(v) else v
+                           for v in obj], separators=(",\n" + inner, ": "))
+        text = "[\n" + inner + body[1:-1] + "\n" + indent + "]"
     else:
-        text = json.dumps(_sanitize(obj), sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        text = json.dumps(obj)
     return text if indent else text + "\n"
 
 

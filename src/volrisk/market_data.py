@@ -66,18 +66,10 @@ class PriceSeries:
     symbol: str
     dates: tuple
     close: np.ndarray
-    open: Optional[np.ndarray] = None
-    high: Optional[np.ndarray] = None
-    low: Optional[np.ndarray] = None
-    volume: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "close", _freeze(self.close))
-        for name in ("open", "high", "low", "volume"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _freeze(v))
         n = len(self.dates)
         if n < 2:
             raise DataError(f"{self.symbol}: need at least 2 observations, got {n}")
@@ -203,7 +195,6 @@ def _check_significance(significance: float) -> None:
 # ingestion
 
 _DEFAULT_COLUMNS = {"date": "date", "close": "close"}
-_OPTIONAL_FIELDS = ("open", "high", "low", "volume")
 _DAY = operator.itemgetter(slice(None, 10))
 # every byte but "," and "\n"; in UTF-8 no other character holds either byte
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -221,13 +212,13 @@ def _read_text(source: str) -> str:
 def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "str | None" = None) -> PriceSeries:
     r"""Load a PriceSeries from a local CSV file.
 
-    ``columns`` maps the logical fields (date, close, and optionally
-    open/high/low/volume) to the header names used in the file.  Rows are
-    sorted by date; malformed rows and duplicate dates are rejected with
-    the offending row reported.  The first line is the header; blank lines
-    after it are skipped and not counted as rows, cells missing from a
-    short row read as absent, and a header name given twice refers to its
-    last column.
+    ``columns`` maps the logical fields ``date`` and ``close`` to the
+    header names used in the file; its other columns are not read.  Rows
+    are sorted by date; malformed rows and duplicate dates are rejected
+    with the offending row reported, and a file needs at least 2 rows.  The
+    first line is the header; blank lines after it are skipped and not
+    counted as rows, cells missing from a short row read as absent, and a
+    header name given twice refers to its last column.
 
     The file is read with universal newlines, so its text arrives with
     every line end as ``\n``.  A file without quote characters or blank
@@ -237,21 +228,16 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     by ``csv.reader``.  Both give the same cells, and only the
     ``csv.reader`` walk names an error.
     """
-    dates, close, extras, _ = _read_prices(source, columns)
-    return PriceSeries(
-        symbol=symbol if symbol is not None else _infer_symbol(source),
-        dates=dates,
-        close=close,
-        **extras,
-    )
+    dates, close, _ = _read_prices(source, columns)
+    return PriceSeries(symbol=symbol if symbol is not None else _infer_symbol(source),
+                       dates=dates, close=close)
 
 
 def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" = None) -> tuple:
-    """The dates, close prices and optional fields by name of the price
-    file ``source``, sorted by date as ``load_price_series`` reads them,
-    and the calendar a later file may share: the pair of its date cells
-    and its dates when those were strictly increasing in file order, else
-    None.
+    """The dates and close prices of the price file ``source``, at least 2
+    rows sorted by date as ``load_price_series`` reads them, and the
+    calendar a later file may share: the pair of its date cells and its
+    dates when those were strictly increasing in file order, else None.
 
     ``calendar`` is such a pair from another file.  When this file's date
     cells equal the pair's, the pair is this file's calendar, returned as
@@ -263,14 +249,14 @@ def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" =
     text = _read_text(source)
     reader = csv.reader(io.StringIO(text))
     try:
-        # one split or reader pass pulls the needed cells and each column
+        # one split or reader pass pulls the two columns' cells and each
         # converts in one pass; on any failure a walk over the rows names
         # the first bad one
-        extras, idx = _header(source, reader, mapping)
+        idx = _header(source, reader, mapping)
         cells = _split_columns(text, idx)
         if cells is None:
-            cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader)))) or ((),) * len(idx)
-        raw_dates, raw_close, *raw_extras = cells
+            cells = tuple(zip(*map(operator.itemgetter(*idx), filter(None, reader)))) or ((), ())
+        raw_dates, raw_close = cells
         n = len(raw_dates)
         shared = calendar is not None and raw_dates == calendar[0]
         if shared:
@@ -286,16 +272,16 @@ def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" =
         close = np.fromiter(map(float, raw_close), float, count=n)
         if not np.all(np.isfinite(close) & (close > 0.0)):
             raise ValueError("non-positive price")
-        extra_vals = [np.fromiter(map(float, c), float, count=n) for c in raw_extras]
     except (csv.Error, IndexError, ValueError, TypeError):
         _raise_row_error(source, text, mapping)
         raise
 
-    fields = dict(zip(extras, extra_vals))
+    if n < 2:
+        raise DataError(f"{source}: need at least 2 observations, got {n}")
     if shared:
-        return dates, close, fields, calendar
+        return dates, close, calendar
     if all(map(operator.lt, dates, dates[1:])):
-        return dates, close, fields, (raw_dates, dates)
+        return dates, close, (raw_dates, dates)
     # a stable sort keeps equal dates in file order, so the second of
     # the first duplicate pair is the row reported
     ords = np.fromiter(map(Date.toordinal, dates), dtype=np.int64, count=n)
@@ -306,14 +292,16 @@ def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" =
         i = int(order[dup[0] + 1])
         raise DataError(f"{source}: duplicate date {dates[i]} at row {i + 2}")
     dates = tuple(dates[i] for i in order.tolist())
-    return dates, close[order], {f: v[order] for f, v in fields.items()}, None
+    return dates, close[order], None
 
 
 def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
     """The log-return panel of the price files ``assets``, (symbol,
-    source, columns) triples in panel order: ``log_returns`` of each
-    file's ``load_price_series``, aligned by ``align_panel`` when there
-    are several.  A DataError names the asset before the file's own text.
+    source, columns) triples in panel order: each file's dates and closes
+    as ``load_price_series`` reads them, turned into log returns on the
+    later date as ``log_returns`` does, and aligned by ``align_panel``
+    when there are several.  A DataError names the asset before the
+    file's own text.
 
     A file whose date cells equal those of the file read before it, when
     that file's dates were strictly increasing in file order, shares its
@@ -325,15 +313,13 @@ def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
     calendar = None
     for symbol, source, columns in assets:
         try:
-            dates, close, extras, own = _read_prices(source, columns, calendar)
-            if own is not None and own is calendar:
-                # the last file's calendar, so its returns dates are this file's
-                r = ReturnSeries(symbol=symbol, dates=series[-1].dates,
-                                 values=np.diff(np.log(close)))
-            else:
-                r = log_returns(PriceSeries(symbol=symbol, dates=dates, close=close, **extras))
+            dates, close, own = _read_prices(source, columns, calendar)
         except DataError as exc:
             raise DataError(f"{symbol}: {exc}") from exc
+        # a file on the last file's calendar takes its returns dates too
+        shared = own is not None and own is calendar
+        r = ReturnSeries(symbol=symbol, dates=series[-1].dates if shared else dates[1:],
+                         values=np.diff(np.log(close)))
         calendar = own
         series.append(r)
         log.info("loaded %s: %d returns", symbol, len(r))
@@ -342,9 +328,9 @@ def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
     return align_panel(series)
 
 
-def _header(source: str, reader, mapping: dict) -> tuple:
-    """Read the header row; return the optional fields present and the
-    column indices of the date, the close and those fields."""
+def _header(source: str, reader, mapping: dict) -> list:
+    """Read the header row; return the column indices of the date and the
+    close."""
     header = next(reader, None)
     if header is None:
         raise DataError(f"{source}: empty file, header row required")
@@ -354,8 +340,7 @@ def _header(source: str, reader, mapping: dict) -> tuple:
                 f"{source}: missing column {mapping[logical]!r} (have {header})"
             )
     col = {name: i for i, name in enumerate(header)}
-    extras = [f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in header]
-    return extras, [col[mapping[f]] for f in ("date", "close", *extras)]
+    return [col[mapping["date"]], col[mapping["close"]]]
 
 
 def _split_columns(text: str, idx: list) -> "list | None":
@@ -385,14 +370,14 @@ def _raise_row_error(source: str, text: str, mapping: dict) -> None:
     the first one that fails to read or convert."""
     reader = csv.reader(io.StringIO(text))
     try:
-        _, cols = _header(source, reader, mapping)
+        cols = _header(source, reader, mapping)
         idx = 1  # header is row 1
         for row in reader:
             if not row:
                 continue
             idx += 1
             n = len(row)
-            raw_date, raw_close, *raw_extras = (row[j] if j < n else None for j in cols)
+            raw_date, raw_close = (row[j] if j < n else None for j in cols)
             if raw_date is None or raw_close is None or raw_close.strip() == "":
                 raise DataError(f"{source}: malformed row {idx}")
             try:
@@ -402,11 +387,6 @@ def _raise_row_error(source: str, text: str, mapping: dict) -> None:
                 raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
             if not math.isfinite(c) or c <= 0.0:
                 raise DataError(f"{source}: non-positive price at row {idx}")
-            for raw in raw_extras:
-                try:
-                    float(raw)
-                except (ValueError, TypeError) as exc:
-                    raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"{source}: unreadable CSV at line {reader.line_num}: {exc}") from exc
 

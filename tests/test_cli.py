@@ -299,7 +299,7 @@ VALID = {
 SECTIONS = {
     (): set(VALID),
     ("assets", 0): set(VALID["assets"][0]),
-    ("assets", 0, "columns"): {"date", "close", "open", "high", "low", "volume"},
+    ("assets", 0, "columns"): {"date", "close"},
     ("assets", 0, "mean"): set(VALID["assets"][0]["mean"]),
     ("periods", "window"): {"start", "end"},
 }
@@ -405,6 +405,17 @@ class TestConfigDocuments:
         assert [p for p in path if isinstance(p, str)][-1] in err
 
 
+def _sanitize(obj):
+    # the reference writer's input: non-finite floats have no strict-JSON encoding
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
                     st.floats(allow_nan=True, allow_infinity=True))
 _DOCUMENT = st.recursive(
@@ -423,9 +434,9 @@ class TestHelpers:
     @example({2: [1.0], 1: "x"})  # json turns int keys into strings
     @settings(max_examples=150, deadline=None)
     def test_json_writer_matches_indented_dumps(self, doc):
-        # the writer's C-encoded scalar lists and key-by-key dicts give the
-        # bytes json.dumps writes with indent=2, non-finite floats as null
-        want = json.dumps(cli_mod._sanitize(doc), sort_keys=True, indent=2) + "\n"
+        # the writer's C-encoded scalar lists and item-by-item containers give
+        # the bytes json.dumps writes with indent=2, non-finite floats as null
+        want = json.dumps(_sanitize(doc), sort_keys=True, indent=2) + "\n"
         assert cli_mod._json(doc) == want
 
     def test_stars_thresholds(self):
@@ -947,6 +958,23 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "X" in err
+
+    def test_one_row_price_file_is_2(self, tmp_path, capsys):
+        # the file's own error, prefixed once by the asset
+        src = tmp_path / "x.csv"
+        src.write_text("date,close\n2020-01-02,1\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path / "c.yaml", {"assets": [{"symbol": "AAA", "source": str(src)}]})
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: AAA: {src}: need at least 2 observations, got 1\n"
+
+    @pytest.mark.parametrize("key", ["open", "high", "low", "volume"])
+    def test_price_fields_other_than_date_and_close_are_3(self, tmp_path, capsys, key):
+        # a file is read for its dates and closes only
+        doc = {"assets": [{"symbol": "X", "source": "x.csv", "columns": {key: key.title()}}]}
+        assert main(["describe", "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                     "--validate"]) == 3
+        assert capsys.readouterr().err == f"config error: assets[0].columns: unknown keys {[key]}\n"
 
     def test_url_source_is_unreadable_file(self, tmp_path, capsys):
         # sources are local files only; a URL is read as a path that does not exist

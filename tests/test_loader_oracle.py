@@ -1,10 +1,11 @@
 """Property test of the CSV price loader against a reference loader.
 
 ``reference_load_price_series`` is the ``csv.DictReader`` loader that
-``load_price_series`` replaced, kept verbatim.  On any CSV text both must
-return an equal PriceSeries or raise DataError with the same message;
-where the reference lets a ``csv.Error`` through, the loader must raise a
-DataError caused by the same one.
+``load_price_series`` replaced, reading only the date and close columns
+and naming the file when it holds fewer than 2 rows.  On any CSV text
+both must return an equal PriceSeries or raise DataError with the same
+message; where the reference lets a ``csv.Error`` through, the loader
+must raise a DataError caused by the same one.
 """
 import csv
 import io
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from volrisk.cli import main
 from volrisk.market_data import (
     _DEFAULT_COLUMNS,
-    _OPTIONAL_FIELDS,
     DataError,
     PriceSeries,
     _infer_symbol,
@@ -51,9 +51,6 @@ def reference_load_price_series(source, columns=None, *, symbol=None):
                 f"{source}: missing column {mapping[logical]!r} "
                 f"(have {reader.fieldnames})"
             )
-    extras_present = [
-        f for f in _OPTIONAL_FIELDS if mapping.get(f) and mapping[f] in reader.fieldnames
-    ]
 
     rows = []
     for idx, row in enumerate(reader, start=2):  # header is row 1
@@ -68,28 +65,20 @@ def reference_load_price_series(source, columns=None, *, symbol=None):
             raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
         if not math.isfinite(c) or c <= 0.0:
             raise DataError(f"{source}: non-positive price at row {idx}")
-        extra_vals = {}
-        for f in extras_present:
-            try:
-                extra_vals[f] = float(row[mapping[f]])
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-        rows.append((d, idx, c, extra_vals))
+        rows.append((d, idx, c))
 
+    if len(rows) < 2:
+        raise DataError(f"{source}: need at least 2 observations, got {len(rows)}")
     rows.sort(key=lambda t: (t[0], t[1]))
-    for (d1, _, _, _), (d2, i2, _, _) in zip(rows, rows[1:]):
+    for (d1, _, _), (d2, i2, _) in zip(rows, rows[1:]):
         if d1 == d2:
             raise DataError(f"{source}: duplicate date {d2} at row {i2}")
 
     name = symbol if symbol is not None else _infer_symbol(source)
-    kwargs = {}
-    for f in extras_present:
-        kwargs[f] = np.array([r[3][f] for r in rows])
     return PriceSeries(
         symbol=name,
         dates=tuple(r[0] for r in rows),
         close=np.array([r[2] for r in rows]),
-        **kwargs,
     )
 
 
@@ -100,10 +89,10 @@ _BASE = date(2020, 1, 1)
 _NAMES = ("date", "close", "volume", "open", "adj", "note")
 _COLUMNS = (
     None,
-    {"volume": "volume"},
-    {"volume": "volume", "open": "open"},
+    {"close": "close"},
     {"close": "adj"},
-    {"date": "note", "high": "adj"},
+    {"date": "note"},
+    {"date": "note", "close": "adj"},
 )
 
 
@@ -205,23 +194,18 @@ def _outcome(loader, path, columns):
         if isinstance(exc.__cause__, csv.Error):
             return ("unreadable", str(exc.__cause__))
         return ("error", str(exc))
-    extras = {
-        f: getattr(p, f).tobytes()
-        for f in ("open", "high", "low", "volume")
-        if getattr(p, f) is not None
-    }
-    return ("ok", p.symbol, p.dates, p.close.tobytes(), extras)
+    return ("ok", p.symbol, p.dates, p.close.tobytes())
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(text=csv_text(), columns=st.sampled_from(_COLUMNS))
-@example(text="date,close,volume\n2020-01-02,1,5\n2020-01-03,2\n", columns={"volume": "volume"})
 @example(text="date,close,close\n2020-01-02,1,5\n2020-01-03,2\n", columns=None)
 @example(text="date,close,close\n2020-01-02,1,5\n2020-01-03,2,6,7\n", columns=None)
 @example(text="\ndate,close\n2020-01-02,1\n2020-01-03,2\n", columns=None)
 @example(text="date,close\n2020-01-03,1\n\n2020-01-02,2\n2020-01-03T10:00,3\n", columns=None)
 # the first bad row is reported even when a later row fails an earlier check
-@example(text="date,close,volume\n2020-01-02,1,x\n2020-01-03,-1,5\n", columns={"volume": "volume"})
+@example(text="date,close\n2020-01-02,x\n2020-01-03\n", columns=None)
+@example(text="date,close\n2020-01-02,-1\n2020-01-03,x\n", columns=None)
 @example(text=f"date,close\nbad,1\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
 @example(text=f"date,close\n2020-01-02\n2020-01-03,2\n2020-01-04,{_OVERSIZED}\n", columns=None)
 @example(text="date,close\n2020-01-04,1\n2020-01-02,2\n2020-01-04,3\n2020-01-03,4\n", columns=None)

@@ -23,9 +23,15 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   date column: SIM2's without rows 100-199 (the header being row 1) and
   SIM3's with every date written ``YYYY-MM-DDT00:00:00``, the same days in
   other cells, so each file is parsed on its own and the panel is the
-  calendars' intersection.
+  calendars' intersection;
+- ``report`` on copies of the seed-7 price files rewritten as a vendor
+  export, under the header ``Date,Open,High,Low,Close,Adj Close,Volume``:
+  the price in ``Adj Close``, the price to 2 places in the four columns
+  before it and ``n/a`` in ``Volume``, read through
+  ``columns: {date: Date, close: Adj Close}``, so the plain split takes
+  two columns that are not adjacent.
 
-That makes 30 runs.
+That makes 31 runs.
 
 It writes one JSON document mapping each run to the SHA-256 digest of
 every input price file and output file, the ``converged`` flag, estimates
@@ -103,6 +109,26 @@ def _calendars_config(sim_config: Path) -> Path:
     return _write_config(ws / sim_config.name, "calendars", doc)
 
 
+def _vendor_config(sim_config: Path) -> Path:
+    """The workspace of ``sim_config`` with every price file rewritten
+    under a seven-column vendor header, in its own directory."""
+    ws = sim_config.parent / "vendor"
+    ws.mkdir()
+    doc = yaml.safe_load(sim_config.read_text())
+    for asset in doc["assets"]:
+        source = Path(asset["source"])
+        _, *rows = source.read_text().splitlines()
+        lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
+        for row in rows:
+            day, close = row.split(",")
+            rounded = f"{float(close):.2f}"
+            lines.append(",".join([day, rounded, rounded, rounded, rounded, close, "n/a"]))
+        asset["source"] = str(ws / source.name)
+        asset["columns"] = {"date": "Date", "close": "Adj Close"}
+        (ws / source.name).write_text("\n".join(lines) + "\n")
+    return _write_config(ws / sim_config.name, "vendor", doc)
+
+
 def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
     exits = {c: cli_main([c, "--config", str(config)]) for c in commands}
     files = {}
@@ -141,6 +167,9 @@ def gate(src: Path, work: Path) -> dict:
     config = _calendars_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
     runs[f"calendars-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
                                                     results_dir(config))
+    config = _vendor_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
+    runs[f"vendor-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
+                                                 results_dir(config))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
                                                      results_dir(config))
