@@ -284,8 +284,9 @@ def _json(obj, indent: str = "") -> str:
     if isinstance(obj, float):
         text = float.__repr__(obj) if math.isfinite(obj) else "null"
     elif isinstance(obj, dict) and obj:
-        # json writes a non-string key as its scalar's text, quoted
-        items = (f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+        # json quotes a key as dumps quotes a str, a non-string key as its scalar's text
+        quote = json.encoder.encode_basestring_ascii
+        items = (f"{inner}{quote(k if isinstance(k, str) else json.dumps(k))}: "
                  f"{_json(v, inner)}" for k, v in sorted(obj.items()))
         text = "{\n" + ",\n".join(items) + "\n" + indent + "}"
     elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):

@@ -82,7 +82,7 @@ class DccFit:
         for i in range(k):
             for j in range(i + 1, k):
                 key = f"{self.symbols[i]}/{self.symbols[j]}"
-                corr[key] = [float(v) for v in self.R_path[:, i, j]]
+                corr[key] = self.R_path[:, i, j].tolist()
         return {
             "symbols": list(self.symbols),
             "params": {
@@ -355,7 +355,7 @@ def dynamic_correlation(fit: DccFit, i: int, j: int) -> list:
         raise IndexError(f"indices ({i}, {j}) out of range for {k} assets")
     if i == j:
         raise ValueError("diagonal is identically one; use i != j")
-    return list(zip(fit.dates, (float(v) for v in fit.R_path[:, i, j])))
+    return list(zip(fit.dates, fit.R_path[:, i, j].tolist()))
 
 
 def simulate_dcc_panel(

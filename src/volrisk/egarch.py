@@ -157,8 +157,8 @@ class EgarchFit:
             "params": {n: float(v) for n, v in zip(self.param_names, self.estimates)},
             "std_errors": {n: self.std_errors[n] for n in self.param_names},
             "dates": [dt.isoformat() for dt in self.dates],
-            "h": [float(v) for v in self.h],
-            "z": [float(v) for v in self.z],
+            "h": self.h.tolist(),
+            "z": self.z.tolist(),
         }
 
 

@@ -221,12 +221,12 @@ def load_price_series(source: str, columns: "dict | None" = None, *, symbol: "st
     header name given twice refers to its last column.
 
     The file is read with universal newlines, so its text arrives with
-    every line end as ``\n``.  A file without quote characters or blank
-    lines, with the header's comma count on every line and no field over
-    ``csv.field_size_limit()`` (what ``simulate`` writes, and most vendor
-    exports) is cut into cells by ``str.split``; any other file is read
-    by ``csv.reader``.  Both give the same cells, and only the
-    ``csv.reader`` walk names an error.
+    every line end as ``\n``.  A file without quote characters, with a
+    comma in its header, the header's commas on every later line and no
+    field over ``csv.field_size_limit()`` (what ``simulate`` writes, and
+    most vendor exports) is cut into cells by ``str.split``; any other
+    file, one with a blank line too, is read by ``csv.reader``.  Both
+    give the same cells, and only the ``csv.reader`` walk names an error.
     """
     dates, close, _ = _read_prices(source, columns)
     return PriceSeries(symbol=symbol if symbol is not None else _infer_symbol(source),
@@ -336,33 +336,32 @@ def _header(source: str, reader, mapping: dict) -> list:
         raise DataError(f"{source}: empty file, header row required")
     for logical in ("date", "close"):
         if mapping[logical] not in header:
-            raise DataError(
-                f"{source}: missing column {mapping[logical]!r} (have {header})"
-            )
+            raise DataError(f"{source}: missing column {mapping[logical]!r} (have {header})")
     col = {name: i for i, name in enumerate(header)}
     return [col[mapping["date"]], col[mapping["close"]]]
 
 
 def _split_columns(text: str, idx: list) -> "list | None":
     r"""Columns ``idx`` of the rows after the header, cell for cell as
-    csv.reader reads them, or None unless ``text`` splits plainly: no
-    quote character, no blank line, the header's comma count on every line
-    and no field longer than csv.field_size_limit().  ``text`` is what
-    ``_read_text`` returns, every line end read as ``\n``."""
-    if '"' in text or "\n\n" in text:
-        return None
+    csv.reader reads them, or None unless ``text`` is plain: no quote
+    character, a comma in the header, every later line the header's commas
+    and a newline (supplied at the end when missing), no field over
+    csv.field_size_limit().  ``text`` is what ``_read_text`` returns."""
     header, _, body = text.partition("\n")
-    body = body.removesuffix("\n")
     commas = header.count(",")
-    rows = body.count("\n") + 1 if body else 0
-    # the separators in file order must be the header's commas and a newline, row by row
-    if body.encode().translate(None, _NOT_SEPARATOR) != ((b"," * commas + b"\n") * rows)[:-1]:
+    if '"' in text or not commas:
         return None
-    fields = body.replace("\n", ",").split(",") if body else []
+    if not text.endswith("\n"):
+        body += "\n"
+    seps = body.encode().translate(None, _NOT_SEPARATOR)
+    if seps != (b"," * commas + b"\n") * (len(seps) // (commas + 1)):
+        return None
+    fields = body.replace("\n", ",").split(",")
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, fields), default=0) > limit:
+    if len(text) > limit and max(map(len, fields)) > limit:
         return None
-    return [fields[i::commas + 1] for i in idx]
+    # the one field after the last newline is empty
+    return [fields[i:-1:commas + 1] for i in idx]
 
 
 def _raise_row_error(source: str, text: str, mapping: dict) -> None:

@@ -60,8 +60,7 @@ class RiskSpec:
         if not self.levels:
             raise ValueError("at least one confidence level required")
         for lv in self.levels:
-            if not 0.0 < lv < 1.0:
-                raise ValueError(f"levels must lie strictly in (0, 1), got {lv}")
+            _check_level(lv)
         # levels key the report to 6 significant digits
         if len({f"{lv:g}" for lv in self.levels}) != len(self.levels):
             raise ValueError(
@@ -140,21 +139,25 @@ class RiskReport:
 
 
 def _check_level(level: float) -> None:
+    # a level keys the report as f"{level:g}", and its quantile is taken at 1 - level
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {level}")
+        raise ValueError(f"confidence levels must lie strictly in (0, 1), got {level}")
+    if f"{level:g}" == "1" or 1.0 - level == 1.0:
+        raise ValueError(f"confidence levels must read below 1 to 6 digits "
+                         f"and leave 1 - level below 1, got {level}")
 
 
-def _check_stats(stats: DescriptiveStats) -> None:
+def _z(stats: DescriptiveStats, level: float) -> float:
+    """Z_alpha at a checked ``level``, for the parametric VaRs of ``stats``."""
+    _check_level(level)
     if not stats.std > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
+    return _ndtri(1.0 - level)
 
 
 def gaussian_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     """-(mu + Z_alpha sigma) W with Z_alpha the lower-tail normal quantile."""
-    _check_level(level)
-    _check_stats(stats)
-    z = _ndtri(1.0 - level)
-    return -(stats.mean + z * stats.std) * amount
+    return -(stats.mean + _z(stats, level) * stats.std) * amount
 
 
 def cornish_fisher_z(z_c: float, S: float, K: float) -> float:
@@ -174,10 +177,7 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     K is the excess kurtosis carried by the stats.  Negative outputs are
     permitted.
     """
-    _check_level(level)
-    _check_stats(stats)
-    z_c = _ndtri(1.0 - level)
-    z_cf = cornish_fisher_z(z_c, stats.skewness, stats.excess_kurtosis)
+    z_cf = cornish_fisher_z(_z(stats, level), stats.skewness, stats.excess_kurtosis)
     return -(stats.mean + z_cf * stats.std) * amount
 
 
@@ -190,10 +190,8 @@ def _check_sample(symbol: str, n: int, levels) -> None:
             raise DataError(f"{symbol}: need at least 10 observations, got {n}")
         needed = 1.0 / (1.0 - level)
         if n < needed:
-            log.warning(
-                "%s: %d observations is thin for level %g (want >= %.0f)",
-                symbol, n, level, needed,
-            )
+            log.warning("%s: %d observations is thin for level %g (want >= %.0f)",
+                        symbol, n, level, needed)
 
 
 def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:

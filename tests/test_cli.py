@@ -1058,6 +1058,16 @@ class TestExitCodes:
             assert "config error: levels must be distinct" in capsys.readouterr().err
             assert not d.exists()
 
+    @pytest.mark.parametrize("level", ["0.9999997", "1e-320"])
+    def test_level_the_report_cannot_key_is_3(self, sim_cfg, tmp_path, capsys, level):
+        # 0.9999997 keys as "1", and 1 - 1e-320 rounds to 1, a -inf quantile
+        d = tmp_path / "out"
+        assert main(["risk", "--config", sim_cfg, "--levels", f"0.95,{level}",
+                     "--out", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: confidence levels must") and level in err
+        assert not d.exists()
+
     def test_output_dir_below_a_file_is_3(self, sim_cfg, tmp_path, capsys):
         (tmp_path / "file").write_text("x")
         out = tmp_path / "file" / "sub"

@@ -13,6 +13,7 @@ import math
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -289,3 +290,37 @@ def test_lone_carriage_return_leaves_the_split_path(tmp_path):
     loaded = [_outcome(load_price_series, str(tmp_path / name), None)[2:]
               for name in ("CR.csv", "LF.csv", "OLD.csv")]
     assert loaded[0] == loaded[1] == loaded[2]
+
+
+@pytest.mark.parametrize("blank", ["first", "middle", "last"])
+def test_blank_line_leaves_the_split_path(tmp_path, blank):
+    # under a header with a comma, a blank line breaks the separator
+    # pattern by itself; csv.reader skips it, so the file loads as its twin
+    rows = ["2020-01-02,1", "2020-01-03,2", "2020-01-06,3"]
+    at = {"first": 0, "middle": 2, "last": 3}[blank]
+    text = "\n".join(["date,close", *rows[:at], "", *rows[at:]]) + "\n"
+    twin = "\n".join(["date,close", *rows]) + "\n"
+    assert _split_columns(text, [0, 1]) is None
+    (tmp_path / "BLANK.csv").write_text(text, encoding="utf-8", newline="")
+    (tmp_path / "PLAIN.csv").write_text(twin, encoding="utf-8", newline="")
+    assert (_outcome(load_price_series, str(tmp_path / "BLANK.csv"), None)[2:]
+            == _outcome(load_price_series, str(tmp_path / "PLAIN.csv"), None)[2:])
+
+
+@pytest.mark.parametrize("text", ["date,close\n2020-01-02,1\n2020-01-03,2",
+                                  "date,close,note\n2020-01-02,1,a\n2020-01-03,2,",
+                                  "date,close\n2020-01-02,1"])
+def test_last_line_without_its_newline_splits_as_with_it(text):
+    cells = _split_columns(text + "\n", [0, 1])
+    assert cells is not None and _split_columns(text, [0, 1]) == cells
+
+
+def test_header_without_a_comma_leaves_the_split_path(tmp_path):
+    # every line of a one-column file, blank ones too, has the header's
+    # separators, so only csv.reader, which skips blank lines, reads it
+    text = "date\n2020-01-02\n2020-01-03\n"
+    assert _split_columns(text, [0, 0]) is None
+    path = tmp_path / "ONE.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(load_price_series, str(path), {"close": "date"}) == (
+        "error", f"{path}: malformed row 2: could not convert string to float: '2020-01-02'")

@@ -242,6 +242,22 @@ class TestRiskSpec:
         with pytest.raises(ValueError):
             RiskSpec(periods=(("bad", date(2020, 6, 1), date(2020, 1, 1)),))
 
+    @pytest.mark.parametrize("level", [1.0, 1.5, 0.0, 0.9999995, 0.9999997, 5.5e-17, 1e-320])
+    def test_levels_the_report_cannot_key_rejected(self, level):
+        # "1" would key the level in risk.csv and risk.json, and a level whose
+        # 1 - level rounds to 1 has an infinite normal quantile
+        for check in (lambda: RiskSpec(levels=(0.95, level)),
+                      lambda: gaussian_var(_stats(), level),
+                      lambda: cf_var(_stats(), level)):
+            with pytest.raises(ValueError, match=f"confidence levels must .*, got {level}$"):
+                check()
+
+    @pytest.mark.parametrize("level", [0.999999, 0.99999949, 1e-16, 6e-17])
+    def test_levels_near_the_edges_accepted(self, level):
+        assert RiskSpec(levels=(level,)).levels == (level,)
+        assert math.isfinite(gaussian_var(_stats(), level))
+        assert math.isfinite(cf_var(_stats(), level))
+
     @pytest.mark.parametrize("levels", [(0.95, 0.95), (0.9, 0.95, 0.9), (0.95, 0.9500000001)])
     def test_repeated_levels_rejected(self, levels):
         # each level keys a risk.csv row and a risk.json entry by its 6-digit form

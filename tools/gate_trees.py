@@ -29,9 +29,13 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
   the price in ``Adj Close``, the price to 2 places in the four columns
   before it and ``n/a`` in ``Volume``, read through
   ``columns: {date: Date, close: Adj Close}``, so the plain split takes
-  two columns that are not adjacent.
+  two columns that are not adjacent;
+- ``report`` on copies of the seed-7 price files that leave the plain
+  split: SIM1's with every cell quoted, so ``csv.reader`` reads it, and
+  SIM2's without the newline of its last line, which the split supplies;
+  SIM3's is unchanged.  Its output files equal those of ``report-7``.
 
-That makes 31 runs.
+That makes 32 runs.
 
 It writes one JSON document mapping each run to the SHA-256 digest of
 every input price file and output file, the ``converged`` flag, estimates
@@ -129,6 +133,25 @@ def _vendor_config(sim_config: Path) -> Path:
     return _write_config(ws / sim_config.name, "vendor", doc)
 
 
+def _csvpath_config(sim_config: Path) -> Path:
+    """The workspace of ``sim_config`` with SIM1's cells quoted and SIM2's
+    last newline dropped, in its own directory."""
+    ws = sim_config.parent / "csvpath"
+    ws.mkdir()
+    doc = yaml.safe_load(sim_config.read_text())
+    for asset in doc["assets"]:
+        source = Path(asset["source"])
+        text = source.read_text()
+        if asset["symbol"] == "SIM1":
+            text = "".join(f'"{a}","{b}"\n' for a, b in
+                           (line.split(",") for line in text.splitlines()))
+        elif asset["symbol"] == "SIM2":
+            text = text.removesuffix("\n")
+        asset["source"] = str(ws / source.name)
+        (ws / source.name).write_text(text)
+    return _write_config(ws / sim_config.name, "csvpath", doc)
+
+
 def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
     exits = {c: cli_main([c, "--config", str(config)]) for c in commands}
     files = {}
@@ -170,6 +193,9 @@ def gate(src: Path, work: Path) -> dict:
     config = _vendor_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
     runs[f"vendor-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
                                                  results_dir(config))
+    config = _csvpath_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
+    runs[f"csvpath-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
+                                                  results_dir(config))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
                                                      results_dir(config))
