@@ -108,10 +108,17 @@ def _as_panel(Z) -> np.ndarray:
     if isinstance(Z, np.ndarray) and Z.ndim == 2:
         return np.asarray(Z, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in Z]
-    lengths = {c.shape[0] for c in cols}
+    lengths = {c.size for c in cols}
     if len(lengths) != 1:
         raise DataError(f"residual series lengths differ: {sorted(lengths)}")
     return np.column_stack(cols)
+
+
+def _target(Qbar, k: int) -> np.ndarray:
+    Qbar = np.asarray(Qbar, dtype=float)
+    if Qbar.shape != (k, k):
+        raise ValueError(f"Qbar has shape {Qbar.shape}, expected ({k}, {k})")
+    return Qbar
 
 
 def unconditional_corr(Z) -> np.ndarray:
@@ -158,11 +165,7 @@ def dcc_filter(Z, params: DccParams, Qbar) -> tuple:
     factorization the likelihood uses.
     """
     Z = _as_panel(Z)
-    Qbar = np.asarray(Qbar, dtype=float)
-    k = Z.shape[1]
-    if Qbar.shape != (k, k):
-        raise ValueError(f"Qbar has shape {Qbar.shape}, expected ({k}, {k})")
-    Q, R = _filter_core(Z, params.alpha, params.beta, Qbar)
+    Q, R = _filter_core(Z, params.alpha, params.beta, _target(Qbar, Z.shape[1]))
     try:
         np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
@@ -200,7 +203,7 @@ def dcc_loglik(Z, params: DccParams, Qbar) -> float:
     """Sum over t of the standardized multivariate-t log density at z_t
     under R_t; non-finite trial values collapse to -inf."""
     Z = _as_panel(Z)
-    _, R = _filter_core(Z, params.alpha, params.beta, np.asarray(Qbar, dtype=float))
+    _, R = _filter_core(Z, params.alpha, params.beta, _target(Qbar, Z.shape[1]))
     terms = _mvt_terms(Z, R, params.joint_shape)
     return -math.inf if terms is None else terms[0]
 
@@ -216,7 +219,7 @@ def dcc_score(Z, params: DccParams, Qbar) -> tuple:
     beta components.  Returns ``(-inf, nan)`` where the loglik is -inf.
     """
     Z = _as_panel(Z)
-    Qbar = np.asarray(Qbar, dtype=float)
+    Qbar = _target(Qbar, Z.shape[1])
     alpha, beta, nu = params.alpha, params.beta, params.joint_shape
     Q, R = _filter_core(Z, alpha, beta, Qbar)
     terms = _mvt_terms(Z, R, nu)
@@ -332,10 +335,7 @@ def fit_dcc(fits: Sequence[EgarchFit]) -> DccFit:
 def conditional_covariance(fit: DccFit, h_paths, t: int) -> np.ndarray:
     """H_t = D_t R_t D_t with D_t = diag(sqrt(h_t)); diagonal equals the
     per-asset variances exactly."""
-    if isinstance(h_paths, np.ndarray) and h_paths.ndim == 2:
-        H_all = np.asarray(h_paths, dtype=float)
-    else:
-        H_all = np.column_stack([np.asarray(h, dtype=float) for h in h_paths])
+    H_all = _as_panel(h_paths)
     T = fit.R_path.shape[0]
     if H_all.shape != (T, fit.R_path.shape[1]):
         raise ValueError(
@@ -379,9 +379,7 @@ def simulate_dcc_panel(
     for p in asset_params:
         if p.mean.ar or p.mean.ma:
             raise NotImplementedError("panel simulation supports constant-mean assets only")
-    Qbar = np.asarray(Qbar, dtype=float)
-    if Qbar.shape != (k, k):
-        raise ValueError(f"Qbar has shape {Qbar.shape}, expected ({k}, {k})")
+    Qbar = _target(Qbar, k)
     nu = dcc_params.joint_shape
     alpha, beta = dcc_params.alpha, dcc_params.beta
     rng = np.random.default_rng(seed)

@@ -128,7 +128,6 @@ class EgarchFit:
 
     params: "EgarchParams | Garch11Params"
     h: np.ndarray
-    eps: np.ndarray
     z: np.ndarray
     loglik: float
     aic: float
@@ -548,7 +547,6 @@ def _fit_series(r: ReturnSeries, model: str, space: opt_mod.ParamSpace, unpack,
     return EgarchFit(
         params=params,
         h=h,
-        eps=eps,
         z=eps / np.sqrt(h),
         loglik=ll,
         aic=a,

@@ -1,7 +1,8 @@
 """Downside-risk measures: parametric, moment-corrected, and empirical
 value-at-risk plus drawdown paths, over named sub-periods and levels.
 
-Sign convention throughout: a positive VaR is a loss magnitude.  The
+Sign convention throughout: a positive VaR is a loss magnitude, and a
+zero one is +0.0, as each VaR is taken as 0.0 minus the quantile.  The
 moment-corrected quantile is evaluated at the negative lower-tail normal
 quantile, which makes the corrected measure collapse to the parametric one
 when skewness and excess kurtosis vanish.  Negative outputs are allowed
@@ -157,7 +158,7 @@ def _z(stats: DescriptiveStats, level: float) -> float:
 
 def gaussian_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     """-(mu + Z_alpha sigma) W with Z_alpha the lower-tail normal quantile."""
-    return -(stats.mean + _z(stats, level) * stats.std) * amount
+    return 0.0 - (stats.mean + _z(stats, level) * stats.std) * amount
 
 
 def cornish_fisher_z(z_c: float, S: float, K: float) -> float:
@@ -178,7 +179,7 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     permitted.
     """
     z_cf = cornish_fisher_z(_z(stats, level), stats.skewness, stats.excess_kurtosis)
-    return -(stats.mean + z_cf * stats.std) * amount
+    return 0.0 - (stats.mean + z_cf * stats.std) * amount
 
 
 def _check_sample(symbol: str, n: int, levels) -> None:
@@ -198,7 +199,7 @@ def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     """-(empirical (1-level)-quantile of returns) W, linear interpolation
     between order statistics."""
     _check_sample(r.symbol, len(r), (level,))
-    return -float(np.quantile(r.values, 1.0 - level)) * amount
+    return 0.0 - float(np.quantile(r.values, 1.0 - level)) * amount
 
 
 def _drawdowns(X: np.ndarray) -> np.ndarray:
@@ -262,7 +263,7 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                 var[(symbol, name, lv)] = {
                     "gaussian": gaussian_var(cell_stats, lv, spec.amount),
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": -quantile * spec.amount,
+                    "empirical": 0.0 - quantile * spec.amount,
                 }
     return RiskReport(spec=spec, symbols=panel.symbols, var=var,
                       max_drawdown=max_dd, stats=stats)

@@ -224,6 +224,17 @@ def _short_columns():
      "panel simulation needs >= 2 assets, got 1"),
     (lambda: simulate_dcc_panel([_asset(), _asset()], _P, np.eye(3), n=50, seed=0), ValueError,
      "Qbar has shape (3, 3), expected (2, 2)"),
+    # the likelihood and its score take Qbar through dcc_filter's rule
+    *(pytest.param(lambda f=f, m=m: f(_panel(n=300, k=2, seed=3)[1], _P, np.eye(m)), ValueError,
+                   f"Qbar has shape ({m}, {m}), expected (2, 2)", id=f"{f.__name__}-Qbar-{m}x{m}")
+      for f in (dcc_loglik, dcc_score) for m in (3, 1)),
+    (lambda: conditional_covariance(types.SimpleNamespace(R_path=np.zeros((10, 2, 2))),
+                                    [np.ones(10), np.ones(9)], 0),
+     DataError, "residual series lengths differ: [9, 10]"),
+    # a single path is read as one row of scalars, not as a column
+    (lambda: conditional_covariance(types.SimpleNamespace(R_path=np.zeros((10, 2, 2))),
+                                    np.ones(10), 0),
+     ValueError, "h_paths shape (1, 10) does not match panel (10, 2)"),
 ])
 def test_validation_branches(call, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):

@@ -387,6 +387,18 @@ class TestRiskReport:
                 float(field)
                 assert len(field.split(".")[1]) == 3
 
+    def test_zero_var_is_unsigned(self, make_series):
+        # stale prices: 60% of the returns are zero, so the median return is 0
+        rng = np.random.default_rng(3)
+        values = np.zeros(200)
+        values[rng.permutation(200)[:80]] = 0.01 * rng.standard_normal(80) - 0.0025
+        r = make_series(values.tolist(), symbol="S")
+        rep = risk_report(ReturnPanel(series=(r,), dates=r.dates), RiskSpec(levels=(0.5, 0.9)))
+        row = list(csv.reader(io.StringIO(rep.to_csv())))[1]
+        assert row[:2] == ["S", "0.5"] and row[4] == "0.000"
+        for v in (rep.var[("S", "full", 0.5)]["empirical"], empirical_var(r, 0.5)):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
 
 def _weekday_series(n=60, symbol="WKD"):
     # business days only, so weekends are gaps inside the calendar

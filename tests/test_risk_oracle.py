@@ -115,7 +115,7 @@ def reference_risk_report(panel, spec):
                 var[(s.symbol, name, lv)] = {
                     "gaussian": gaussian_var(cell_stats, lv, spec.amount),
                     "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": -q * spec.amount,
+                    "empirical": 0.0 - q * spec.amount,
                 }
     return RiskReport(spec=spec, symbols=panel.symbols, var=var, max_drawdown=dds, stats=stats)
 
