@@ -589,31 +589,38 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 3, not argparse's 2, which means an input data error
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML run config")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, metavar="N", help="seed (overrides config)")
-    common.add_argument("--levels", metavar="L1,L2,...",
-                        help="confidence levels (overrides config)")
-    common.add_argument("--portfolio-amount", type=float, metavar="W",
-                        dest="portfolio_amount", help="portfolio amount (overrides config)")
     common.add_argument("--validate", action="store_true",
                         help="parse and validate the config, then exit")
-    parser = argparse.ArgumentParser(
+    run = _Parser(add_help=False, parents=[common])
+    run.add_argument("--levels", type=_parse_levels, metavar="L1,L2,...",
+                     help="confidence levels (overrides config)")
+    run.add_argument("--portfolio-amount", type=float, metavar="W",
+                     dest="portfolio_amount", help="portfolio amount (overrides config)")
+    parser = _Parser(
         prog="volrisk",
         description="volatility, correlation, and downside-risk toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    sub.add_parser("describe", parents=[common],
+    sub.add_parser("describe", parents=[run],
                    help="descriptive stats, correlation, JB, and unit-root tables")
-    sub.add_parser("test", parents=[common],
+    sub.add_parser("test", parents=[run],
                    help="normality and unit-root tables only")
-    sub.add_parser("fit", parents=[common],
+    sub.add_parser("fit", parents=[run],
                    help="per-asset volatility fits plus the joint correlation fit")
-    sub.add_parser("risk", parents=[common],
+    sub.add_parser("risk", parents=[run],
                    help="VaR variants and drawdowns per asset/period/level")
-    sub.add_parser("report", parents=[common], help="describe + fit + risk")
+    sub.add_parser("report", parents=[run], help="describe + fit + risk")
     sim = sub.add_parser("simulate", parents=[common],
                          help="generate a seeded correlated panel for testing")
     sim.add_argument("--assets", type=int, default=3, metavar="K")
@@ -633,16 +640,10 @@ def _setup_logging() -> None:
 
 
 def _overrides(args) -> dict:
-    ov: dict = {}
-    if args.out is not None:
-        ov["out_dir"] = args.out
-    if args.seed is not None:
-        ov["seed"] = args.seed
-    if args.levels is not None:
-        ov["levels"] = _parse_levels(args.levels)
-    if args.portfolio_amount is not None:
-        ov["amount"] = args.portfolio_amount
-    return ov
+    # simulate's parser takes neither --levels nor --portfolio-amount
+    given = {"out_dir": args.out, "seed": args.seed, "levels": getattr(args, "levels", None),
+             "amount": getattr(args, "portfolio_amount", None)}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _simulate(args) -> int:
@@ -667,8 +668,8 @@ def _simulate(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _simulate(args)
         cfg = load_run_config(args.config, _overrides(args))

@@ -167,10 +167,11 @@ class TestResult:
         }
 
 
-_SIGNIFICANCE_LEVELS = (0.01, 0.05, 0.10)
+# every test reports its critical values at these levels and decides at 5%
+_LEVELS = (0.01, 0.05, 0.10)
 
 # chi-square(2) upper quantiles; closed form -2 ln(alpha)
-_CHI2_2_CRIT = {a: -2.0 * math.log(a) for a in _SIGNIFICANCE_LEVELS}
+_CHI2_2_CRIT = {a: -2.0 * math.log(a) for a in _LEVELS}
 
 # Dickey-Fuller critical-value response surface, constant-only regression,
 # one unit root: c(N) = b0 + b1/N + b2/N^2 + b3/N^3 (MacKinnon 2010, tau_c_1)
@@ -184,11 +185,25 @@ _ADF_SURFACE = {
 _KPSS_CRIT = {0.10: 0.347, 0.05: 0.463, 0.01: 0.739}
 
 
-def _check_significance(significance: float) -> None:
-    if significance not in _SIGNIFICANCE_LEVELS:
-        raise ValueError(
-            f"significance must be one of {_SIGNIFICANCE_LEVELS}, got {significance}"
-        )
+def _result(name: str, stat: float, crits: dict, beyond, null: str, **inputs) -> TestResult:
+    """The battery's one decision: reject at 5% when ``beyond(stat, crit)``
+    holds at the 5% critical value, ``beyond`` being ``operator.gt`` or
+    ``operator.lt``.  ``inputs`` lead the decision inputs."""
+    cv = {f"{a:.2f}": crits[a] for a in _LEVELS}
+    return TestResult(name, stat, {**inputs, "critical_values": cv, "null": null},
+                      reject_null=beyond(stat, crits[0.05]), significance=0.05)
+
+
+def _window(r: ReturnSeries, given: "int | None", c: float, name: str) -> int:
+    """A test's lag window: floor(c (n/100)^0.25) unless ``given``; it must
+    be nonnegative and leave more than 10 observations."""
+    n = r.values.size
+    w = int(c * (n / 100.0) ** 0.25) if given is None else int(given)
+    if w < 0:
+        raise ValueError(f"{name} must be nonnegative, got {w}")
+    if n <= w + 10:
+        raise DataError(f"{r.symbol}: need more than {name} + 10 = {w + 10} observations, got {n}")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +516,12 @@ def _describe_panel(panel: ReturnPanel, risk_free: "float | None" = None) -> dic
             for sym, row in zip(panel.symbols, rows)}
 
 
-def jarque_bera(s: DescriptiveStats, significance: float = 0.05) -> TestResult:
+def jarque_bera(s: DescriptiveStats) -> TestResult:
     """JB = n/6 (S^2 + (K - 3)^2 / 4) with K the raw kurtosis."""
-    _check_significance(significance)
     if s.std <= 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
     stat = s.n / 6.0 * (s.skewness ** 2 + s.excess_kurtosis ** 2 / 4.0)
-    crits = {f"{a:.2f}": _CHI2_2_CRIT[a] for a in _SIGNIFICANCE_LEVELS}
-    return TestResult(
-        test_name="jarque_bera",
-        statistic=stat,
-        decision_inputs={"critical_values": crits, "null": "normality"},
-        reject_null=stat > _CHI2_2_CRIT[significance],
-        significance=significance,
-    )
+    return _result("jarque_bera", stat, _CHI2_2_CRIT, operator.gt, "normality")
 
 
 # least share of its column's sum of squares a Cholesky pivot of X'X keeps
@@ -522,11 +529,7 @@ def jarque_bera(s: DescriptiveStats, significance: float = 0.05) -> TestResult:
 _ADF_PIVOT = 1e-10
 
 
-def _schwert_lags(n: int) -> int:
-    return int(12.0 * (n / 100.0) ** 0.25)
-
-
-def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0.05) -> TestResult:
+def adf_test(r: ReturnSeries, lags: "int | None" = None) -> TestResult:
     """Augmented Dickey-Fuller test, constant and no trend.
 
     Null: unit root.  Lag order defaults to the Schwert rule
@@ -542,14 +545,8 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
     simulated return panels keep at least 0.45; a periodic return pattern
     (alternating, period 3, one move in ten) fails Cholesky outright.
     """
-    _check_significance(significance)
+    p = _window(r, lags, 12.0, "lags")
     x = r.values
-    n = x.size
-    p = _schwert_lags(n) if lags is None else int(lags)
-    if p < 0:
-        raise ValueError(f"lags must be nonnegative, got {p}")
-    if n <= p + 10:
-        raise DataError(f"{r.symbol}: need more than lags + 10 = {p + 10} observations, got {n}")
     dx = np.diff(x)
     y = dx[p:]
     X = np.empty((y.size, p + 2))
@@ -573,38 +570,20 @@ def adf_test(r: ReturnSeries, lags: "int | None" = None, significance: float = 0
     cov11 = s2 * float(M[:, 1] @ M[:, 1])
     stat = float(beta[1] / math.sqrt(cov11))
     nobs = y.size
-    crits = {}
-    for a in _SIGNIFICANCE_LEVELS:
-        b0, b1, b2, b3 = _ADF_SURFACE[a]
-        crits[a] = b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
-    return TestResult(
-        test_name="adf",
-        statistic=stat,
-        decision_inputs={
-            "lags": p,
-            "nobs": nobs,
-            "critical_values": {f"{a:.2f}": crits[a] for a in _SIGNIFICANCE_LEVELS},
-            "null": "unit root",
-        },
-        reject_null=stat < crits[significance],
-        significance=significance,
-    )
+    crits = {a: b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
+             for a, (b0, b1, b2, b3) in _ADF_SURFACE.items()}
+    return _result("adf", stat, crits, operator.lt, "unit root", lags=p, nobs=nobs)
 
 
-def kpss_test(r: ReturnSeries, bandwidth: "int | None" = None, significance: float = 0.05) -> TestResult:
+def kpss_test(r: ReturnSeries, bandwidth: "int | None" = None) -> TestResult:
     """KPSS level-stationarity test.
 
     Null: (level) stationarity.  Long-run variance uses the Bartlett
     kernel with bandwidth floor(4 (n/100)^0.25) unless overridden.
     """
-    _check_significance(significance)
+    l = _window(r, bandwidth, 4.0, "bandwidth")
     x = r.values
     n = x.size
-    l = int(4.0 * (n / 100.0) ** 0.25) if bandwidth is None else int(bandwidth)
-    if l < 0:
-        raise ValueError(f"bandwidth must be nonnegative, got {l}")
-    if n <= l + 10:
-        raise DataError(f"{r.symbol}: need more than bandwidth + 10 = {l + 10} observations, got {n}")
     e = x - x.mean()
     if float(e @ e) == 0.0:
         raise DegenerateSeriesError(f"{r.symbol}: degenerate: zero variance")
@@ -615,17 +594,7 @@ def kpss_test(r: ReturnSeries, bandwidth: "int | None" = None, significance: flo
         gamma_j = float(e[j:] @ e[:-j]) / n
         lrv += 2.0 * (1.0 - j / (l + 1.0)) * gamma_j
     stat = eta / lrv
-    return TestResult(
-        test_name="kpss",
-        statistic=stat,
-        decision_inputs={
-            "bandwidth": l,
-            "critical_values": {f"{a:.2f}": _KPSS_CRIT[a] for a in _SIGNIFICANCE_LEVELS},
-            "null": "stationarity",
-        },
-        reject_null=stat > _KPSS_CRIT[significance],
-        significance=significance,
-    )
+    return _result("kpss", stat, _KPSS_CRIT, operator.gt, "stationarity", bandwidth=l)
 
 
 def pearson_correlation(panel: ReturnPanel) -> np.ndarray:

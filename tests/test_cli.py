@@ -1169,6 +1169,56 @@ class TestExitCodes:
         assert main(["describe", "--config", sim_cfg, "--validate"]) == 0
 
 
+class TestUsageErrors:
+    """A flag the parser refuses is a config error: exit 3, one
+    ``config error:`` line naming the flag, and nothing written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--bogus"], "unrecognized arguments: --bogus"),
+        (["report", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["risk", "--portfolio-amount", "lots"],
+         "argument --portfolio-amount: invalid float value: 'lots'"),
+        (["simulate", "--length", "1e3"], "argument --length: invalid int value: '1e3'"),
+        # simulate takes neither of the risk flags
+        (["simulate", "--levels", "zz"], "unrecognized arguments: --levels zz"),
+        (["simulate", "--levels", "0.95"], "unrecognized arguments: --levels 0.95"),
+        (["simulate", "--portfolio-amount", "2", "--validate"],
+         "unrecognized arguments: --portfolio-amount 2"),
+        ([], "the following arguments are required: COMMAND"),
+    ])
+    def test_refused_flags_exit_3_and_write_nothing(self, sim_cfg, tmp_path, capsys,
+                                                     argv, message):
+        d = tmp_path / "out"
+        assert main(argv + ["--config", sim_cfg, "--out", str(d)] if argv else argv) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not d.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--levels", "zz"), ("--portfolio-amount", "2")])
+    def test_simulate_without_config_refuses_the_risk_flags(self, tmp_path, capsys, flag, value):
+        d = tmp_path / "d"
+        assert main(["simulate", "--out", str(d), flag, value]) == 3
+        assert capsys.readouterr().err == f"config error: unrecognized arguments: {flag} {value}\n"
+        assert not d.exists()
+
+    def test_an_unknown_command_is_3(self, capsys):
+        assert main(["frob"]) == 3
+        assert capsys.readouterr().err.startswith("config error: argument COMMAND: invalid choice: 'frob'")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"], ["simulate", "-h"]])
+    def test_help_still_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: volrisk")
+
+    def test_simulate_lists_only_its_own_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        usage = capsys.readouterr().out
+        assert "--assets" in usage and "--seed" in usage
+        assert "--levels" not in usage and "--portfolio-amount" not in usage
+
+
 # drawdowns reach toward -1; prices are positive, but any float must keep its bytes
 _ROW_FLOATS = st.one_of(
     st.floats(),

@@ -1,0 +1,36 @@
+"""The byte gate in tier-1: the 32 runs of ``tools/gate_trees.py``, run in
+this process on ``src/``, must give the exit codes, output bytes and
+``converged`` flags recorded in ``tests/gate_digest.json``.
+
+A change that means to move output bytes regenerates the digest
+
+    python3 tools/gate_trees.py --src src --digest tests/gate_digest.json
+
+and its ``git diff`` shows which runs and files moved.  The digest records
+the Python and numpy versions it was made under; under other versions the
+test skips, since numpy or its BLAS can move the last bits of an estimate.
+"""
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("gate_trees", ROOT / "tools" / "gate_trees.py")
+gate_trees = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate_trees)
+
+
+def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
+    committed = json.loads((ROOT / "tests" / "gate_digest.json").read_text())
+    here = gate_trees.versions()
+    made = {key: committed[key] for key in here}
+    if made != here:
+        pytest.skip(f"digest made under Python {made['python']}, numpy {made['numpy']}; "
+                    f"this is Python {here['python']}, numpy {here['numpy']}")
+    # gate() puts src/ and perfbench/ on the path; keep that to this test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runs = gate_trees.gate(ROOT / "src", tmp_path)
+    assert gate_trees.compare(committed["runs"], runs) == []

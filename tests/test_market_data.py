@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 from volrisk.market_data import (
     _ADF_SURFACE,
-    _SIGNIFICANCE_LEVELS,
+    _LEVELS,
     DataError,
     DegenerateSeriesError,
     DescriptiveStats,
     PriceSeries,
     ReturnPanel,
     ReturnSeries,
-    _check_significance,
-    _schwert_lags,
     adf_test,
     align_panel,
     describe,
@@ -150,6 +148,8 @@ def _flat_stats():
      "bandwidth must be nonnegative, got -1"),
     (lambda ms: kpss_test(ms(_NOISE[:12])), DataError,
      "test: need more than bandwidth + 10 = 12 observations, got 12"),
+    (lambda ms: adf_test(ms(_NOISE[:20]), lags=10), DataError,
+     "test: need more than lags + 10 = 20 observations, got 20"),
     (lambda ms: pearson_correlation(ReturnPanel((ms(_NOISE, "a"), ms(np.zeros(300), "z")),
                                                 ms(_NOISE).dates)),
      DegenerateSeriesError, "z: degenerate: zero variance"),
@@ -291,11 +291,6 @@ class TestJarqueBera:
         assert not jarque_bera(normal).reject_null
         assert jarque_bera(heavy).reject_null
 
-    def test_significance_validation(self, make_series):
-        s = describe(make_series(np.random.default_rng(0).standard_normal(50)))
-        with pytest.raises(ValueError):
-            jarque_bera(s, significance=0.03)
-
 
 class TestUnitRoot:
     def test_adf_decisions(self, make_series):
@@ -335,6 +330,25 @@ class TestUnitRoot:
         with pytest.raises(DataError):
             kpss_test(make_series([0.005] * 300))
 
+    @pytest.mark.parametrize("test, keys, beyond", [
+        (lambda r: jarque_bera(describe(r)), [], "gt"),
+        (adf_test, ["lags", "nobs"], "lt"),
+        (kpss_test, ["bandwidth"], "gt"),
+    ], ids=["jarque_bera", "adf", "kpss"])
+    @pytest.mark.parametrize("process", ["noise", "walk", "heavy_tails"])
+    def test_every_test_decides_at_five_percent(self, make_series, test, keys, beyond, process):
+        rng = np.random.default_rng(4)
+        x = {"noise": lambda: rng.standard_normal(400),
+             "walk": lambda: np.cumsum(rng.standard_normal(400)),
+             "heavy_tails": lambda: rng.standard_t(3, size=400)}[process]()
+        d = test(make_series(x)).to_dict()
+        assert list(d) == ["test", "statistic", "reject_null", "significance", *keys,
+                           "critical_values", "null"]
+        assert d["significance"] == 0.05
+        assert list(d["critical_values"]) == ["0.01", "0.05", "0.10"]
+        crit = d["critical_values"]["0.05"]
+        assert d["reject_null"] is (d["statistic"] > crit if beyond == "gt" else d["statistic"] < crit)
+
     def test_to_dict_round_trips_json(self, make_series):
         import json
 
@@ -343,16 +357,15 @@ class TestUnitRoot:
         assert "unit root" in blob
 
 
-def reference_adf_test(r, lags=None, significance=0.05):
+def reference_adf_test(r, lags=None):
     """The least-squares ``adf_test`` that the normal-equations one
-    replaced, kept verbatim."""
+    replaced, kept verbatim but for its decision, made at 5% only."""
     # imported here so that pytest does not collect the Test-named class
     from volrisk.market_data import TestResult
 
-    _check_significance(significance)
     x = r.values
     n = x.size
-    p = _schwert_lags(n) if lags is None else int(lags)
+    p = int(12.0 * (n / 100.0) ** 0.25) if lags is None else int(lags)
     if p < 0:
         raise ValueError(f"lags must be nonnegative, got {p}")
     if n <= p + 10:
@@ -373,7 +386,7 @@ def reference_adf_test(r, lags=None, significance=0.05):
     stat = float(beta[1] / math.sqrt(cov11))
     nobs = y.size
     crits = {}
-    for a in _SIGNIFICANCE_LEVELS:
+    for a in _LEVELS:
         b0, b1, b2, b3 = _ADF_SURFACE[a]
         crits[a] = b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
     return TestResult(
@@ -382,11 +395,11 @@ def reference_adf_test(r, lags=None, significance=0.05):
         decision_inputs={
             "lags": p,
             "nobs": nobs,
-            "critical_values": {f"{a:.2f}": crits[a] for a in _SIGNIFICANCE_LEVELS},
+            "critical_values": {f"{a:.2f}": crits[a] for a in _LEVELS},
             "null": "unit root",
         },
-        reject_null=stat < crits[significance],
-        significance=significance,
+        reject_null=stat < crits[0.05],
+        significance=0.05,
     )
 
 

@@ -393,6 +393,81 @@ class TestMinimize:
         np.testing.assert_allclose(opt_mod._logit(q), special.logit(q), rtol=1e-15, atol=0.0)
 
 
+# |x - c| has slope -1 left of c and +1 right of it: no step along it meets
+# the curvature condition |slope| <= 0.9, so every line search past the kink fails
+_KINK = 0.7390851332151607
+
+
+def _kink_fg(trace=None):
+    def fg(y):
+        if trace is not None:
+            trace.append(float(y[0]))
+        return abs(y[0] - _KINK), np.array([1.0 if y[0] >= _KINK else -1.0])
+    return fg
+
+
+class TestLineSearchFallbacks:
+    @pytest.mark.parametrize("ends", [
+        # the cubic's discriminant d1^2 - d_lo d_hi is negative
+        (0.0, 0.0, 1.0, 1.0, 2.0 / 3.0, 1.0),
+        # its denominator d_hi - d_lo + 2 d2 is zero
+        (0.0, 0.0, 2.0, 1.0, 1.0, 0.0),
+        # its step overflows to inf / inf
+        (0.0, 0.0, -1e200, 1.0, 0.0, 2e200),
+    ], ids=["negative_discriminant", "zero_denominator", "non_finite_step"])
+    def test_interpolate_falls_back_to_the_midpoint(self, ends):
+        assert opt_mod._interpolate(*ends) == 0.5
+
+    def test_interpolate_cannot_split_a_too_short_interval(self):
+        assert opt_mod._interpolate(1.0, 0.0, -1.0, 1.0 + 1e-16, 0.0, 1.0) is None
+        assert opt_mod._interpolate(3.0, 0.0, -1.0, 3.0, 0.0, 1.0) is None
+
+    def test_line_search_fails_once_zoom_runs_out_of_trials(self):
+        y = np.array([3.0])
+        f0, g0 = _kink_fg()(y)
+        trials = []
+        assert opt_mod._line_search(_kink_fg(trials), y, f0, g0, -g0, 1.0) is None
+        # two bracketing trials, x = 2 then x = -1 past the kink, then every zoom trial
+        assert trials[:2] == [2.0, -1.0]
+        assert len(trials) == 2 + opt_mod._LS_TRIALS
+        assert all(-1.0 < x < 2.0 for x in trials[2:])
+
+    def test_line_search_fails_once_zoom_cannot_split(self, monkeypatch):
+        # with trials enough, zoom closes in on the kink until its bracket is too short
+        monkeypatch.setattr(opt_mod, "_LS_TRIALS", 400)
+        splits = []
+        interpolate = opt_mod._interpolate
+
+        def recorded(*ends):
+            splits.append(interpolate(*ends))
+            return splits[-1]
+
+        monkeypatch.setattr(opt_mod, "_interpolate", recorded)
+        y = np.array([3.0])
+        f0, g0 = _kink_fg()(y)
+        assert opt_mod._line_search(_kink_fg(), y, f0, g0, -g0, 1.0) is None
+        assert splits[-1] is None and len(splits) < 400
+        # the last step split off reaches from x = 3 to the kink
+        assert 3.0 - splits[-2] == pytest.approx(_KINK, abs=1e-14)
+
+    def test_minimize_stops_unconverged_on_a_failed_line_search(self, monkeypatch):
+        searches = []
+        line_search = opt_mod._line_search
+
+        def recorded(*args):
+            searches.append(line_search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(opt_mod, "_line_search", recorded)
+        fg = _kink_fg()
+        res = minimize(lambda x: fg(x)[0], ParamSpace((("x", "free"),)), [3.0],
+                       gradient=lambda x: fg(x)[1])
+        assert searches and searches[-1] is None
+        assert not res.converged
+        assert res.f_opt <= abs(3.0 - _KINK)
+        assert res.f_opt == abs(res.x_opt[0] - _KINK)
+
+
 class TestFiniteDiff:
     def test_gradient_matches_analytic(self):
         def f(x):

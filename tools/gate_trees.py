@@ -53,6 +53,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -66,6 +67,8 @@ WIDE_SEED = 5
 VARIANT_SEED = 7
 # the estimate fields of fit_*.json and dcc.json whose drift --compare reports
 FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
+# the parts of a run that the committed tier-1 digest keeps
+KEPT = ("exit", "files", "converged")
 
 
 def _write_config(sim_config: Path, name: str, doc: dict) -> Path:
@@ -204,6 +207,21 @@ def gate(src: Path, work: Path) -> dict:
     return runs
 
 
+def versions() -> dict:
+    """The Python and numpy versions of this process: numpy or its BLAS can
+    move the last bits of an estimate, so digests compare only under equal
+    versions."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def tier1_digest(runs: dict) -> dict:
+    """``runs`` without their estimates, under this process's versions."""
+    return {**versions(),
+            "runs": {name: {part: run[part] for part in KEPT} for name, run in runs.items()}}
+
+
 def compare(a: dict, b: dict) -> list:
     diffs = []
     for run in sorted(set(a) | set(b)):
@@ -256,12 +274,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src/ directory to import volrisk from")
-    ap.add_argument("--out", type=Path, help="write the digests here (default stdout)")
+    ap.add_argument("--out", type=Path, help="write the digests here (default stdout, unless --digest)")
+    ap.add_argument("--digest", type=Path, metavar="PATH",
+                    help="write the tier-1 digest (no estimates, with versions) here")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                     help="compare two digest files instead of running")
     args = ap.parse_args(argv)
     if args.compare:
+        # a tier-1 digest holds its runs under "runs"
         a, b = (json.loads(p.read_text()) for p in args.compare)
+        a, b = a.get("runs", a), b.get("runs", b)
         diffs = compare(a, b)
         print("\n".join(diffs) if diffs else f"identical: {len(a)} runs")
         for line in drift(a, b):
@@ -270,10 +292,12 @@ def main(argv=None) -> int:
     os.environ.setdefault("VOLRISK_LOG", "ERROR")
     with tempfile.TemporaryDirectory() as tmp:
         runs = gate(args.src, Path(tmp))
+    if args.digest:
+        args.digest.write_text(json.dumps(tier1_digest(runs), indent=1, sort_keys=True) + "\n")
     text = json.dumps(runs, indent=1, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
-    else:
+    elif not args.digest:
         sys.stdout.write(text)
     return 0
 
