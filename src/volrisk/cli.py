@@ -4,9 +4,9 @@ Subcommands cover the full pipeline: ingest + descriptive tables
 (``describe``), normality and unit-root tests (``test``), two-stage
 volatility/correlation fits (``fit``), the risk report (``risk``), all of
 the above (``report``), and seeded panel generation (``simulate``).  Runs
-are driven by a YAML config; a fixed config + seed gives byte-identical
-outputs.  Logging goes to stderr (level via VOLRISK_LOG); data only to
-files and stdout.
+are driven by a YAML config; a fixed config gives byte-identical outputs,
+and only ``simulate`` draws random numbers.  Logging goes to stderr (level
+via VOLRISK_LOG); data only to files and stdout.
 
 Exit codes: 0 success, 1 model non-convergence (outputs still written),
 2 input error, 3 config error.
@@ -530,13 +530,92 @@ def _simulation_calendar(seed: int, n_assets: int, length: int, start: Date) -> 
     return iso
 
 
-def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Date) -> int:
-    iso = _simulation_calendar(seed, n_assets, length, start)
-    assets, dcc, Qbar = _simulation_dgp(n_assets)
-    returns, _ = simulate_dcc_panel(assets, dcc, Qbar, n=length, seed=seed)
+# ---------------------------------------------------------------------------
+# argument parsing and dispatch
+
+def _parse_levels(text: str) -> tuple:
+    # every comma-separated entry is a level, so "0.95," is refused as a config's null is
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --levels {text!r}: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 3, not argparse's 2, which means an input data error
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One parser per command, each taking only the flags that command reads."""
+    common = _Parser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="YAML run config")
+    common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
+    common.add_argument("--validate", action="store_true",
+                        help="parse and validate the config, then exit")
+    risk = _Parser(add_help=False, parents=[common])
+    risk.add_argument("--levels", type=_parse_levels, metavar="L1,L2,...",
+                      help="confidence levels (overrides config)")
+    risk.add_argument("--portfolio-amount", type=float, metavar="W",
+                      dest="portfolio_amount", help="portfolio amount (overrides config)")
+    parser = _Parser(
+        prog="volrisk",
+        description="volatility, correlation, and downside-risk toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub.add_parser("describe", parents=[common],
+                   help="descriptive stats, correlation, JB, and unit-root tables")
+    sub.add_parser("test", parents=[common],
+                   help="normality and unit-root tables only")
+    sub.add_parser("fit", parents=[common],
+                   help="per-asset volatility fits plus the joint correlation fit")
+    sub.add_parser("risk", parents=[risk],
+                   help="VaR variants and drawdowns per asset/period/level")
+    sub.add_parser("report", parents=[risk], help="describe + fit + risk")
+    sim = sub.add_parser("simulate", parents=[common],
+                         help="generate a seeded correlated panel for testing")
+    sim.add_argument("--seed", type=int, metavar="N", help="seed (overrides config)")
+    sim.add_argument("--assets", type=int, default=3, metavar="K")
+    sim.add_argument("--length", type=int, default=1000, metavar="T")
+    sim.add_argument("--start", default="2019-01-01", metavar="DATE")
+    return parser
+
+
+def _setup_logging() -> None:
+    name = os.environ.get("VOLRISK_LOG", "WARNING").upper()
+    level = getattr(logging, name, None)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig(
+        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+    )
+
+
+def _overrides(args) -> dict:
+    # describe, test and fit take neither --levels nor --portfolio-amount
+    given = {"out_dir": args.out, "levels": getattr(args, "levels", None),
+             "amount": getattr(args, "portfolio_amount", None)}
+    return {key: value for key, value in given.items() if value is not None}
+
+
+def _simulate(args) -> int:
+    """``simulate``, which checks its arguments, then under ``--validate``
+    prints them and writes nothing.  The output dir and seed are ``--out``
+    and ``--seed`` over ``--config``'s, or over ``RunConfig``'s defaults."""
+    base = RunConfig if args.config is None else load_run_config(args.config)
+    out_dir = base.out_dir if args.out is None else args.out
+    seed = base.seed if args.seed is None else args.seed
+    iso = _simulation_calendar(seed, args.assets, args.length, _as_date(args.start, "--start"))
+    if args.validate:
+        print(f"simulate ok: {args.assets} asset(s), {args.length} return(s) "
+              f"from {iso[1]} to {iso[-1]}, seed {seed}, output to {out_dir}")
+        return EXIT_OK
+    assets, dcc, Qbar = _simulation_dgp(args.assets)
+    returns, _ = simulate_dcc_panel(assets, dcc, Qbar, n=args.length, seed=seed)
     # unit-scale DGP mapped onto a 1%-vol price tape
     scale = 0.01
-    symbols = [f"SIM{i + 1}" for i in range(n_assets)]
+    symbols = [f"SIM{i + 1}" for i in range(args.assets)]
     out = OutputCollector()
     rows = _dated_rows("date,close", iso, "%.10f")
     for j, sym in enumerate(symbols):
@@ -559,7 +638,7 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
     out.add("sim_config.yaml", yaml.safe_dump(cfg_doc, sort_keys=True))
     truth = {
         "seed": seed,
-        "length": length,
+        "length": args.length,
         "return_scale": scale,
         "assets": {
             sym: {
@@ -573,96 +652,6 @@ def cmd_simulate(out_dir: str, seed: int, n_assets: int, length: int, start: Dat
     }
     out.add("sim_truth.json", _json(truth))
     out.write(out_dir)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-def _parse_levels(text: str) -> tuple:
-    try:
-        levels = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --levels {text!r}: {exc}") from exc
-    if not levels:
-        raise ConfigError(f"bad --levels {text!r}: empty")
-    return levels
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # a usage error exits 3, not argparse's 2, which means an input data error
-        raise ConfigError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="YAML run config")
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, metavar="N", help="seed (overrides config)")
-    common.add_argument("--validate", action="store_true",
-                        help="parse and validate the config, then exit")
-    run = _Parser(add_help=False, parents=[common])
-    run.add_argument("--levels", type=_parse_levels, metavar="L1,L2,...",
-                     help="confidence levels (overrides config)")
-    run.add_argument("--portfolio-amount", type=float, metavar="W",
-                     dest="portfolio_amount", help="portfolio amount (overrides config)")
-    parser = _Parser(
-        prog="volrisk",
-        description="volatility, correlation, and downside-risk toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    sub.add_parser("describe", parents=[run],
-                   help="descriptive stats, correlation, JB, and unit-root tables")
-    sub.add_parser("test", parents=[run],
-                   help="normality and unit-root tables only")
-    sub.add_parser("fit", parents=[run],
-                   help="per-asset volatility fits plus the joint correlation fit")
-    sub.add_parser("risk", parents=[run],
-                   help="VaR variants and drawdowns per asset/period/level")
-    sub.add_parser("report", parents=[run], help="describe + fit + risk")
-    sim = sub.add_parser("simulate", parents=[common],
-                         help="generate a seeded correlated panel for testing")
-    sim.add_argument("--assets", type=int, default=3, metavar="K")
-    sim.add_argument("--length", type=int, default=1000, metavar="T")
-    sim.add_argument("--start", default="2019-01-01", metavar="DATE")
-    return parser
-
-
-def _setup_logging() -> None:
-    name = os.environ.get("VOLRISK_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
-def _overrides(args) -> dict:
-    # simulate's parser takes neither --levels nor --portfolio-amount
-    given = {"out_dir": args.out, "seed": args.seed, "levels": getattr(args, "levels", None),
-             "amount": getattr(args, "portfolio_amount", None)}
-    return {key: value for key, value in given.items() if value is not None}
-
-
-def _simulate(args) -> int:
-    """``simulate`` with or without ``--validate``: both resolve and check
-    the same arguments.  The output dir and seed come from ``--config``
-    under ``--out`` and ``--seed`` when one is given, else from those flags
-    over ``RunConfig``'s defaults."""
-    if args.config is not None:
-        cfg = load_run_config(args.config, _overrides(args))
-        out_dir, seed = cfg.out_dir, cfg.seed
-    else:
-        out_dir = RunConfig.out_dir if args.out is None else args.out
-        seed = RunConfig.seed if args.seed is None else args.seed
-    start = _as_date(args.start, "--start")
-    if not args.validate:
-        return cmd_simulate(out_dir, seed, args.assets, args.length, start)
-    iso = _simulation_calendar(seed, args.assets, args.length, start)
-    print(f"simulate ok: {args.assets} asset(s), {args.length} return(s) "
-          f"from {iso[1]} to {iso[-1]}, seed {seed}, output to {out_dir}")
     return EXIT_OK
 
 

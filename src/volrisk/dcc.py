@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import _t_const, _t_const_dnu
-from .egarch import EgarchFit, EgarchParams, _egarch_shocks, aic
+from .egarch import _BURN, EgarchFit, EgarchParams, _egarch_shocks, aic
 from .market_data import DataError, DegenerateSeriesError
 from .optimize import ParamSpace, _fit, _objectives, _scan, _std_errors
 
@@ -364,7 +364,6 @@ def simulate_dcc_panel(
     Qbar: np.ndarray,
     n: int,
     seed: int,
-    burn: int = 500,
 ) -> tuple:
     """Jointly simulate a return panel under per-asset log-variance
     recursions and the correlation recursion.
@@ -383,7 +382,7 @@ def simulate_dcc_panel(
     nu = dcc_params.joint_shape
     alpha, beta = dcc_params.alpha, dcc_params.beta
     rng = np.random.default_rng(seed)
-    total = n + burn
+    total = n + _BURN
 
     Q = Qbar.copy()
     C = Qbar * (1.0 - alpha - beta)
@@ -410,4 +409,4 @@ def simulate_dcc_panel(
     # log-variance recursion runs on its finished column of innovations
     returns = np.column_stack([p.mean.mu + _egarch_shocks(p, Z[:, i])
                                for i, p in enumerate(asset_params)])
-    return returns[burn:], Z[burn:]
+    return returns[_BURN:], Z[_BURN:]

@@ -10,10 +10,8 @@ shape and skew parameters never leak into the conditional-variance scale:
   after which the result is recentred and rescaled back to mean 0, var 1.
   ``skew = 1`` recovers the symmetric family exactly.
 
-Also provides the standardized multivariate t density used for joint
-correlation estimation.  The special functions behind the t distribution
-function, its inverse and the normal quantile are computed here, in numpy
-and the standard library.
+The special functions behind the t distribution function, its inverse and
+the normal quantile are computed here, in numpy and the standard library.
 """
 from __future__ import annotations
 
@@ -30,7 +28,6 @@ __all__ = [
     "logpdf_grad",
     "abs_moment_grad",
     "quantile",
-    "mvt_logpdf",
     "sample",
 ]
 
@@ -426,34 +423,6 @@ def quantile(d: InnovationDist, p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     return float(_ppf(p, d))
-
-
-def mvt_logpdf(z, R, shape: float) -> float:
-    """Log density of the standardized multivariate t at ``z``.
-
-    ``R`` is a correlation matrix (symmetric positive definite, unit
-    diagonal); ``shape`` > 2 is the joint tail parameter.  The margins are
-    unit variance, which is what makes this composable with univariate
-    volatility filters.
-    """
-    z = np.asarray(z, dtype=float)
-    R = np.asarray(R, dtype=float)
-    k = z.shape[0]
-    if R.shape != (k, k):
-        raise ValueError(f"R has shape {R.shape}, expected ({k}, {k})")
-    if not np.allclose(R, R.T, atol=1e-8):
-        raise ValueError("R is not symmetric")
-    if shape <= 2.0:
-        raise ValueError(f"shape must be > 2, got {shape}")
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("R is not positive definite") from exc
-    w = np.linalg.solve(L, z)
-    q = float(w @ w)
-    logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
-    return float(_t_const(shape, k) - 0.5 * logdet
-                 - (shape + k) / 2.0 * math.log1p(q / (shape - 2.0)))
 
 
 def sample(d: InnovationDist, n: int, seed: int) -> np.ndarray:

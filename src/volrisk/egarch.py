@@ -55,6 +55,8 @@ __all__ = [
 log = logging.getLogger("volrisk.egarch")
 
 _MAX_ARMA_ORDER = 5
+# the draws every simulator runs before the n it returns
+_BURN = 500
 
 
 @dataclass(frozen=True)
@@ -396,30 +398,30 @@ def _egarch_shocks(params: EgarchParams, z) -> np.ndarray:
     return z * np.sqrt(np.fromiter(map(math.exp, path), float, len(path)))
 
 
-def simulate_egarch(params: EgarchParams, n: int, seed: int, burn: int = 500) -> np.ndarray:
+def simulate_egarch(params: EgarchParams, n: int, seed: int) -> np.ndarray:
     """Simulate n returns from the model, discarding a burn-in prefix.
 
     log h starts at its stationary mean omega/(1 - b_pers).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    eps = _egarch_shocks(params, dist_mod.sample(params.dist, n + burn, seed))
+    eps = _egarch_shocks(params, dist_mod.sample(params.dist, n + _BURN, seed))
     m = params.mean
-    return _apply_mean(eps, m.mu, m.ar, m.ma)[burn:]
+    return _apply_mean(eps, m.mu, m.ar, m.ma)[_BURN:]
 
 
-def simulate_garch11(params: Garch11Params, n: int, seed: int, burn: int = 500) -> np.ndarray:
+def simulate_garch11(params: Garch11Params, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     d = params.dist
-    z = dist_mod.sample(d, n + burn, seed)
-    total = n + burn
+    z = dist_mod.sample(d, n + _BURN, seed)
+    total = n + _BURN
     h = params.alpha0 / (1.0 - params.alpha1 - params.gamma1)
     eps = np.empty(total)
     for t in range(total):
         eps[t] = z[t] * math.sqrt(h)
         h = params.alpha0 + params.alpha1 * eps[t] * eps[t] + params.gamma1 * h
-    return params.mu + eps[burn:]
+    return params.mu + eps[_BURN:]
 
 
 def _apply_mean(eps: np.ndarray, mu: float, ar, ma) -> np.ndarray:

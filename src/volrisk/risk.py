@@ -183,12 +183,11 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
 
 
 def _check_sample(symbol: str, n: int, levels) -> None:
-    """Raise, or warn of a thin sample, as the empirical quantiles of n
-    returns at every level require."""
+    """Raise unless n returns give an empirical quantile, then warn of
+    each checked level they are thin for."""
+    if n < 10:
+        raise DataError(f"{symbol}: need at least 10 observations, got {n}")
     for level in levels:
-        _check_level(level)
-        if n < 10:
-            raise DataError(f"{symbol}: need at least 10 observations, got {n}")
         needed = 1.0 / (1.0 - level)
         if n < needed:
             log.warning("%s: %d observations is thin for level %g (want >= %.0f)",
@@ -198,6 +197,7 @@ def _check_sample(symbol: str, n: int, levels) -> None:
 def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     """-(empirical (1-level)-quantile of returns) W, linear interpolation
     between order statistics."""
+    _check_level(level)
     _check_sample(r.symbol, len(r), (level,))
     return 0.0 - float(np.quantile(r.values, 1.0 - level)) * amount
 
@@ -235,8 +235,9 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     drawdown per (asset, period).
 
     Moments are recomputed on each period's sample, for every asset at
-    once.  Errors and thin-level warnings come in (asset, period) order.
-    An empty period is an error naming the period and asset.
+    once.  Errors and thin-level warnings come in (asset, period) order; a
+    cell's error keeps its class and names the period, then the asset.  A
+    period of fewer than 10 returns is refused, an empty one as having none.
     """
     V = np.stack([s.values for s in panel.series])
     q = (*_QUARTILES, *(1.0 - lv for lv in spec.levels))
@@ -246,24 +247,29 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     stats: dict = {}
     for i, symbol in enumerate(panel.symbols):
         for j, (name, start, end) in enumerate(spec.periods):
-            if i == 0:
-                # each period's block is built when the first asset reaches
-                # it, so errors and warnings keep a per-cell loop's order
-                lo, hi = _span(panel.dates, start, end)
-                if lo >= hi:
-                    raise DataError(f"period {name!r}: no observations for {symbol}")
-                blocks.append((hi - lo, _moments(V[:, lo:hi], q),
-                               _drawdowns(V[:, lo:hi]).min(axis=1).tolist()))
-            n, rows, dd_min = blocks[j]
-            cell_stats = _stats(symbol, n, rows[i])
+            try:
+                if i == 0:
+                    # each period's block is built, its length checked, when the first
+                    # asset reaches it, so errors and warnings keep a per-cell loop's order
+                    lo, hi = _span(panel.dates, start, end)
+                    if lo >= hi:
+                        raise DataError(f"no observations for {symbol}")
+                    _check_sample(symbol, hi - lo, ())
+                    blocks.append((hi - lo, _moments(V[:, lo:hi], q),
+                                   _drawdowns(V[:, lo:hi]).min(axis=1).tolist()))
+                n, rows, dd_min = blocks[j]
+                cell_stats = _stats(symbol, n, rows[i])
+                _check_sample(symbol, n, spec.levels)
+                for lv, quantile in zip(spec.levels, rows[i][-len(spec.levels):]):
+                    var[(symbol, name, lv)] = {
+                        "gaussian": gaussian_var(cell_stats, lv, spec.amount),
+                        "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
+                        "empirical": 0.0 - quantile * spec.amount,
+                    }
+            except DataError as exc:
+                # the same class, so a zero variance stays a DegenerateSeriesError
+                raise type(exc)(f"period {name!r}: {exc}") from exc
             stats[(symbol, name)] = cell_stats
             max_dd[(symbol, name)] = dd_min[i]
-            _check_sample(symbol, n, spec.levels)
-            for lv, quantile in zip(spec.levels, rows[i][-len(spec.levels):]):
-                var[(symbol, name, lv)] = {
-                    "gaussian": gaussian_var(cell_stats, lv, spec.amount),
-                    "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": 0.0 - quantile * spec.amount,
-                }
     return RiskReport(spec=spec, symbols=panel.symbols, var=var,
                       max_drawdown=max_dd, stats=stats)

@@ -458,6 +458,12 @@ class TestHelpers:
         with pytest.raises(ConfigError):
             _parse_levels(",")
 
+    @pytest.mark.parametrize("text", ["0.95,", ",0.95", "0.9,,0.99", " "])
+    def test_parse_levels_reads_every_entry_as_a_number(self, text):
+        # as a null entry in a config's levels is refused, not skipped
+        with pytest.raises(ConfigError, match="^bad --levels .*could not convert"):
+            _parse_levels(text)
+
 
 @pytest.fixture(scope="module")
 def sim_ws(tmp_path_factory):
@@ -937,6 +943,19 @@ class TestRisk:
         assert rows[0] == "symbol,level,full_var,full_cfvar,full_empvar"
         assert len(rows) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("end, n", [("2019-01-04", 3), ("2019-01-09", 6)])
+    def test_short_period_names_itself_and_the_minimum(self, sim_cfg, tmp_path, capsys,
+                                                         end, n):
+        # simulate's returns start on 2019-01-02; the risk step takes 10 returns
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["periods"]["short"] = {"start": "2019-01-02", "end": end}
+        d = tmp_path / "out"
+        assert main(["risk", "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                     "--out", str(d)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: period 'short': SIM1: need at least 10 observations, got {n}\n")
+        assert not d.exists()
+
 
 class TestExitCodes:
     def test_missing_config_is_3(self, capsys):
@@ -1118,7 +1137,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("amount", ["0", "-1"])
     def test_nonpositive_portfolio_amount_override_is_3(self, tmp_path, capsys, amount):
         cfg = _write_cfg(tmp_path / "c.yaml", MINIMAL)
-        argv = ["describe", "--config", cfg, "--validate", "--portfolio-amount", amount]
+        argv = ["risk", "--config", cfg, "--validate", "--portfolio-amount", amount]
         assert main(argv) == 3
         assert "config error: portfolio amount must be > 0" in capsys.readouterr().err
 
@@ -1175,7 +1194,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["report", "--bogus"], "unrecognized arguments: --bogus"),
-        (["report", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["simulate", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         (["risk", "--portfolio-amount", "lots"],
          "argument --portfolio-amount: invalid float value: 'lots'"),
         (["simulate", "--length", "1e3"], "argument --length: invalid int value: '1e3'"),
@@ -1185,6 +1204,11 @@ class TestUsageErrors:
         (["simulate", "--portfolio-amount", "2", "--validate"],
          "unrecognized arguments: --portfolio-amount 2"),
         ([], "the following arguments are required: COMMAND"),
+        # only simulate draws random numbers, and only the risk step reads
+        # levels and the portfolio amount
+        (["report", "--seed", "5"], "unrecognized arguments: --seed 5"),
+        (["describe", "--levels", "0.9"], "unrecognized arguments: --levels 0.9"),
+        (["fit", "--portfolio-amount", "2"], "unrecognized arguments: --portfolio-amount 2"),
     ])
     def test_refused_flags_exit_3_and_write_nothing(self, sim_cfg, tmp_path, capsys,
                                                      argv, message):
@@ -1217,6 +1241,20 @@ class TestUsageErrors:
         usage = capsys.readouterr().out
         assert "--assets" in usage and "--seed" in usage
         assert "--levels" not in usage and "--portfolio-amount" not in usage
+
+    @pytest.mark.parametrize("command, flags", [
+        *((c, ["--config", "--out", "--validate"]) for c in ("describe", "test", "fit")),
+        *((c, ["--config", "--out", "--validate", "--levels", "--portfolio-amount"])
+          for c in ("risk", "report")),
+        ("simulate", ["--config", "--out", "--validate", "--seed", "--assets", "--length",
+                      "--start"]),
+    ])
+    def test_each_command_lists_only_the_flags_it_reads(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        listed = {w.strip("[]") for w in usage.split() if w.startswith(("--", "[--"))}
+        assert listed == {"--help", *flags}
 
 
 # drawdowns reach toward -1; prices are positive, but any float must keep its bytes

@@ -7,7 +7,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from volrisk.distributions import InnovationDist, _t_const_dnu, mvt_logpdf
+from mvt_oracle import mvt_logpdf
+from volrisk.distributions import InnovationDist, _t_const_dnu
 from volrisk.dcc import (
     DccParams,
     _filter_core,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mvt_oracle import mvt_logpdf
 from scipy import integrate, special, stats
 
 from volrisk.distributions import (
@@ -20,7 +21,6 @@ from volrisk.distributions import (
     cdf,
     logpdf,
     logpdf_grad,
-    mvt_logpdf,
     quantile,
     sample,
 )

@@ -135,6 +135,9 @@ def _flat_stats():
 
 @pytest.mark.parametrize("call, exc, message", [
     (lambda ms: PriceSeries("p", _D3, np.ones(2)), DataError, "p: 3 dates but 2 closes"),
+    # the loader refuses a one-row file before it builds a series
+    (lambda ms: PriceSeries("p", _D3[:1], np.ones(1)), DataError,
+     "p: need at least 2 observations, got 1"),
     (lambda ms: ReturnSeries("r", (), np.ones(0)), DataError, "r: empty return series"),
     (lambda ms: ReturnSeries("r", _D3, np.ones(2)), DataError, "r: 3 dates but 2 returns"),
     (lambda ms: ReturnPanel((), _D3), DataError, "panel needs at least one series"),

@@ -1,9 +1,10 @@
 """Bitwise oracle of the panel pass behind ``describe`` and ``risk_report``.
 
 The reference below is the per-cell loop the panel pass replaced, kept
-verbatim: for each (asset, period) cell it restricts the series by
-bisection, then runs ``describe``, ``drawdown`` and the empirical
-quantiles on the 1-D sample.  On any panel both must give the same
+verbatim but for its input rule, a period under 10 returns refused, and
+its error messages, which name the period: for each (asset, period) cell
+it restricts the series by bisection, then runs ``describe``, ``drawdown``
+and the empirical quantiles on the 1-D sample.  On any panel both must give the same
 report to the last bit (``to_dict``, ``to_csv`` and the repr of every
 maximum drawdown), or raise the same error, after logging the same warnings
 in the same order.
@@ -104,19 +105,26 @@ def reference_risk_report(panel, spec):
     var, dds, stats = {}, {}, {}
     for s in panel.series:
         for name, start, end in spec.periods:
-            sub = reference_restrict(s, start, end)
-            if sub is None:
-                raise DataError(f"period {name!r}: no observations for {s.symbol}")
-            cell_stats = reference_describe(sub)
-            stats[(s.symbol, name)] = cell_stats
-            dds[(s.symbol, name)] = reference_drawdown(sub)[1]
-            quantiles = reference_empirical_quantiles(sub, spec.levels)
-            for lv, q in zip(spec.levels, quantiles):
-                var[(s.symbol, name, lv)] = {
-                    "gaussian": gaussian_var(cell_stats, lv, spec.amount),
-                    "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
-                    "empirical": 0.0 - q * spec.amount,
-                }
+            # a cell's error names its period, and a period under 10 returns
+            # is refused before its moments are taken
+            try:
+                sub = reference_restrict(s, start, end)
+                if sub is None:
+                    raise DataError(f"no observations for {s.symbol}")
+                if len(sub) < 10:
+                    raise DataError(f"{s.symbol}: need at least 10 observations, got {len(sub)}")
+                cell_stats = reference_describe(sub)
+                stats[(s.symbol, name)] = cell_stats
+                dds[(s.symbol, name)] = reference_drawdown(sub)[1]
+                quantiles = reference_empirical_quantiles(sub, spec.levels)
+                for lv, q in zip(spec.levels, quantiles):
+                    var[(s.symbol, name, lv)] = {
+                        "gaussian": gaussian_var(cell_stats, lv, spec.amount),
+                        "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
+                        "empirical": 0.0 - q * spec.amount,
+                    }
+            except DataError as exc:
+                raise type(exc)(f"period {name!r}: {exc}") from exc
     return RiskReport(spec=spec, symbols=panel.symbols, var=var, max_drawdown=dds, stats=stats)
 
 
@@ -263,13 +271,15 @@ def test_the_first_failing_cell_in_asset_order_raises_after_its_warnings():
     panel, spec = _fixed(X, [("p0", None, None), ("p1", 20, 39), ("p2", 50, 55)])
     got = _outcome(risk_report, panel, spec)
     assert got == _outcome(reference_risk_report, panel, spec)
-    assert got[:3] == ("error", DataError, "S0: need at least 10 observations, got 6")
+    assert got[:3] == ("error", DataError,
+                       "period 'p2': S0: need at least 10 observations, got 6")
     assert len(got[3]) == 2 and all(m.startswith("S0: ") for m in got[3])
     # without p2 the zero variance of S1 is the first failure, after S0's warnings
     panel, spec = _fixed(X, [("p0", None, None), ("p1", 20, 39)])
     got = _outcome(risk_report, panel, spec)
     assert got == _outcome(reference_risk_report, panel, spec)
-    assert got[:3] == ("error", DegenerateSeriesError, "S1: degenerate: zero variance")
+    assert got[:3] == ("error", DegenerateSeriesError,
+                       "period 'p1': S1: degenerate: zero variance")
     assert [m[:3] for m in got[3]] == ["S0:", "S0:", "S1:"]
 
 
