@@ -542,6 +542,10 @@ def _parse_levels(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # each flag has one spelling: a prefix of one is an unknown flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # a usage error exits 3, not argparse's 2, which means an input data error
         raise ConfigError(message)
@@ -612,7 +616,7 @@ def _simulate(args) -> int:
               f"from {iso[1]} to {iso[-1]}, seed {seed}, output to {out_dir}")
         return EXIT_OK
     assets, dcc, Qbar = _simulation_dgp(args.assets)
-    returns, _ = simulate_dcc_panel(assets, dcc, Qbar, n=args.length, seed=seed)
+    returns = simulate_dcc_panel(assets, dcc, Qbar, n=args.length, seed=seed)[0]
     # unit-scale DGP mapped onto a 1%-vol price tape
     scale = 0.01
     symbols = [f"SIM{i + 1}" for i in range(args.assets)]

@@ -407,6 +407,7 @@ def simulate_dcc_panel(
         Q += zz
     # the correlation path never sees the returns, so each asset's
     # log-variance recursion runs on its finished column of innovations
-    returns = np.column_stack([p.mean.mu + _egarch_shocks(p, Z[:, i])
-                               for i, p in enumerate(asset_params)])
+    returns = np.empty((total, k))
+    for i, p in enumerate(asset_params):
+        returns[:, i] = p.mean.mu + _egarch_shocks(p, Z[:, i])
     return returns[_BURN:], Z[_BURN:]

@@ -253,10 +253,9 @@ def egarch_filter(eps, params: EgarchParams) -> np.ndarray:
     if not h0 > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
     ez = dist_mod.abs_moment(params.dist)
-    return np.asarray(
-        _egarch_h(eps.tolist(), params.omega, params.a_mag, params.xi,
+    h = _egarch_h(eps.tolist(), params.omega, params.a_mag, params.xi,
                   params.b_pers, ez, h0)
-    )
+    return np.fromiter(h, float, len(h))
 
 
 def garch11_filter(eps, params: Garch11Params) -> np.ndarray:

@@ -451,15 +451,44 @@ def align_panel(series: Sequence[ReturnSeries]) -> ReturnPanel:
 _QUARTILES = (0.25, 0.75)
 
 
+def _quantiles(X: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.quantile(X, q, axis=-1)`` of the finite array ``X`` bit for
+    bit, one row per level of ``q``, by numpy's own linear-method steps.
+
+    The one step left out is numpy's ``np.unique`` of the partition
+    points, which imports ``numpy.ma``; ``sorted`` of a set gives the
+    same points, so ``partition`` leaves ``0.0`` and ``-0.0`` where
+    numpy's does.
+    """
+    n = X.shape[-1]
+    v = (n - 1) * np.asarray(q, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1.0
+    # a level at the top index reads the last order statistic on both sides
+    top = v >= n - 1
+    lo[top] = hi[top] = -1.0
+    t = (v - lo).reshape(v.shape + (1,) * (X.ndim - 1))
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    A = np.moveaxis(X.copy(), -1, 0)
+    A.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=0)
+    a, b = A[lo], A[hi]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _moments(X: np.ndarray, q: Sequence[float] = _QUARTILES) -> list:
     """One tuple of Python floats per row of the (k, n) array ``X``: the
     mean, the central moments m2, m3 and m4 (denominator n), the std
     (denominator n - 1), the min, the max and the quantiles at ``q``.
 
     Every step is an axis-1 reduction or elementwise, so each row gets
-    bitwise what its own 1-D array would.
+    bitwise what its own 1-D array would.  The quantiles come first, so
+    their working copy of ``X`` is freed before ``c`` and ``c^2`` exist.
     """
     n = X.shape[1]
+    quantiles = _quantiles(X, q)
     mean = X.mean(axis=1)
     c = X - mean[:, None]
     # one buffer takes c^2, c^3 and c^4 in turn
@@ -470,8 +499,7 @@ def _moments(X: np.ndarray, q: Sequence[float] = _QUARTILES) -> list:
     # n = 1 makes the std 0 / 0, which _stats rejects for its length
     with np.errstate(invalid="ignore"):
         std = np.sqrt(ss / (n - 1))
-    cols = (mean, ss / n, m3, m4, std, X.min(axis=1), X.max(axis=1),
-            *np.quantile(X, q, axis=1))
+    cols = (mean, ss / n, m3, m4, std, X.min(axis=1), X.max(axis=1), *quantiles)
     return list(zip(*(a.tolist() for a in cols)))
 
 

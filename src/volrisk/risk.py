@@ -26,6 +26,7 @@ from .market_data import (
     ReturnPanel,
     ReturnSeries,
     _moments,
+    _quantiles,
     _stats,
 )
 
@@ -199,7 +200,7 @@ def empirical_var(r: ReturnSeries, level: float, amount: float = 1.0) -> float:
     between order statistics."""
     _check_level(level)
     _check_sample(r.symbol, len(r), (level,))
-    return 0.0 - float(np.quantile(r.values, 1.0 - level)) * amount
+    return 0.0 - float(_quantiles(r.values, (1.0 - level,))[0]) * amount
 
 
 def _drawdowns(X: np.ndarray) -> np.ndarray:

@@ -1209,6 +1209,11 @@ class TestUsageErrors:
         (["report", "--seed", "5"], "unrecognized arguments: --seed 5"),
         (["describe", "--levels", "0.9"], "unrecognized arguments: --levels 0.9"),
         (["fit", "--portfolio-amount", "2"], "unrecognized arguments: --portfolio-amount 2"),
+        # each flag has one spelling: a prefix of it is an unknown flag
+        (["risk", "--lev", "0.9", "--port", "2", "--val"],
+         "unrecognized arguments: --lev 0.9 --port 2 --val"),
+        (["simulate", "--len", "60", "--se", "4", "--val"],
+         "unrecognized arguments: --len 60 --se 4 --val"),
     ])
     def test_refused_flags_exit_3_and_write_nothing(self, sim_cfg, tmp_path, capsys,
                                                      argv, message):
@@ -1299,18 +1304,45 @@ print(sim, code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
+_RUN_AND_LIST_NUMPY_MA = """
+import sys
+from volrisk.cli import main
+
+code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def _package_env() -> dict:
+    # a child interpreter that imports this volrisk
+    src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 class TestEntryPoint:
     def test_runs_without_scipy(self, tmp_path):
-        src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_package_env())
         assert proc.returncode == 0, proc.stderr
         sim, code, loaded = proc.stdout.split(" ", 2)
         assert sim == "0" and code in ("0", "1")
         assert loaded.strip() == "[]"
         assert (tmp_path / "results" / "dcc.json").is_file()
+
+    @pytest.mark.parametrize("command", ["describe", "risk", "report"])
+    def test_run_commands_leave_numpy_ma_unimported(self, tmp_path, command):
+        # importing numpy.ma costs a process about 1.2 MB; np.quantile's
+        # np.unique imports it, the package's own quantiles do not
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "3", "--assets", "2",
+                     "--length", "300"]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_LIST_NUMPY_MA, command,
+             "--config", str(tmp_path / "sim_config.yaml")],
+            capture_output=True, text=True, env=_package_env())
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.split()
+        assert code in ("0", "1") and loaded == "False"
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

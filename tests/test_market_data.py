@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from volrisk.market_data import (
     _ADF_SURFACE,
@@ -18,6 +19,7 @@ from volrisk.market_data import (
     PriceSeries,
     ReturnPanel,
     ReturnSeries,
+    _quantiles,
     adf_test,
     align_panel,
     describe,
@@ -262,6 +264,32 @@ class TestDescribe:
     def test_degenerate(self, make_series):
         with pytest.raises(DegenerateSeriesError):
             describe(make_series([0.01] * 50))
+
+
+# returns rounded to one decimal, so rows hold ties and both signed zeros
+_CELLS = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0).map(lambda v: round(v, 1))
+_LEVEL = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+class TestQuantiles:
+    """``_quantiles`` takes numpy's linear-method steps, so it is compared
+    bit for bit with the installed numpy: a numpy that changes its method
+    fails here instead of moving the report's quantiles silently."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(X=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 40)), elements=_CELLS),
+           q=st.lists(_LEVEL, min_size=1, max_size=6))
+    def test_panel_rows_match_numpy(self, X, q):
+        got, want = _quantiles(X, q), np.quantile(X, q, axis=1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(x=arrays(float, st.integers(1, 40), elements=_CELLS), p=_LEVEL)
+    def test_one_series_at_one_level_matches_numpy(self, x, p):
+        # the empirical VaR's case: a 1-D series and a scalar level
+        got = _quantiles(x, (p,))[0]
+        assert got.view(np.int64) == np.float64(np.quantile(x, p)).view(np.int64)
 
 
 class TestJarqueBera:
