@@ -149,6 +149,15 @@ def _typed(value, kind: str, key, where: str):
     return value
 
 
+def _number(value, key) -> float:
+    # a config number as a float, an integer beyond float's range refused
+    try:
+        return float(_typed(value, "a number", key, "config"))
+    except OverflowError:
+        raise ConfigError(f"config: {key!r} must be a number within float range, "
+                          f"got an integer of {len(str(abs(value)))} digits") from None
+
+
 def _unless_null(value, default):
     # where null reads as the key left out; `0`, `false`, `''` or `[]` is a typo
     return default if value is None else value
@@ -213,7 +222,8 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer over Python's digit limit for str -> int
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a top-level mapping")
@@ -231,14 +241,12 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
         "periods": _parse_periods(raw.get("periods")),
         "family": _typed(_unless_null(raw.get("distribution"), RunConfig.family), "a string",
                          "distribution", "config"),
-        "levels": tuple(float(_typed(v, "a number", "levels", "config")) for v in levels),
-        "amount": float(_typed(raw.get("portfolio_amount", RiskSpec.amount), "a number",
-                               "portfolio_amount", "config")),
+        "levels": tuple(_number(v, "levels") for v in levels),
+        "amount": _number(raw.get("portfolio_amount", RiskSpec.amount), "portfolio_amount"),
         "out_dir": _typed(_unless_null(raw.get("output_dir"), RunConfig.out_dir), "a string",
                           "output_dir", "config"),
         "seed": _typed(raw.get("seed", RunConfig.seed), "an integer", "seed", "config"),
-        "risk_free": (None if risk_free is None
-                      else float(_typed(risk_free, "a number", "risk_free_rate", "config"))),
+        "risk_free": None if risk_free is None else _number(risk_free, "risk_free_rate"),
     }
     fields.update(overrides or {})
     return RunConfig(**fields)
@@ -523,8 +531,11 @@ def _simulation_calendar(seed: int, n_assets: int, length: int, start: Date) -> 
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     days = map(Date.fromordinal, range(start.toordinal(), Date.max.toordinal() + 1))
+    # a day holds at most one weekday, so the count capped at the days left
+    # takes the same dates and stays within islice's range
+    left = Date.max.toordinal() - start.toordinal() + 1
     iso = [d.isoformat() for d in itertools.islice(
-        (d for d in days if d.weekday() < 5), length + 1)]
+        (d for d in days if d.weekday() < 5), min(length + 1, left))]
     if len(iso) <= length:
         raise ConfigError(f"--start {start}: {length + 1} weekdays from it run past {Date.max}")
     return iso

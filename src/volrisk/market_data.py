@@ -277,13 +277,8 @@ def _read_prices(source: str, columns: "dict | None", calendar: "tuple | None" =
         if shared:
             dates = calendar[1]
         else:
-            try:
-                dates = tuple(map(Date.fromisoformat, raw_dates))
-            except ValueError:
-                # intraday timestamps truncated to the calendar day; a cell
-                # fromisoformat takes whole has at most 10 characters and no
-                # blank, so the truncation reads it as the same day
-                dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
+            # intraday timestamps truncated to the calendar day
+            dates = tuple(map(Date.fromisoformat, map(_DAY, map(str.strip, raw_dates))))
         close = np.fromiter(map(float, raw_close), float, count=n)
         if not np.all(np.isfinite(close) & (close > 0.0)):
             raise ValueError("non-positive price")

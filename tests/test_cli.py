@@ -528,6 +528,17 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path), "--assets", "1"]) == 3
         assert main(["simulate", "--out", str(tmp_path), "--length", "10"]) == 3
 
+    def test_length_beyond_islice_range_is_3(self, tmp_path, capsys):
+        # 10**19 is over islice's limit of 2**63 - 1; from 9999-12-01 the walk is a month
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--length", str(10**19),
+                "--start", "9999-12-01"]
+        for extra in (["--validate"], []):
+            assert main(argv + extra) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("config error: --start 9999-12-01: ")
+            assert err.endswith(" weekdays from it run past 9999-12-31\n")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_the_config_seed(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write_cfg(tmp_path / "c.yaml", {**MINIMAL, "seed": 11, "output_dir": str(out)})
@@ -1133,6 +1144,23 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg, "--validate"]) == 3
         err = capsys.readouterr().err
         assert "config error" in err and "portfolio_amount" in err
+
+    @pytest.mark.parametrize("line,argv,match", [
+        ("portfolio_amount: 1" + "0" * 400, ["describe"], "'portfolio_amount' must be a number"),
+        ("risk_free_rate: 1" + "0" * 400, ["describe"], "'risk_free_rate' must be a number"),
+        ("levels: [0.95, 1" + "0" * 400 + "]", ["describe"], "'levels' must be a number"),
+        # over Python's limit of 4300 digits for an int read from a string
+        ("seed: " + "1" * 5001, ["describe"], "cannot parse config"),
+        ("seed: 1", ["risk", "--portfolio-amount", "1e400"], "portfolio amount must be > 0"),
+    ], ids=["portfolio_amount", "risk_free_rate", "levels", "seed", "flag"])
+    def test_numbers_out_of_range_are_3(self, tmp_path, capsys, line, argv, match):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(dict(MINIMAL, output_dir=str(tmp_path / "out")))
+                       + line + "\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg), "--validate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
     @pytest.mark.parametrize("amount", ["0", "-1"])
     def test_nonpositive_portfolio_amount_override_is_3(self, tmp_path, capsys, amount):

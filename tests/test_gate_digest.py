@@ -1,14 +1,19 @@
 """The byte gate in tier-1: the 32 runs of ``tools/gate_trees.py``, run in
 this process on ``src/``, must give the exit codes, output bytes and
-``converged`` flags recorded in ``tests/gate_digest.json``.
+``converged`` flags recorded in ``tests/gate_digest.json``; on a failure
+the message also gives the worst relative change of each estimate field.
 
-A change that means to move output bytes regenerates the digest
+The digest also holds the estimates of every fit file, so one run shows
+how far a change moves them:
 
-    python3 tools/gate_trees.py --src src --digest tests/gate_digest.json
+    python3 tools/gate_trees.py --out new.json
+    python3 tools/gate_trees.py --compare tests/gate_digest.json new.json
 
-and its ``git diff`` shows which runs and files moved.  The digest records
-the Python and numpy versions it was made under; under other versions the
-test skips, since numpy or its BLAS can move the last bits of an estimate.
+A change that means to move output bytes regenerates the digest with
+``python3 tools/gate_trees.py --out tests/gate_digest.json``, and its
+``git diff`` shows which runs and files moved.  The digest records the
+Python and numpy versions it was made under; under other versions the test
+skips, since numpy or its BLAS can move the last bits of an estimate.
 """
 import importlib.util
 import json
@@ -33,4 +38,5 @@ def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
     # gate() puts src/ and perfbench/ on the path; keep that to this test
     monkeypatch.setattr(sys, "path", list(sys.path))
     runs = gate_trees.gate(ROOT / "src", tmp_path)
-    assert gate_trees.compare(committed["runs"], runs) == []
+    diffs = gate_trees.compare(committed["runs"], runs)
+    assert diffs == [], "\n".join(diffs + gate_trees.drift(committed["runs"], runs))

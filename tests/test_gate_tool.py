@@ -1,7 +1,9 @@
 """Unit tests of the byte-identity gate's ``compare`` and ``drift``
-(``tools/gate_trees.py``) on small hand-built digests."""
+(``tools/gate_trees.py``) on small hand-built digests, and of the format of
+the committed ``tests/gate_digest.json``."""
 import copy
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -102,3 +104,26 @@ def test_drift_is_split_by_the_converged_flag_of_b():
                         "r fit_A.json loglik: -10.0 -> -11.0")
     assert lines[1] == ("worst relative change, loglik (unconverged): 0.2 at "
                         "s fit_A.json loglik: -10.0 -> -12.0")
+
+
+def test_the_committed_digest_compares_identical_to_itself(capsys):
+    # one format: versions and runs, each run with the estimates of every fit file it lists
+    path = _PATH.parent.parent / "tests" / "gate_digest.json"
+    committed = json.loads(path.read_text())
+    assert sorted(committed) == ["numpy", "python", "runs"]
+    for run in committed["runs"].values():
+        outputs = {name.rsplit("/", 1)[1] for name in run["files"] if "/" in name}
+        fits = {name for name in outputs if name.startswith("fit_") or name == "dcc.json"}
+        assert set(run["values"]) == set(run["converged"]) == fits
+    assert gate_trees.main(["--compare", str(path), str(path)]) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first == "identical: 32 runs"
+    assert {line.split(" (")[0] for line in lines} == {
+        f"worst relative change, {field}" for field in gate_trees.FIELDS}
+    assert all(": 0 at " in line for line in lines)
+
+
+def test_there_is_no_second_format():
+    with pytest.raises(SystemExit) as exc:
+        gate_trees.main(["--digest", "d.json"])
+    assert exc.value.code == 2

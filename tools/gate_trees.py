@@ -1,8 +1,13 @@
 """Byte-identity gate: digest every output file of fixed CLI runs.
 
-    python3 tools/gate_trees.py --src src --out after.json
-    python3 tools/gate_trees.py --src ../parent/src --out before.json
-    python3 tools/gate_trees.py --compare before.json after.json
+    python3 tools/gate_trees.py --out new.json
+    python3 tools/gate_trees.py --compare tests/gate_digest.json new.json
+
+``tests/gate_digest.json`` is the digest of the committed tree, which
+tier-1 keeps equal to what ``src/`` gives, so one run and one compare show
+what a change moved.  The committed digest applies only under the Python
+and numpy versions it records; under others, digest the parent's tree too
+(``--src ../parent/src --out before.json``) and compare the two runs.
 
 A run imports ``volrisk`` from ``--src`` and drives ``volrisk.cli.main``
 in-process on workspaces simulated with the ``perfbench`` workloads:
@@ -37,9 +42,10 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
 
 That makes 32 runs.
 
-It writes one JSON document mapping each run to the SHA-256 digest of
-every input price file and output file, the ``converged`` flag, estimates
-and likelihood of every fit file, and the exit code of every command.
+It writes one JSON document: the ``python`` and ``numpy`` versions it ran
+under, and ``runs``, mapping each run to the SHA-256 digest of every input
+price file and output file, the ``converged`` flag, estimates and
+likelihood of every fit file, and the exit code of every command.
 ``--compare A B`` lists the files, flags and exit codes that differ and
 exits 1 on any difference; after them it prints the worst relative change
 of each estimate field (``params``, ``std_errors``, ``loglik``,
@@ -56,6 +62,7 @@ import os
 import platform
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -67,8 +74,6 @@ WIDE_SEED = 5
 VARIANT_SEED = 7
 # the estimate fields of fit_*.json and dcc.json whose drift --compare reports
 FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
-# the parts of a run that the committed tier-1 digest keeps
-KEPT = ("exit", "files", "converged")
 
 
 def _write_config(sim_config: Path, name: str, doc: dict) -> Path:
@@ -80,7 +85,7 @@ def _write_config(sim_config: Path, name: str, doc: dict) -> Path:
     return path
 
 
-def _variant_config(sim_config: Path) -> Path:
+def _variant_config(sim_config: Path, name: str) -> Path:
     doc = yaml.safe_load(sim_config.read_text())
     doc["distribution"] = "skew_student_t"
     doc["risk_free_rate"] = 0.0001
@@ -88,78 +93,76 @@ def _variant_config(sim_config: Path) -> Path:
     doc["assets"][1]["mean"] = {"ar": 2, "constant": False}
     full = doc["periods"]["full"]
     doc["periods"]["first"] = {"start": full["start"], "end": "2020-06-30"}
-    return _write_config(sim_config, "variant", doc)
+    return _write_config(sim_config, name, doc)
 
 
-def _short_period_config(sim_config: Path) -> Path:
+def _short_period_config(sim_config: Path, name: str) -> Path:
     doc = yaml.safe_load(sim_config.read_text())
     # the first 5 weekdays of returns: simulate's prices start on 2019-01-01
     doc["periods"]["week"] = {"start": "2019-01-02", "end": "2019-01-08"}
-    return _write_config(sim_config, "short_period", doc)
+    return _write_config(sim_config, name, doc)
 
 
-def _calendars_config(sim_config: Path) -> Path:
-    """The workspace of ``sim_config`` with SIM2's rows 100-199 dropped
-    and SIM3's dates as midnight timestamps, in its own directory."""
-    ws = sim_config.parent / "calendars"
+def _rewritten(sim_config: Path, name: str, rewrite) -> Path:
+    """The workspace of ``sim_config`` in its own directory ``name``, each
+    price file's text passed through ``rewrite(asset, text)``, which may
+    also edit the asset's config entry."""
+    ws = sim_config.parent / name
     ws.mkdir()
     doc = yaml.safe_load(sim_config.read_text())
     for asset in doc["assets"]:
         source = Path(asset["source"])
-        lines = source.read_text().splitlines(keepends=True)
-        if asset["symbol"] == "SIM2":
-            del lines[99:199]
-        elif asset["symbol"] == "SIM3":
-            lines[1:] = [line.replace(",", "T00:00:00,", 1) for line in lines[1:]]
+        (ws / source.name).write_text(rewrite(asset, source.read_text()))
         asset["source"] = str(ws / source.name)
-        (ws / source.name).write_text("".join(lines))
-    return _write_config(ws / sim_config.name, "calendars", doc)
+    return _write_config(ws / sim_config.name, name, doc)
 
 
-def _vendor_config(sim_config: Path) -> Path:
-    """The workspace of ``sim_config`` with every price file rewritten
-    under a seven-column vendor header, in its own directory."""
-    ws = sim_config.parent / "vendor"
-    ws.mkdir()
-    doc = yaml.safe_load(sim_config.read_text())
-    for asset in doc["assets"]:
-        source = Path(asset["source"])
-        _, *rows = source.read_text().splitlines()
-        lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
-        for row in rows:
-            day, close = row.split(",")
-            rounded = f"{float(close):.2f}"
-            lines.append(",".join([day, rounded, rounded, rounded, rounded, close, "n/a"]))
-        asset["source"] = str(ws / source.name)
-        asset["columns"] = {"date": "Date", "close": "Adj Close"}
-        (ws / source.name).write_text("\n".join(lines) + "\n")
-    return _write_config(ws / sim_config.name, "vendor", doc)
+def _calendars(asset: dict, text: str) -> str:
+    # SIM2 without rows 100-199, SIM3's dates as midnight timestamps
+    lines = text.splitlines(keepends=True)
+    if asset["symbol"] == "SIM2":
+        del lines[99:199]
+    elif asset["symbol"] == "SIM3":
+        lines[1:] = [line.replace(",", "T00:00:00,", 1) for line in lines[1:]]
+    return "".join(lines)
 
 
-def _csvpath_config(sim_config: Path) -> Path:
-    """The workspace of ``sim_config`` with SIM1's cells quoted and SIM2's
-    last newline dropped, in its own directory."""
-    ws = sim_config.parent / "csvpath"
-    ws.mkdir()
-    doc = yaml.safe_load(sim_config.read_text())
-    for asset in doc["assets"]:
-        source = Path(asset["source"])
-        text = source.read_text()
-        if asset["symbol"] == "SIM1":
-            text = "".join(f'"{a}","{b}"\n' for a, b in
-                           (line.split(",") for line in text.splitlines()))
-        elif asset["symbol"] == "SIM2":
-            text = text.removesuffix("\n")
-        asset["source"] = str(ws / source.name)
-        (ws / source.name).write_text(text)
-    return _write_config(ws / sim_config.name, "csvpath", doc)
+def _vendor(asset: dict, text: str) -> str:
+    # every file under a seven-column vendor header
+    asset["columns"] = {"date": "Date", "close": "Adj Close"}
+    _, *rows = text.splitlines()
+    lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
+    for row in rows:
+        day, close = row.split(",")
+        rounded = f"{float(close):.2f}"
+        lines.append(",".join([day, rounded, rounded, rounded, rounded, close, "n/a"]))
+    return "\n".join(lines) + "\n"
 
 
-def _digest_run(cli_main, config: Path, commands: tuple, results: Path) -> dict:
+def _csvpath(asset: dict, text: str) -> str:
+    # SIM1's cells quoted, SIM2's last newline dropped
+    if asset["symbol"] == "SIM1":
+        return "".join(f'"{a}","{b}"\n' for a, b in
+                       (line.split(",") for line in text.splitlines()))
+    if asset["symbol"] == "SIM2":
+        return text.removesuffix("\n")
+    return text
+
+
+# the seed-7 variants, each built by build(sim_config, name)
+VARIANTS = (
+    ("variant", _variant_config),
+    ("short_period", _short_period_config),
+    ("calendars", partial(_rewritten, rewrite=_calendars)),
+    ("vendor", partial(_rewritten, rewrite=_vendor)),
+    ("csvpath", partial(_rewritten, rewrite=_csvpath)),
+)
+
+
+def _digest_run(cli_main, config: Path, commands: tuple = ("report",)) -> dict:
     exits = {c: cli_main([c, "--config", str(config)]) for c in commands}
-    files = {}
-    converged = {}
-    values = {}
+    results = Path(yaml.safe_load(config.read_text())["output_dir"])
+    files, converged, values = {}, {}, {}
     outputs = sorted(results.iterdir()) if commands else []
     for p in sorted(config.parent.glob("sim_*.csv")) + outputs:
         data = p.read_bytes()
@@ -176,34 +179,18 @@ def gate(src: Path, work: Path) -> dict:
     sys.path.insert(0, str(src.resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     from volrisk.cli import main as cli_main
-    from workloads import WORKLOADS, make_workspace, results_dir
+    from workloads import WORKLOADS, make_workspace
 
-    runs = {}
     small, ingest = WORKLOADS["report_small"], WORKLOADS["ingest_risk"]
-    for seed in REPORT_SEEDS:
-        config = make_workspace(cli_main, small, work, seed)
-        runs[f"report-{seed}"] = _digest_run(cli_main, config, ("report",),
-                                             results_dir(config))
-    config = _variant_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
-    runs[f"variant-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
-                                                  results_dir(config))
-    config = _short_period_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
-    runs[f"short_period-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
-                                                       results_dir(config))
-    config = _calendars_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
-    runs[f"calendars-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
-                                                    results_dir(config))
-    config = _vendor_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
-    runs[f"vendor-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
-                                                 results_dir(config))
-    config = _csvpath_config(work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml")
-    runs[f"csvpath-{VARIANT_SEED}"] = _digest_run(cli_main, config, ("report",),
-                                                  results_dir(config))
+    runs = {f"report-{seed}": _digest_run(cli_main, make_workspace(cli_main, small, work, seed))
+            for seed in REPORT_SEEDS}
+    seed7 = work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml"
+    for name, build in VARIANTS:
+        runs[f"{name}-{VARIANT_SEED}"] = _digest_run(cli_main, build(seed7, name))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
-    runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands,
-                                                     results_dir(config))
+    runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands)
     config = make_workspace(cli_main, WORKLOADS["report_wide"], work, WIDE_SEED)
-    runs[f"simulate_wide-{WIDE_SEED}"] = _digest_run(cli_main, config, (), results_dir(config))
+    runs[f"simulate_wide-{WIDE_SEED}"] = _digest_run(cli_main, config, ())
     return runs
 
 
@@ -214,12 +201,6 @@ def versions() -> dict:
     import numpy
 
     return {"python": platform.python_version(), "numpy": numpy.__version__}
-
-
-def tier1_digest(runs: dict) -> dict:
-    """``runs`` without their estimates, under this process's versions."""
-    return {**versions(),
-            "runs": {name: {part: run[part] for part in KEPT} for name, run in runs.items()}}
 
 
 def compare(a: dict, b: dict) -> list:
@@ -274,16 +255,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src/ directory to import volrisk from")
-    ap.add_argument("--out", type=Path, help="write the digests here (default stdout, unless --digest)")
-    ap.add_argument("--digest", type=Path, metavar="PATH",
-                    help="write the tier-1 digest (no estimates, with versions) here")
+    ap.add_argument("--out", type=Path, help="write the digest here (default stdout)")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                     help="compare two digest files instead of running")
     args = ap.parse_args(argv)
     if args.compare:
-        # a tier-1 digest holds its runs under "runs"
-        a, b = (json.loads(p.read_text()) for p in args.compare)
-        a, b = a.get("runs", a), b.get("runs", b)
+        a, b = (json.loads(p.read_text())["runs"] for p in args.compare)
         diffs = compare(a, b)
         print("\n".join(diffs) if diffs else f"identical: {len(a)} runs")
         for line in drift(a, b):
@@ -292,12 +269,10 @@ def main(argv=None) -> int:
     os.environ.setdefault("VOLRISK_LOG", "ERROR")
     with tempfile.TemporaryDirectory() as tmp:
         runs = gate(args.src, Path(tmp))
-    if args.digest:
-        args.digest.write_text(json.dumps(tier1_digest(runs), indent=1, sort_keys=True) + "\n")
-    text = json.dumps(runs, indent=1, sort_keys=True) + "\n"
+    text = json.dumps({**versions(), "runs": runs}, indent=1, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
-    elif not args.digest:
+    else:
         sys.stdout.write(text)
     return 0
 
