@@ -67,7 +67,9 @@ class RiskSpec:
         if len({f"{lv:g}" for lv in self.levels}) != len(self.levels):
             raise ValueError(
                 f"levels must be distinct to 6 significant digits, got {list(self.levels)}")
-        if not (math.isfinite(self.amount) and self.amount > 0.0):
+        if not math.isfinite(self.amount):
+            raise ValueError(f"portfolio amount must be finite, got {self.amount}")
+        if not self.amount > 0.0:
             raise ValueError(f"portfolio amount must be > 0, got {self.amount}")
         if not self.periods:
             raise ValueError("at least one period required")
@@ -149,17 +151,27 @@ def _check_level(level: float) -> None:
                          f"and leave 1 - level below 1, got {level}")
 
 
+def _check_spread(stats: DescriptiveStats) -> None:
+    # the parametric VaRs scale a quantile by the standard deviation
+    if not stats.std > 0.0:
+        raise DegenerateSeriesError("degenerate: zero variance")
+
+
 def _z(stats: DescriptiveStats, level: float) -> float:
     """Z_alpha at a checked ``level``, for the parametric VaRs of ``stats``."""
     _check_level(level)
-    if not stats.std > 0.0:
-        raise DegenerateSeriesError("degenerate: zero variance")
+    _check_spread(stats)
     return _ndtri(1.0 - level)
+
+
+def _var(stats: DescriptiveStats, z: float, amount: float) -> float:
+    """-(mu + z sigma) W, the parametric VaR at the standardized quantile z."""
+    return 0.0 - (stats.mean + z * stats.std) * amount
 
 
 def gaussian_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     """-(mu + Z_alpha sigma) W with Z_alpha the lower-tail normal quantile."""
-    return 0.0 - (stats.mean + _z(stats, level) * stats.std) * amount
+    return _var(stats, _z(stats, level), amount)
 
 
 def cornish_fisher_z(z_c: float, S: float, K: float) -> float:
@@ -180,7 +192,7 @@ def cf_var(stats: DescriptiveStats, level: float, amount: float = 1.0) -> float:
     permitted.
     """
     z_cf = cornish_fisher_z(_z(stats, level), stats.skewness, stats.excess_kurtosis)
-    return 0.0 - (stats.mean + z_cf * stats.std) * amount
+    return _var(stats, z_cf, amount)
 
 
 def _check_sample(symbol: str, n: int, levels) -> None:
@@ -242,6 +254,8 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     """
     V = np.stack([s.values for s in panel.series])
     q = (*_QUARTILES, *(1.0 - lv for lv in spec.levels))
+    # the spec has checked its levels, so each normal quantile is taken once
+    zs = [_ndtri(1.0 - lv) for lv in spec.levels]
     blocks = []
     var: dict = {}
     max_dd: dict = {}
@@ -261,10 +275,12 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                 n, rows, dd_min = blocks[j]
                 cell_stats = _stats(symbol, n, rows[i])
                 _check_sample(symbol, n, spec.levels)
-                for lv, quantile in zip(spec.levels, rows[i][-len(spec.levels):]):
+                _check_spread(cell_stats)
+                S, K = cell_stats.skewness, cell_stats.excess_kurtosis
+                for lv, z, quantile in zip(spec.levels, zs, rows[i][-len(spec.levels):]):
                     var[(symbol, name, lv)] = {
-                        "gaussian": gaussian_var(cell_stats, lv, spec.amount),
-                        "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
+                        "gaussian": _var(cell_stats, z, spec.amount),
+                        "cornish_fisher": _var(cell_stats, cornish_fisher_z(z, S, K), spec.amount),
                         "empirical": 0.0 - quantile * spec.amount,
                     }
             except DataError as exc:

@@ -1151,8 +1151,11 @@ class TestExitCodes:
         ("levels: [0.95, 1" + "0" * 400 + "]", ["describe"], "'levels' must be a number"),
         # over Python's limit of 4300 digits for an int read from a string
         ("seed: " + "1" * 5001, ["describe"], "cannot parse config"),
-        ("seed: 1", ["risk", "--portfolio-amount", "1e400"], "portfolio amount must be > 0"),
-    ], ids=["portfolio_amount", "risk_free_rate", "levels", "seed", "flag"])
+        ("seed: 1", ["risk", "--portfolio-amount", "1e400"], "portfolio amount must be finite, got inf"),
+        ("seed: 1", ["risk", "--portfolio-amount", "nan"], "portfolio amount must be finite, got nan"),
+        ("seed: 1", ["risk", "--portfolio-amount", "inf"], "portfolio amount must be finite, got inf"),
+        ("seed: 1", ["risk", "--portfolio-amount=-inf"], "portfolio amount must be finite, got -inf"),
+    ], ids=["portfolio_amount", "risk_free_rate", "levels", "seed", "flag", "nan", "inf", "-inf"])
     def test_numbers_out_of_range_are_3(self, tmp_path, capsys, line, argv, match):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(yaml.safe_dump(dict(MINIMAL, output_dir=str(tmp_path / "out")))
@@ -1293,22 +1296,42 @@ class TestUsageErrors:
 # drawdowns reach toward -1; prices are positive, but any float must keep its bytes
 _ROW_FLOATS = st.one_of(
     st.floats(),
+    st.floats(-1.0, 0.0),
     st.floats(-1.0, -0.999),
     st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0, -0.999999995,
                      -0.9999999949999999, 0.000000005, 99.99999999995)),
 )
 
 
+def _check_drawdown_text(values) -> None:
+    # the reference: one f-string per drawdown row
+    iso = [(datetime.date(2020, 2, 27) + datetime.timedelta(days=i)).isoformat()
+           for i in range(len(values))]
+    expected = "".join(["date,drawdown\n"] + [f"{d},{v:.8f}\n" for d, v in zip(iso, values)])
+    assert cli_mod._drawdown_writer(iso)(np.array(values, dtype=float)) == expected
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(values=st.lists(_ROW_FLOATS, max_size=40))
 def test_row_template_gives_the_per_row_formats(values):
-    # the reference is one f-string per drawdown row and one %-format per price row
+    # drawdowns through the byte writer, prices through the %-template against one
+    # %-format per row
+    _check_drawdown_text(values)
     iso = [(datetime.date(2020, 2, 27) + datetime.timedelta(days=i)).isoformat()
            for i in range(len(values))]
-    drawdowns = "\n".join(["date,drawdown"] + [f"{d},{v:.8f}" for d, v in zip(iso, values)])
     prices = "\n".join(["date,close"] + ["%s,%.10f" % row for row in zip(iso, values)])
-    assert cli_mod._dated_rows("date,drawdown", iso, "%.8f") % tuple(values) == drawdowns + "\n"
     assert cli_mod._dated_rows("date,close", iso, "%.10f") % tuple(values) == prices + "\n"
+
+
+def test_drawdown_writer_matches_the_f_string_at_ties_and_edges():
+    # -k/512 times 1e8 is an exact half for odd k, where %.8f rounds half to even;
+    # the doubles nearest the decimal halves -(k + 0.5)e-8 lie just off them, on
+    # either side, where the rounded product -v * 1e8 can land on the half itself
+    ties = [-k / 512 for k in range(513)]
+    halves = [-(k + 0.5) / 1e8 for k in range(0, 10 ** 8, 99991)]
+    edges = [-0.0, 0.0, -1.0, -0.999999995, -0.9999999949999999, 5e-324, -5e-324,
+             math.nan, math.inf, -math.inf]
+    _check_drawdown_text(ties + halves + edges + ties[::-1])
 
 
 _WITHOUT_SCIPY = """

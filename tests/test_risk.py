@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import volrisk.risk as risk_mod
 from volrisk.market_data import (
     DataError,
     DegenerateSeriesError,
@@ -321,6 +322,16 @@ class TestRiskReport:
                 assert cell["gaussian"] == gaussian_var(st, lv)
                 assert cell["cornish_fisher"] == cf_var(st, lv)
                 assert cell["empirical"] == empirical_var(s, lv)
+
+    def test_one_normal_quantile_per_level(self, make_series, monkeypatch):
+        # every (asset, period) cell shares its level's quantile
+        taken = []
+        real = risk_mod._ndtri
+        monkeypatch.setattr(risk_mod, "_ndtri", lambda p: taken.append(p) or real(p))
+        panel = _two_asset_panel(make_series)
+        spec = RiskSpec(periods=(("full", None, None), ("window", panel.dates[40], panel.dates[80])))
+        risk_report(panel, spec)
+        assert taken == [1.0 - lv for lv in spec.levels]
 
     def test_subperiod_restriction(self, make_series):
         panel = _two_asset_panel(make_series)
