@@ -461,61 +461,47 @@ def _stars(estimate: float, se: float) -> str:
     return ""
 
 
-def _fit_table(title: str, converged: bool, estimates, std_errors: dict,
-               loglik: float, aic: float, aic_per_obs: float) -> list:
-    lines = [
-        f"{title}  converged={'yes' if converged else 'NO'}",
-        f"  {'param':<12}{'estimate':>14}{'std.err':>14}",
-    ]
-    for name, est in estimates:
-        se = std_errors[name]
+def _add_fit(out: OutputCollector, summary: list, doc: dict) -> int:
+    """Add a fit's ``to_dict()`` document as ``fit_<slug>.json``, or the joint
+    fit's (the one naming ``symbols``) as ``dcc.json``; append its block to
+    the lines ``summary`` and add them as ``summary.txt``.  The fit's exit
+    code."""
+    if "symbols" in doc:
+        name, end, who = "dcc.json", "_joint", "joint correlation fit"
+        title = f"joint dcc(1,1)  assets={','.join(doc['symbols'])}"
+    else:
+        name, end, who = f"fit_{_slug(doc['symbol'])}.json", "", f"{doc['symbol']}: fit"
+        title = f"{doc['symbol']}  {doc['model']}-{doc['distribution']}"
+    out.add(name, _json(doc))
+    summary += ["", f"{title}  n={doc['n_obs']}  converged={'yes' if doc['converged'] else 'NO'}",
+                f"  {'param':<12}{'estimate':>14}{'std.err':>14}"]
+    for param, est in doc["params"].items():
+        se = doc["std_errors"][param]
         se_txt = _fmt(se) if math.isfinite(se) else "n/a"
-        lines.append(f"  {name:<12}{_fmt(est):>14}{se_txt:>14}  {_stars(est, se)}".rstrip())
-    lines.append(
-        f"  loglik {_fmt(loglik, 4)}   aic {_fmt(aic, 4)}   aic/obs {_fmt(aic_per_obs)}"
-    )
-    return lines
+        summary.append(f"  {param:<12}{_fmt(est):>14}{se_txt:>14}  {_stars(est, se)}".rstrip())
+    summary.append(f"  loglik {_fmt(doc['loglik' + end], 4)}   aic {_fmt(doc['aic' + end], 4)}"
+                   f"   aic/obs {_fmt(doc[f'aic{end}_per_obs'])}")
+    out.add("summary.txt", "\n".join(summary) + "\n")
+    if doc["converged"]:
+        return EXIT_OK
+    log.warning("%s did not converge", who)
+    return EXIT_NONCONVERGED
 
 
 def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
-    means = {a.symbol: a.mean for a in cfg.assets}
     fits = []
-    for series in panel.series:
+    for asset, series in zip(cfg.assets, panel.series):
         log.info("fitting %s", series.symbol)
-        fits.append(fit_egarch(series, mean=means[series.symbol], family=cfg.family))
+        fits.append(fit_egarch(series, mean=asset.mean, family=cfg.family))
     summary = ["model fit summary", "================="]
-    code = EXIT_OK
-    for fit in fits:
-        out.add(f"fit_{_slug(fit.symbol)}.json", _json(fit.to_dict()))
-        summary += ["", *_fit_table(
-            f"{fit.symbol}  {fit.model}-{fit.params.dist.family}  n={fit.n_obs}",
-            fit.converged, zip(fit.param_names, fit.estimates), fit.std_errors,
-            fit.loglik, fit.aic, fit.aic_per_obs,
-        )]
-        if not fit.converged:
-            code = EXIT_NONCONVERGED
-            log.warning("%s: fit did not converge", fit.symbol)
-    out.add("summary.txt", "\n".join(summary) + "\n")
+    code = max([_add_fit(out, summary, fit.to_dict()) for fit in fits])
     if len(fits) < 2:
         log.info("single asset: skipping the correlation stage")
         return code
     # the joint law of the standardized residuals is always the
     # multivariate t, whatever the stage-1 innovation family; a DataError
     # here leaves the stage-1 files above in ``out``
-    joint = fit_dcc(fits)
-    p = joint.params
-    out.add("dcc.json", _json(joint.to_dict()))
-    summary += ["", *_fit_table(
-        f"joint dcc(1,1)  assets={','.join(joint.symbols)}  n={joint.n_obs}",
-        joint.converged,
-        (("alpha", p.alpha), ("beta", p.beta), ("joint_shape", p.joint_shape)),
-        joint.std_errors, joint.loglik_joint, joint.aic_joint, joint.aic_joint_per_obs,
-    )]
-    out.add("summary.txt", "\n".join(summary) + "\n")
-    if not joint.converged:
-        code = EXIT_NONCONVERGED
-        log.warning("joint correlation fit did not converge")
-    return code
+    return max(code, _add_fit(out, summary, fit_dcc(fits).to_dict()))
 
 
 def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
