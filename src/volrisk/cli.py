@@ -54,6 +54,9 @@ EXIT_CONFIG = 3
 
 # two-sided normal critical values at the 1 / 5 / 10 percent levels
 _STARS = ((2.5758293035489004, "***"), (1.959963984540054, "**"), (1.6448536269514722, "*"))
+# rows that get no star, zero not being their null: a shape exceeds 2, and
+# skew 1 is the symmetric law
+_UNSTARRED = {"shape", "joint_shape", "skew"}
 
 
 class ConfigError(Exception):
@@ -478,7 +481,8 @@ def _add_fit(out: OutputCollector, summary: list, doc: dict) -> int:
     for param, est in doc["params"].items():
         se = doc["std_errors"][param]
         se_txt = _fmt(se) if math.isfinite(se) else "n/a"
-        summary.append(f"  {param:<12}{_fmt(est):>14}{se_txt:>14}  {_stars(est, se)}".rstrip())
+        stars = "" if param in _UNSTARRED else _stars(est, se)
+        summary.append(f"  {param:<12}{_fmt(est):>14}{se_txt:>14}  {stars}".rstrip())
     summary.append(f"  loglik {_fmt(doc['loglik' + end], 4)}   aic {_fmt(doc['aic' + end], 4)}"
                    f"   aic/obs {_fmt(doc[f'aic{end}_per_obs'])}")
     out.add("summary.txt", "\n".join(summary) + "\n")

@@ -783,7 +783,11 @@ class TestFit:
         d = tmp_path / "out"
         assert main(["fit", "--config", cfg, "--out", str(d)]) in (0, 1)
         assert json.loads((d / "dcc.json").read_text())["symbols"] == ["SIM1", "SIM2"]
-        assert "egarch-skew_student_t" in (d / "summary.txt").read_text()
+        text = (d / "summary.txt").read_text()
+        assert "egarch-skew_student_t" in text
+        # skew 1 is the symmetric law, not zero: the row ends at its SE
+        skews = [line.split() for line in text.splitlines() if line.startswith("  skew ")]
+        assert len(skews) == 2 and all(len(row) == 3 for row in skews)
 
     def test_explosive_arma_trial_points_rejected(self, tmp_path):
         # BFGS line searches try MA points whose residuals overflow; they
@@ -876,6 +880,15 @@ class TestReport:
             assert (d / name).read_bytes() == (fd / name).read_bytes()
         assert (d / "stats.csv").exists() and (d / "risk.csv").exists()
 
+
+    def test_summary_stars_only_rows_whose_null_is_zero(self, sim_ws, sim_cfg):
+        # a shape exceeds 2, so its row ends at its SE; b_pers is tested against 0
+        d = sim_ws / "report_stars"
+        assert main(["report", "--config", sim_cfg, "--out", str(d)]) == 0
+        rows = [line.split() for line in (d / "summary.txt").read_text().splitlines()]
+        shapes = [row for row in rows if row[:1] in (["shape"], ["joint_shape"])]
+        assert len(shapes) == 3 and all(len(row) == 3 for row in shapes)
+        assert [row[3:] for row in rows if row[:1] == ["b_pers"]] == [["***"], ["***"]]
 
     def test_tree_is_union_of_describe_fit_risk(self, sim_ws, sim_cfg, fit_dir):
         _, fd = fit_dir
