@@ -384,10 +384,6 @@ def _fmt(v: float, places: int = 6) -> str:
 # ---------------------------------------------------------------------------
 # shared pipeline steps
 
-def _load_panel(cfg: RunConfig) -> ReturnPanel:
-    return load_panel([(a.symbol, a.source, a.columns) for a in cfg.assets])
-
-
 def _table(out: OutputCollector, name: str, header: list, rows, doc) -> None:
     """Add ``<name>.csv`` (a header line, then one line per row of cells)
     and ``<name>.json``."""
@@ -532,7 +528,7 @@ def _run(cfg: RunConfig, command: str) -> int:
     """Load the panel once, run the command's steps into one collector and
     write it once; the exit code is the highest a step returned.  A
     DataError still writes what the collector holds, then propagates."""
-    panel = _load_panel(cfg)
+    panel = load_panel([(a.symbol, a.source, a.columns) for a in cfg.assets])
     out = OutputCollector()
     code = EXIT_OK
     try:

@@ -275,7 +275,6 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                 n, rows, dd_min = blocks[j]
                 cell_stats = _stats(symbol, n, rows[i])
                 _check_sample(symbol, n, spec.levels)
-                _check_spread(cell_stats)
                 S, K = cell_stats.skewness, cell_stats.excess_kurtosis
                 for lv, z, quantile in zip(spec.levels, zs, rows[i][-len(spec.levels):]):
                     var[(symbol, name, lv)] = {

@@ -449,6 +449,9 @@ class TestHelpers:
         assert _stars(-3.0, 1.0) == "***"
         assert _stars(5.0, 0.0) == ""
         assert _stars(5.0, math.nan) == ""
+        # the summary's other cell writer prints a non-finite value as nan
+        assert [cli_mod._fmt(v) for v in (1.0, math.nan, math.inf, -math.inf)] == [
+            "1.000000", "nan", "nan", "nan"]
 
     def test_parse_levels(self):
         assert _parse_levels("0.95,0.99") == (0.95, 0.99)
@@ -939,7 +942,8 @@ class TestRisk:
     def test_drawdown_rows_are_the_drawdown_series(self, sim_ws, sim_cfg):
         d = sim_ws / "risk_dd"
         assert main(["risk", "--config", sim_cfg, "--out", str(d)]) == 0
-        panel = cli_mod._load_panel(load_run_config(sim_cfg))
+        panel = md_mod.load_panel([(a.symbol, a.source, a.columns)
+                                   for a in load_run_config(sim_cfg).assets])
         for s in panel.series:
             series, max_dd = drawdown(s)
             rows = (d / f"drawdown_{s.symbol}.csv").read_text().splitlines()
