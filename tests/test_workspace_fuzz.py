@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from volrisk.cli import main
+from volrisk.cli import _slug, main
 
 DESCRIBE = {
     "stats.csv", "stats.json", "correlation.csv", "correlation.json",
@@ -97,10 +97,6 @@ def _run(argv: list) -> tuple:
 
 def _tree(d: Path) -> dict:
     return {p.name: p.read_bytes() for p in d.iterdir()} if d.exists() else {}
-
-
-def _slug(symbol: str) -> str:
-    return "".join(c if c.isalnum() or c in "-." else "_" for c in symbol)
 
 
 def _expected_files(config: Path) -> tuple:
