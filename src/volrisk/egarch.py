@@ -410,17 +410,18 @@ def simulate_egarch(params: EgarchParams, n: int, seed: int) -> np.ndarray:
 
 
 def simulate_garch11(params: Garch11Params, n: int, seed: int) -> np.ndarray:
+    """Simulate n returns from the model, discarding a burn-in prefix.
+
+    h starts at its stationary mean; given z, h_{t+1} = alpha0 +
+    (alpha1 z_t^2 + gamma1) h_t is linear in h, so it runs as one scan.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = params.dist
-    z = dist_mod.sample(d, n + _BURN, seed)
-    total = n + _BURN
-    h = params.alpha0 / (1.0 - params.alpha1 - params.gamma1)
-    eps = np.empty(total)
-    for t in range(total):
-        eps[t] = z[t] * math.sqrt(h)
-        h = params.alpha0 + params.alpha1 * eps[t] * eps[t] + params.gamma1 * h
-    return params.mu + eps[_BURN:]
+    z = dist_mod.sample(params.dist, n + _BURN, seed)
+    V = np.full((z.size, 1), params.alpha0)
+    V[0] = params.alpha0 / (1.0 - params.alpha1 - params.gamma1)
+    h = _scan_varying(params.alpha1 * z[:-1] ** 2 + params.gamma1, V)[:, 0]
+    return params.mu + (z * np.sqrt(h))[_BURN:]
 
 
 def _apply_mean(eps: np.ndarray, mu: float, ar, ma) -> np.ndarray:

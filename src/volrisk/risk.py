@@ -151,16 +151,12 @@ def _check_level(level: float) -> None:
                          f"and leave 1 - level below 1, got {level}")
 
 
-def _check_spread(stats: DescriptiveStats) -> None:
-    # the parametric VaRs scale a quantile by the standard deviation
+def _z(stats: DescriptiveStats, level: float) -> float:
+    """Z_alpha at a checked ``level``, for the parametric VaRs of ``stats``,
+    which scale it by a standard deviation that must be positive."""
+    _check_level(level)
     if not stats.std > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
-
-
-def _z(stats: DescriptiveStats, level: float) -> float:
-    """Z_alpha at a checked ``level``, for the parametric VaRs of ``stats``."""
-    _check_level(level)
-    _check_spread(stats)
     return _ndtri(1.0 - level)
 
 
