@@ -394,7 +394,9 @@ def _raise_row_error(source: str, text: str, mapping: dict) -> None:
                 c = float(raw_close)
             except ValueError as exc:
                 raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-            if not math.isfinite(c) or c <= 0.0:
+            if not math.isfinite(c):
+                raise DataError(f"{source}: non-finite price at row {idx}")
+            if c <= 0.0:
                 raise DataError(f"{source}: non-positive price at row {idx}")
     except csv.Error as exc:
         raise DataError(f"{source}: unreadable CSV at line {reader.line_num}: {exc}") from exc

@@ -64,7 +64,9 @@ def reference_load_price_series(source, columns=None, *, symbol=None):
             c = float(raw_close)
         except (ValueError, TypeError) as exc:
             raise DataError(f"{source}: malformed row {idx}: {exc}") from exc
-        if not math.isfinite(c) or c <= 0.0:
+        if not math.isfinite(c):
+            raise DataError(f"{source}: non-finite price at row {idx}")
+        if c <= 0.0:
             raise DataError(f"{source}: non-positive price at row {idx}")
         rows.append((d, idx, c))
 

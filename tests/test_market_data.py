@@ -81,6 +81,17 @@ class TestLoadPriceSeries:
         with pytest.raises(DataError, match="non-positive"):
             load_price_series(write_csv("neg.csv", text))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_non_finite_price(self, write_csv, cell, quote):
+        # numpy.savetxt writes nan for a missing value; quoted cells take the
+        # csv.reader path, plain ones the split
+        rows = [("date", "close"), ("2020-01-02", "100"), ("2020-01-03", cell),
+                ("2020-01-06", "101")]
+        text = "".join(f"{quote}{d}{quote},{quote}{c}{quote}\n" for d, c in rows)
+        with pytest.raises(DataError, match=r"nf\.csv: non-finite price at row 3$"):
+            load_price_series(write_csv("nf.csv", text))
+
     def test_duplicate_date(self, write_csv):
         text = "date,close\n2020-01-02,100\n2020-01-02,101\n"
         with pytest.raises(DataError, match="duplicate"):
