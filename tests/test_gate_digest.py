@@ -1,4 +1,4 @@
-"""The byte gate in tier-1: the 32 runs of ``tools/gate_trees.py``, run in
+"""The byte gate in tier-1: the 33 runs of ``tools/gate_trees.py``, run in
 this process on ``src/``, must give the exit codes, output bytes and
 ``converged`` flags recorded in ``tests/gate_digest.json``; on a failure
 the message also gives the worst relative change of each estimate field.
@@ -40,3 +40,22 @@ def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
     runs = gate_trees.gate(ROOT / "src", tmp_path)
     diffs = gate_trees.compare(committed["runs"], runs)
     assert diffs == [], "\n".join(diffs + gate_trees.drift(committed["runs"], runs))
+
+
+@pytest.mark.parametrize("run", ["csvpath-7", "reordered-7"])
+def test_rewritten_price_files_write_the_outputs_of_report_7(run):
+    # quoted cells, a missing last newline or rows out of date order change
+    # the input bytes, not the exit code or the output files
+    runs = json.loads((ROOT / "tests" / "gate_digest.json").read_text())["runs"]
+    # an output file is keyed <results dir>/<name>, an input file by its name
+    inputs, outputs = ({}, {}), ({}, {})
+    for side, name in enumerate((run, "report-7")):
+        for key, sha in runs[name]["files"].items():
+            if "/" in key:
+                outputs[side][key.split("/", 1)[1]] = sha
+            else:
+                inputs[side][key] = sha
+    assert {k for k in inputs[0] if inputs[0][k] != inputs[1][k]} == {
+        "sim_SIM1.csv", "sim_SIM2.csv"}
+    assert outputs[0] == outputs[1]
+    assert runs[run]["exit"] == runs["report-7"]["exit"]

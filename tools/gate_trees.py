@@ -38,9 +38,13 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
 - ``report`` on copies of the seed-7 price files that leave the plain
   split: SIM1's with every cell quoted, so ``csv.reader`` reads it, and
   SIM2's without the newline of its last line, which the split supplies;
-  SIM3's is unchanged.  Its output files equal those of ``report-7``.
+  SIM3's is unchanged.  Its output files equal those of ``report-7``;
+- ``report`` on copies of the seed-7 price files out of date order:
+  SIM1's rows shuffled by ``random.Random(7)`` and SIM2's reversed, under
+  their headers, so the loader sorts both; SIM3's is unchanged.  Its
+  output files equal those of ``report-7`` too.
 
-That makes 32 runs.
+That makes 33 runs.
 
 It writes one JSON document: the ``python`` and ``numpy`` versions it ran
 under, and ``runs``, mapping each run to the SHA-256 digest of every input
@@ -60,6 +64,7 @@ import json
 import math
 import os
 import platform
+import random
 import sys
 import tempfile
 from functools import partial
@@ -149,6 +154,16 @@ def _csvpath(asset: dict, text: str) -> str:
     return text
 
 
+def _reordered(asset: dict, text: str) -> str:
+    # SIM1's rows shuffled, SIM2's reversed
+    header, *rows = text.splitlines(keepends=True)
+    if asset["symbol"] == "SIM1":
+        random.Random(7).shuffle(rows)
+    elif asset["symbol"] == "SIM2":
+        rows.reverse()
+    return header + "".join(rows)
+
+
 # the seed-7 variants, each built by build(sim_config, name)
 VARIANTS = (
     ("variant", _variant_config),
@@ -156,6 +171,7 @@ VARIANTS = (
     ("calendars", partial(_rewritten, rewrite=_calendars)),
     ("vendor", partial(_rewritten, rewrite=_vendor)),
     ("csvpath", partial(_rewritten, rewrite=_csvpath)),
+    ("reordered", partial(_rewritten, rewrite=_reordered)),
 )
 
 
