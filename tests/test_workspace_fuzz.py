@@ -4,9 +4,13 @@ Each example perturbs a copy of one simulated workspace (3 assets, 400
 returns) and runs ``report`` and ``risk`` on it in-process.  Whatever the
 exit code, the files written are the ones the README names for it, the
 config check agrees with the run, and a second run writes the same bytes.
+Pinned cases also check the exit code and message each perturbation
+lands on.
 """
 import contextlib
 import io
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -45,10 +49,32 @@ _STALE = st.tuples(st.just("stale"), st.integers(0, 2), st.sampled_from(["all", 
 _SPIKE = st.tuples(st.just("spike"), st.integers(0, 2), st.integers(0, T),
                    st.sampled_from([5.0, 10.0, 30.0, 1e3, 1e8]))
 _SHORT = st.tuples(st.just("short"), st.integers(0, T - 1), st.integers(1, 9))
+_NEGATE = st.tuples(st.just("negate"), st.integers(0, 2), st.integers(0, 2),
+                    st.sampled_from([1.0, 1e4]))
+# row edits act on one file's rows, given by their position among its data rows
+_DROP = st.tuples(st.just("drop"), st.integers(0, 2), st.integers(0, T), st.integers(1, 100))
+_REPEAT = st.tuples(st.just("repeat"), st.integers(0, 2), st.integers(0, T))
+_SYMBOL = st.one_of(
+    st.tuples(st.just("symbol"), st.integers(0, 2), st.sampled_from([",", '"', "\n", "\r"])),
+    st.tuples(st.just("slug"), st.integers(0, 2), st.integers(0, 2)),
+)
+# one top-level config value replaced by a document shaped like test_cli's, in
+# the types YAML's safe dumper writes
+_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.floats()),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40,
+)
+_CONFIG = st.tuples(st.just("config"),
+                    st.sampled_from(["distribution", "levels", "output_dir", "periods",
+                                     "portfolio_amount", "risk_free_rate", "seed"]),
+                    _VALUE)
 
 WORKSPACES = st.tuples(
     st.permutations(SYMBOLS).flatmap(lambda order: st.integers(1, 3).map(lambda k: order[:k])),
-    st.lists(st.one_of(_COPY, _STALE, _SPIKE, _SHORT), max_size=2),
+    st.lists(st.one_of(_COPY, _STALE, _SPIKE, _SHORT, _NEGATE, _DROP, _REPEAT, _SYMBOL,
+                       _CONFIG), max_size=2),
 )
 
 
@@ -58,7 +84,10 @@ def _workspace(root: Path, prices: dict, symbols: tuple, perturbations: list) ->
     dates = prices[symbols[0]][0]
     columns = [list(prices[sym][1]) for sym in symbols]
     names = list(symbols)
+    # the rows each file writes, as indices into dates and its column
+    rows = [list(range(T + 1)) for _ in symbols]
     periods = {"full": {"start": dates[1], "end": dates[-1]}}
+    doc = {"periods": periods}
     for kind, *arg in perturbations:
         if kind == "copy" and k > 1:
             # column dst := factor * column src, under src's symbol when ``clash``
@@ -66,6 +95,24 @@ def _workspace(root: Path, prices: dict, symbols: tuple, perturbations: list) ->
             if src != dst:
                 columns[dst] = [factor * p for p in columns[src]]
                 names[dst] = names[src] if clash else f"{names[src]}x{factor:g}"
+        elif kind == "negate" and k > 1:
+            # column dst := c / column src, whose returns are src's negated
+            src, dst, c = arg[0] % k, arg[1] % k, arg[2]
+            if src != dst:
+                columns[dst] = [c / p for p in columns[src]]
+        elif kind == "drop":
+            del rows[arg[0] % k][arg[1]:arg[1] + arg[2]]
+        elif kind == "repeat":
+            file_rows = rows[arg[0] % k]
+            i = arg[1] % len(file_rows)
+            file_rows.insert(i, file_rows[i])
+        elif kind == "symbol":
+            names[arg[0] % k] += arg[1] + "x"
+        elif kind == "slug" and k > 1 and arg[0] % k != arg[1] % k:
+            # two symbols that both write fit_A_B.json
+            names[arg[0] % k], names[arg[1] % k] = "A/B", "A_B"
+        elif kind == "config":
+            doc[arg[0]] = arg[1]
         elif kind == "stale":
             col = columns[arg[0] % k]
             step = len(col) if arg[1] == "all" else 10
@@ -79,11 +126,11 @@ def _workspace(root: Path, prices: dict, symbols: tuple, perturbations: list) ->
     assets = []
     for i, (name, col) in enumerate(zip(names, columns)):
         path = root / f"p{i}.csv"
-        path.write_text("date,close\n" + "".join(f"{d},{p!r}\n" for d, p in zip(dates, col)),
+        path.write_text("date,close\n" + "".join(f"{dates[j]},{col[j]!r}\n" for j in rows[i]),
                         encoding="utf-8")
         assets.append({"symbol": name, "source": str(path)})
     config = root / "config.yaml"
-    config.write_text(yaml.safe_dump({"assets": assets, "periods": periods}), encoding="utf-8")
+    config.write_text(yaml.safe_dump({"assets": assets, **doc}), encoding="utf-8")
     return config
 
 
@@ -125,25 +172,15 @@ def _check_report_input_error(written: set, err: str, stage1: set, joint: set, t
         assert text.count("converged=") == len(stage1) - 1
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(WORKSPACES)
-# one example of each perturbation, which the drawn ones need not all reach
-@example((("SIM1", "SIM2"), [("copy", 0, 1, 1.0, False)]))
-@example((("SIM2", "SIM3", "SIM1"), [("copy", 1, 2, 1e4, False)]))
-@example((("SIM2", "SIM3"), [("copy", 0, 1, 3.0, True)]))
-@example((("SIM2", "SIM3"), [("stale", 1, "all")]))
-@example((("SIM2", "SIM3"), [("stale", 0, "90%")]))
-@example((("SIM2", "SIM3"), [("spike", 0, 200, 5.0)]))
-@example((("SIM3", "SIM2"), [("spike", 1, 57, 1e8)]))
-@example((("SIM2", "SIM3"), [("short", 100, 5)]))
-@example((("SIM3",), []))
-def test_hostile_workspace_lands_on_its_exit_code(prices, case):
-    symbols, perturbations = case
+def _check_workspace(prices: dict, symbols: tuple, perturbations: list) -> dict:
+    """Run ``risk`` and ``report`` on the perturbed workspace, check the
+    files of each exit code, ``--validate`` and a second run, and return
+    each command's exit code, stderr and written tree, and the config."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config = _workspace(root, prices, symbols, perturbations)
         risk_files, report_files, stage1, joint = _expected_files(config)
-        runs = {}
+        runs = {"config": config.read_text(encoding="utf-8")}
         for command, full in (("risk", risk_files), ("report", report_files)):
             out = root / command
             code, err = _run([command, "--config", str(config), "--out", str(out)])
@@ -167,12 +204,92 @@ def test_hostile_workspace_lands_on_its_exit_code(prices, case):
             assert _run([command, "--config", str(config), "--out", str(again)]) == (code, err)
             assert _tree(again) == tree
             runs[command] = code, err, tree
-        (risk_code, risk_err, risk_tree), (code, err, tree) = runs["risk"], runs["report"]
-        # report's risk step sees the panel the risk command does
-        if code in (0, 1):
-            assert risk_code == 0
-            assert {name: tree[name] for name in risk_tree} == risk_tree
-        if risk_code == 2:
-            assert code == 2
-            if err.startswith("input error: period '"):
-                assert err == risk_err
+    (risk_code, risk_err, risk_tree), (code, err, tree) = runs["risk"], runs["report"]
+    # report's risk step sees the panel the risk command does
+    if code in (0, 1):
+        assert risk_code == 0
+        assert {name: tree[name] for name in risk_tree} == risk_tree
+    if risk_code == 2:
+        assert code == 2
+        if err.startswith("input error: period '"):
+            assert err == risk_err
+    return runs
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(WORKSPACES)
+# one example of each perturbation, which the drawn ones need not all reach
+@example((("SIM1", "SIM2"), [("copy", 0, 1, 1.0, False)]))
+@example((("SIM2", "SIM3", "SIM1"), [("copy", 1, 2, 1e4, False)]))
+@example((("SIM2", "SIM3"), [("copy", 0, 1, 3.0, True)]))
+@example((("SIM2", "SIM3"), [("stale", 1, "all")]))
+@example((("SIM2", "SIM3"), [("stale", 0, "90%")]))
+@example((("SIM2", "SIM3"), [("spike", 0, 200, 5.0)]))
+@example((("SIM3", "SIM2"), [("spike", 1, 57, 1e8)]))
+@example((("SIM2", "SIM3"), [("short", 100, 5)]))
+@example((("SIM3",), []))
+@example((("SIM1", "SIM2"), [("config", "levels", [0.5])]))
+def test_hostile_workspace_lands_on_its_exit_code(prices, case):
+    symbols, perturbations = case
+    _check_workspace(prices, symbols, perturbations)
+
+
+@pytest.mark.parametrize("symbols, perturbation", [
+    (("SIM1", "SIM2"), ("negate", 0, 1, 1.0)),
+    (("SIM2", "SIM3", "SIM1"), ("negate", 2, 0, 1e4)),
+])
+def test_a_negated_column_is_refused_by_the_joint_stage(prices, symbols, perturbation):
+    runs = _check_workspace(prices, symbols, [perturbation])
+    code, err, tree = runs["report"]
+    first, second = sorted((perturbation[1], perturbation[2]))
+    assert code == 2
+    assert (f"input error: {symbols[first]} and {symbols[second]} are collinear "
+            f"(residual correlation -1.000000)") in err
+    assert "dcc.json" not in tree and f"fit_{symbols[0]}.json" in tree
+    assert runs["risk"][0] == 0
+
+
+@pytest.mark.parametrize("symbols, perturbation", [
+    (("SIM1", "SIM2", "SIM3"), ("drop", 1, 100, 50)),
+    (("SIM3", "SIM1"), ("drop", 0, 0, 30)),
+])
+def test_dropped_rows_leave_the_calendars_intersection(prices, symbols, perturbation):
+    runs = _check_workspace(prices, symbols, [perturbation])
+    code, err, tree = runs["report"]
+    assert code in (0, 1), err
+    assert runs["risk"][0] == 0
+    # n prices gone from one file take the returns dated on them, or after
+    # them for the first price, from every column
+    n = perturbation[3]
+    stats = json.loads(tree["stats.json"])
+    assert {s["n"] for s in stats.values()} == {T - n}
+
+
+@pytest.mark.parametrize("symbols, perturbation", [
+    (("SIM1", "SIM2"), ("repeat", 1, 200)),
+    (("SIM3",), ("repeat", 0, 0)),
+])
+def test_a_repeated_row_names_its_date_and_row(prices, symbols, perturbation):
+    runs = _check_workspace(prices, symbols, [perturbation])
+    _, col, i = perturbation
+    date = prices[symbols[col]][0][i]
+    # the header is row 1, so data row i is row i + 2 and its copy row i + 3
+    want = rf"^input error: {symbols[col]}: .*p{col}\.csv: duplicate date {date} at row {i + 3}\n$"
+    for command in ("risk", "report"):
+        code, err, tree = runs[command]
+        assert (code, tree) == (2, {}), err
+        assert re.match(want, err), err
+
+
+@pytest.mark.parametrize("perturbation, message", [
+    (("symbol", 0, ","), "assets[0]: symbol 'SIM2,x' must not contain"),
+    (("symbol", 1, '"'), "assets[1]: symbol 'SIM3\"x' must not contain"),
+    (("symbol", 1, "\n"), "assets[1]: symbol 'SIM3\\nx' must not contain"),
+    (("slug", 0, 1), "duplicate file fit_A_B.json of assets 'A/B' and 'A_B'"),
+])
+def test_a_symbol_that_breaks_a_file_is_a_config_error(prices, perturbation, message):
+    runs = _check_workspace(prices, ("SIM2", "SIM3"), [perturbation])
+    for command in ("risk", "report"):
+        code, err, tree = runs[command]
+        assert (code, tree) == (3, {}), err
+        assert err.startswith(f"config error: {message}"), err
