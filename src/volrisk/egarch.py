@@ -410,11 +410,8 @@ def simulate_egarch(params: EgarchParams, n: int, seed: int) -> np.ndarray:
 
 
 def simulate_garch11(params: Garch11Params, n: int, seed: int) -> np.ndarray:
-    """Simulate n returns from the model, discarding a burn-in prefix.
-
-    h starts at its stationary mean; given z, h_{t+1} = alpha0 +
-    (alpha1 z_t^2 + gamma1) h_t is linear in h, so it runs as one scan.
-    """
+    """n returns after a burn-in; given z, h_{t+1} = alpha0 + (alpha1 z_t^2 +
+    gamma1) h_t from its stationary mean is linear in h, so one scan runs it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     z = dist_mod.sample(params.dist, n + _BURN, seed)
