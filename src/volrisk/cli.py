@@ -491,9 +491,14 @@ def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
 
 def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     spec = RiskSpec(levels=cfg.levels, amount=cfg.amount, periods=cfg.periods)
-    report = risk_report(panel, spec)
-    out.add("risk.csv", report.to_csv())
-    out.add("risk.json", _json(report.to_dict()))
+    doc = risk_report(panel, spec).to_dict()
+    header = ["symbol", "level"] + [f"{p}_{kind}" for p in doc["periods"]
+                                    for kind in ("var", "cfvar", "empvar")]
+    # a row per asset and level; the f-string writes an overflowed VaR as inf, _fmt as nan
+    rows = [[sym, lv] + [f"{per[p]['var'][lv][kind]:.3f}" for p in doc["periods"]
+                         for kind in ("gaussian", "cornish_fisher", "empirical")]
+            for sym, per in doc["assets"].items() for lv in doc["levels"]]
+    _table(out, "risk", header, rows, doc)
     write = _drawdown_writer([d.isoformat() for d in panel.dates])
     for s in panel.series:
         out.add(f"drawdown_{_slug(s.symbol)}.csv", write(_drawdowns(s.values[None])[0]))

@@ -273,8 +273,8 @@ def _t_ppf(p, nu: float):
 
 
 def _t_abs_moment(nu: float) -> float:
-    # E|Z| = 2 (nu-2) g(0) / (nu-1) for the unit-variance t density g
-    g0 = math.exp(float(_t_logpdf(0.0, nu)))
+    # E|Z| = 2 (nu-2) g(0) / (nu-1) for the unit-variance t density g, log g(0) = _t_const
+    g0 = math.exp(_t_const(nu, 1))
     return 2.0 * (nu - 2.0) * g0 / (nu - 1.0)
 
 
@@ -397,7 +397,7 @@ def abs_moment_grad(d: InnovationDist) -> np.ndarray:
     """Derivative of E|Z| in the law's parameters, ordered as in ``logpdf_grad``."""
     nu = d.shape
     if d.family == "student_t":
-        dlog = 1.0 / (nu - 2.0) - 1.0 / (nu - 1.0) + float(_t_dlogpdf_dnu(0.0, nu))
+        dlog = 1.0 / (nu - 2.0) - 1.0 / (nu - 1.0) + _t_const_dnu(nu, 1)
         return np.array([_t_abs_moment(nu) * dlog])
     return np.array(_central_in_params(abs_moment, d))
 

@@ -121,26 +121,6 @@ class RiskReport:
             "assets": assets,
         }
 
-    def to_csv(self) -> str:
-        """Asset rows with level sub-rows and period column groups, 3-decimal."""
-        period_names = [p[0] for p in self.spec.periods]
-        header = ["symbol", "level"]
-        for name in period_names:
-            header += [f"{name}_var", f"{name}_cfvar", f"{name}_empvar"]
-        lines = [",".join(header)]
-        for symbol in self.symbols:
-            for lv in self.spec.levels:
-                row = [symbol, f"{lv:g}"]
-                for name in period_names:
-                    cell = self.var[(symbol, name, lv)]
-                    row += [
-                        f"{cell['gaussian']:.3f}",
-                        f"{cell['cornish_fisher']:.3f}",
-                        f"{cell['empirical']:.3f}",
-                    ]
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
 
 def _check_level(level: float) -> None:
     # a level keys the report as f"{level:g}", and its quantile is taken at 1 - level

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import logging
 import math
 import tracemalloc
@@ -8,9 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 from scipy.special import ndtri
 
 import volrisk.risk as risk_mod
+from volrisk.cli import main
 from volrisk.market_data import (
     DataError,
     DegenerateSeriesError,
@@ -385,11 +388,8 @@ class TestRiskReport:
         assert cell["max_drawdown"] <= 0.0
         assert cell["stats"]["n"] == 140
 
-    def test_to_csv_layout(self, make_series):
-        panel = _two_asset_panel(make_series)
-        spec = RiskSpec(levels=(0.95, 0.99))
-        text = risk_report(panel, spec).to_csv()
-        rows = list(csv.reader(io.StringIO(text)))
+    def test_risk_csv_layout(self, make_series, tmp_path):
+        rows, _ = _risk_files(tmp_path, _two_asset_panel(make_series), (0.95, 0.99))
         assert rows[0] == ["symbol", "level", "full_var", "full_cfvar", "full_empvar"]
         assert len(rows) == 1 + 2 * 2
         assert rows[1][0] == "AAA" and rows[1][1] == "0.95"
@@ -398,17 +398,52 @@ class TestRiskReport:
                 float(field)
                 assert len(field.split(".")[1]) == 3
 
-    def test_zero_var_is_unsigned(self, make_series):
+    def test_risk_csv_cells_are_the_json_values(self, make_series, tmp_path):
+        panel = _two_asset_panel(make_series)
+        periods = {"full": None, "late": {"start": panel.dates[60].isoformat()}}
+        rows, doc = _risk_files(tmp_path, panel, (0.9, 0.95, 0.99), periods, amount=250.0)
+        assert rows[0] == ["symbol", "level", "full_var", "full_cfvar", "full_empvar",
+                           "late_var", "late_cfvar", "late_empvar"]
+        expected = [[sym, lv] + [f"{doc['assets'][sym][p]['var'][lv][kind]:.3f}"
+                                 for p in ("full", "late")
+                                 for kind in ("gaussian", "cornish_fisher", "empirical")]
+                    for sym in ("AAA", "BBB") for lv in ("0.9", "0.95", "0.99")]
+        assert rows[1:] == expected
+
+    def test_zero_var_is_unsigned(self, make_series, tmp_path):
         # stale prices: 60% of the returns are zero, so the median return is 0
         rng = np.random.default_rng(3)
         values = np.zeros(200)
         values[rng.permutation(200)[:80]] = 0.01 * rng.standard_normal(80) - 0.0025
         r = make_series(values.tolist(), symbol="S")
-        rep = risk_report(ReturnPanel(series=(r,), dates=r.dates), RiskSpec(levels=(0.5, 0.9)))
-        row = list(csv.reader(io.StringIO(rep.to_csv())))[1]
-        assert row[:2] == ["S", "0.5"] and row[4] == "0.000"
+        panel = ReturnPanel(series=(r,), dates=r.dates)
+        rows, _ = _risk_files(tmp_path, panel, (0.5, 0.9))
+        assert rows[1][:2] == ["S", "0.5"] and rows[1][4] == "0.000"
+        rep = risk_report(panel, RiskSpec(levels=(0.5, 0.9)))
         for v in (rep.var[("S", "full", 0.5)]["empirical"], empirical_var(r, 0.5)):
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
+def _risk_files(tmp_path, panel, levels, periods=None, amount=1.0):
+    """The rows of the ``risk.csv`` and the document of the ``risk.json``
+    that ``volrisk risk`` writes for price files whose log returns are
+    ``panel``'s, to rounding; a zero return stays exactly zero."""
+    iso = [d.isoformat() for d in (panel.dates[0] - timedelta(days=1), *panel.dates)]
+    assets = []
+    for s in panel.series:
+        prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(s.values))))
+        path = tmp_path / f"{s.symbol}.csv"
+        path.write_text("date,close\n" + "".join(
+            f"{d},{p!r}\n" for d, p in zip(iso, prices.tolist())), encoding="utf-8")
+        assets.append({"symbol": s.symbol, "source": str(path)})
+    cfg = {"assets": assets, "levels": list(levels), "portfolio_amount": amount,
+           "output_dir": str(tmp_path / "out")}
+    if periods is not None:
+        cfg["periods"] = periods
+    (tmp_path / "c.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["risk", "--config", str(tmp_path / "c.yaml")]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "out" / "risk.csv").read_text())))
+    return rows, json.loads((tmp_path / "out" / "risk.json").read_text())
 
 
 def _weekday_series(n=60, symbol="WKD"):

@@ -5,8 +5,8 @@ verbatim but for its input rule, a period under 10 returns refused, and
 its error messages, which name the period: for each (asset, period) cell
 it restricts the series by bisection, then runs ``describe``, ``drawdown``
 and the empirical quantiles on the 1-D sample.  On any panel both must give the same
-report to the last bit (``to_dict``, ``to_csv`` and the repr of every
-maximum drawdown), or raise the same error, after logging the same warnings
+report to the last bit (``to_dict`` and the repr of every maximum
+drawdown), or raise the same error, after logging the same warnings
 in the same order.
 """
 import logging
@@ -157,7 +157,7 @@ def _outcome(fn, *args):
         log.setLevel(level)
     if isinstance(result, RiskReport):
         max_dd = {key: repr(v) for key, v in result.max_drawdown.items()}
-        return ("ok", repr(result.to_dict()), result.to_csv(), max_dd, handler.messages)
+        return ("ok", repr(result.to_dict()), max_dd, handler.messages)
     return ("ok", repr(result), handler.messages)
 
 
