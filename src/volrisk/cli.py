@@ -491,7 +491,7 @@ def _fit(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
 
 def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     spec = RiskSpec(levels=cfg.levels, amount=cfg.amount, periods=cfg.periods)
-    doc = risk_report(panel, spec).to_dict()
+    doc = risk_report(panel, spec)
     header = ["symbol", "level"] + [f"{p}_{kind}" for p in doc["periods"]
                                     for kind in ("var", "cfvar", "empvar")]
     # a row per asset and level; the f-string writes an overflowed VaR as inf, _fmt as nan

@@ -32,7 +32,6 @@ from .market_data import (
 
 __all__ = [
     "RiskSpec",
-    "RiskReport",
     "gaussian_var",
     "cornish_fisher_z",
     "cf_var",
@@ -79,47 +78,6 @@ class RiskSpec:
         for name, start, end in self.periods:
             if start is not None and end is not None and start > end:
                 raise ValueError(f"period {name!r}: start {start} after end {end}")
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Keyed risk results.
-
-    ``var`` maps (symbol, period, level) to a dict with the three
-    variants; ``max_drawdown`` maps (symbol, period) to the minimum of the
-    period's drawdown path, as ``drawdown`` of that period's slice returns
-    it; ``stats`` holds the per-cell moments the parametric measures were
-    computed from.
-    """
-
-    spec: RiskSpec
-    symbols: tuple
-    var: dict
-    max_drawdown: dict
-    stats: dict
-
-    def to_dict(self) -> dict:
-        assets: dict = {}
-        for symbol in self.symbols:
-            per: dict = {}
-            for name, start, end in self.spec.periods:
-                per[name] = {
-                    "start": None if start is None else start.isoformat(),
-                    "end": None if end is None else end.isoformat(),
-                    "stats": self.stats[(symbol, name)].to_dict(),
-                    "var": {
-                        f"{lv:g}": self.var[(symbol, name, lv)]
-                        for lv in self.spec.levels
-                    },
-                    "max_drawdown": self.max_drawdown[(symbol, name)],
-                }
-            assets[symbol] = per
-        return {
-            "amount": self.spec.amount,
-            "levels": [f"{lv:g}" for lv in self.spec.levels],
-            "periods": [p[0] for p in self.spec.periods],
-            "assets": assets,
-        }
 
 
 def _check_level(level: float) -> None:
@@ -219,9 +177,12 @@ def _span(dates: tuple, start, end) -> tuple:
     return lo, hi
 
 
-def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
-    """All three VaR variants per (asset, period, level), and the maximum
-    drawdown per (asset, period).
+def risk_report(panel: ReturnPanel, spec: RiskSpec) -> dict:
+    """The document ``risk.json`` holds: ``amount``, ``levels`` (each keyed
+    as ``f"{lv:g}"``), ``periods`` and ``assets``, which maps each asset and
+    period to its ``start``, ``end``, ``stats``, ``var`` (per level, the
+    ``gaussian``, ``cornish_fisher`` and ``empirical`` VaRs) and
+    ``max_drawdown``, the minimum of the period's drawdown path.
 
     Moments are recomputed on each period's sample, for every asset at
     once.  Errors and thin-level warnings come in (asset, period) order; a
@@ -232,11 +193,11 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
     q = (*_QUARTILES, *(1.0 - lv for lv in spec.levels))
     # the spec has checked its levels, so each normal quantile is taken once
     zs = [_ndtri(1.0 - lv) for lv in spec.levels]
+    keys = [f"{lv:g}" for lv in spec.levels]
     blocks = []
-    var: dict = {}
-    max_dd: dict = {}
-    stats: dict = {}
+    assets: dict = {}
     for i, symbol in enumerate(panel.symbols):
+        per = assets[symbol] = {}
         for j, (name, start, end) in enumerate(spec.periods):
             try:
                 if i == 0:
@@ -251,17 +212,20 @@ def risk_report(panel: ReturnPanel, spec: RiskSpec) -> RiskReport:
                 n, rows, dd_min = blocks[j]
                 cell_stats = _stats(symbol, n, rows[i])
                 _check_sample(symbol, n, spec.levels)
-                S, K = cell_stats.skewness, cell_stats.excess_kurtosis
-                for lv, z, quantile in zip(spec.levels, zs, rows[i][-len(spec.levels):]):
-                    var[(symbol, name, lv)] = {
-                        "gaussian": _var(cell_stats, z, spec.amount),
-                        "cornish_fisher": _var(cell_stats, cornish_fisher_z(z, S, K), spec.amount),
-                        "empirical": 0.0 - quantile * spec.amount,
-                    }
             except DataError as exc:
                 # the same class, so a zero variance stays a DegenerateSeriesError
                 raise type(exc)(f"period {name!r}: {exc}") from exc
-            stats[(symbol, name)] = cell_stats
-            max_dd[(symbol, name)] = dd_min[i]
-    return RiskReport(spec=spec, symbols=panel.symbols, var=var,
-                      max_drawdown=max_dd, stats=stats)
+            S, K = cell_stats.skewness, cell_stats.excess_kurtosis
+            per[name] = {
+                "start": None if start is None else start.isoformat(),
+                "end": None if end is None else end.isoformat(),
+                "stats": cell_stats.to_dict(),
+                "var": {key: {
+                    "gaussian": _var(cell_stats, z, spec.amount),
+                    "cornish_fisher": _var(cell_stats, cornish_fisher_z(z, S, K), spec.amount),
+                    "empirical": 0.0 - quantile * spec.amount,
+                } for key, z, quantile in zip(keys, zs, rows[i][-len(spec.levels):])},
+                "max_drawdown": dd_min[i],
+            }
+    return {"amount": spec.amount, "levels": keys,
+            "periods": [p[0] for p in spec.periods], "assets": assets}

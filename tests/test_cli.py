@@ -489,6 +489,13 @@ def fit_dir(sim_ws, sim_cfg):
     return rc, d
 
 
+@pytest.fixture(scope="module")
+def risk_dir(sim_ws, sim_cfg):
+    d = sim_ws / "risk1"
+    assert main(["risk", "--config", sim_cfg, "--out", str(d)]) == 0
+    return d
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_ws):
         for name in ("sim_SIM1.csv", "sim_SIM2.csv", "sim_config.yaml",
@@ -928,13 +935,11 @@ class TestReport:
 
 
 class TestRisk:
-    def test_outputs_and_drawdown_rows(self, sim_ws, sim_cfg):
-        d = sim_ws / "risk1"
-        assert main(["risk", "--config", sim_cfg, "--out", str(d)]) == 0
-        names = {p.name for p in d.iterdir()}
+    def test_outputs_and_drawdown_rows(self, risk_dir):
+        names = {p.name for p in risk_dir.iterdir()}
         assert names == {"risk.csv", "risk.json", "drawdown_SIM1.csv",
                          "drawdown_SIM2.csv"}
-        dd = (d / "drawdown_SIM1.csv").read_text().splitlines()
+        dd = (risk_dir / "drawdown_SIM1.csv").read_text().splitlines()
         assert dd[0] == "date,drawdown"
         assert len(dd) == 1 + 260
         assert float(dd[1].split(",")[1]) == 0.0
@@ -950,9 +955,8 @@ class TestRisk:
             assert rows == ["date,drawdown"] + [f"{day.isoformat()},{v:.8f}" for day, v in series]
             assert max_dd == min(v for _, v in series)
 
-    def test_levels_and_amount_overrides(self, sim_ws, sim_cfg):
-        d1 = sim_ws / "risk1"
-        doc1 = json.loads((d1 / "risk.json").read_text())
+    def test_levels_and_amount_overrides(self, sim_ws, sim_cfg, risk_dir):
+        doc1 = json.loads((risk_dir / "risk.json").read_text())
         d2 = sim_ws / "risk2"
         rc = main(["risk", "--config", sim_cfg, "--out", str(d2),
                    "--levels", "0.95", "--portfolio-amount", "1000"])
@@ -966,8 +970,8 @@ class TestRisk:
             for kind in ("gaussian", "cornish_fisher", "empirical"):
                 assert v2[kind] == pytest.approx(1000.0 * v1[kind], rel=1e-12)
 
-    def test_csv_shape(self, sim_ws):
-        rows = (sim_ws / "risk1" / "risk.csv").read_text().splitlines()
+    def test_csv_shape(self, risk_dir):
+        rows = (risk_dir / "risk.csv").read_text().splitlines()
         assert rows[0] == "symbol,level,full_var,full_cfvar,full_empvar"
         assert len(rows) == 1 + 2 * 3
 

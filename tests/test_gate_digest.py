@@ -1,4 +1,4 @@
-"""The byte gate in tier-1: the 33 runs of ``tools/gate_trees.py``, run in
+"""The byte gate in tier-1: the 34 runs of ``tools/gate_trees.py``, run in
 this process on ``src/``, must give the exit codes, output bytes and
 ``converged`` flags recorded in ``tests/gate_digest.json``; on a failure
 the message also gives the worst relative change of each estimate field.

@@ -117,7 +117,7 @@ def test_the_committed_digest_compares_identical_to_itself(capsys):
         assert set(run["values"]) == set(run["converged"]) == fits
     assert gate_trees.main(["--compare", str(path), str(path)]) == 0
     first, *lines = capsys.readouterr().out.splitlines()
-    assert first == "identical: 33 runs"
+    assert first == "identical: 34 runs"
     assert {line.split(" (")[0] for line in lines} == {
         f"worst relative change, {field}" for field in gate_trees.FIELDS}
     assert all(": 0 at " in line for line in lines)

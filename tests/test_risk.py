@@ -13,7 +13,7 @@ import yaml
 from scipy.special import ndtri
 
 import volrisk.risk as risk_mod
-from volrisk.cli import main
+from volrisk.cli import _json, load_run_config, main
 from volrisk.market_data import (
     DataError,
     DegenerateSeriesError,
@@ -21,9 +21,9 @@ from volrisk.market_data import (
     ReturnPanel,
     ReturnSeries,
     describe,
+    load_panel,
 )
 from volrisk.risk import (
-    RiskReport,
     RiskSpec,
     _span,
     cf_var,
@@ -288,7 +288,8 @@ class TestRiskReport:
                 series, max_dd = drawdown(sub)
                 pairs = _dated_drawdowns(sub.dates, sub.values)
                 _assert_same_pairs(series, pairs)
-                assert rep.max_drawdown[(s.symbol, name)] == max_dd == min(v for _, v in pairs)
+                cell = rep["assets"][s.symbol][name]
+                assert cell["max_drawdown"] == max_dd == min(v for _, v in pairs)
 
     def test_report_keeps_few_bytes_per_date(self, make_series):
         # A report keeps one maximum drawdown per cell and no per-date data;
@@ -310,18 +311,18 @@ class TestRiskReport:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(rep.max_drawdown) == k * 3
+        assert sum(len(per) for per in rep["assets"].values()) == k * 3
         assert kept / cells < 2.0
 
     def test_cell_values_match_direct_calls(self, make_series):
         panel = _two_asset_panel(make_series)
         spec = RiskSpec()
         rep = risk_report(panel, spec)
-        assert rep.symbols == ("AAA", "BBB")
+        assert list(rep["assets"]) == ["AAA", "BBB"]
         for s in panel.series:
             st = describe(s)
             for lv in spec.levels:
-                cell = rep.var[(s.symbol, "full", lv)]
+                cell = rep["assets"][s.symbol]["full"]["var"][f"{lv:g}"]
                 assert cell["gaussian"] == gaussian_var(st, lv)
                 assert cell["cornish_fisher"] == cf_var(st, lv)
                 assert cell["empirical"] == empirical_var(s, lv)
@@ -342,8 +343,7 @@ class TestRiskReport:
         d1 = panel.dates[80]
         spec = RiskSpec(periods=(("full", None, None), ("window", d0, d1)))
         rep = risk_report(panel, spec)
-        st = rep.stats[("AAA", "window")]
-        assert st.n == 41
+        assert rep["assets"]["AAA"]["window"]["stats"]["n"] == 41
         s = panel.series[0]
         lo, hi = _span(s.dates, d0, d1)
         series, _ = drawdown(ReturnSeries(symbol="AAA", dates=s.dates[lo:hi], values=s.values[lo:hi]))
@@ -354,18 +354,20 @@ class TestRiskReport:
         panel = _two_asset_panel(make_series)
         r1 = risk_report(panel, RiskSpec(amount=1.0))
         r2 = risk_report(panel, RiskSpec(amount=1000.0))
-        for key, cell in r1.var.items():
-            for kind, v in cell.items():
-                assert r2.var[key][kind] == pytest.approx(1000.0 * v, rel=1e-12)
+        for sym, per in r1["assets"].items():
+            for lv, cell in per["full"]["var"].items():
+                for kind, v in cell.items():
+                    assert (r2["assets"][sym]["full"]["var"][lv][kind]
+                            == pytest.approx(1000.0 * v, rel=1e-12))
 
     def test_asset_order_preserved_and_independent(self, make_series):
         panel = _two_asset_panel(make_series)
         flipped = ReturnPanel(series=panel.series[::-1], dates=panel.dates)
         r1 = risk_report(panel, RiskSpec())
         r2 = risk_report(flipped, RiskSpec())
-        assert r2.symbols == ("BBB", "AAA")
-        for key, cell in r1.var.items():
-            assert r2.var[key] == cell
+        assert list(r2["assets"]) == ["BBB", "AAA"]
+        for sym, per in r1["assets"].items():
+            assert r2["assets"][sym]["full"]["var"] == per["full"]["var"]
 
     def test_empty_period_is_error(self, make_series):
         panel = _two_asset_panel(make_series)
@@ -377,7 +379,7 @@ class TestRiskReport:
         panel = _two_asset_panel(make_series)
         d0 = panel.dates[10]
         spec = RiskSpec(levels=(0.95, 0.99), periods=(("full", None, None), ("late", d0, None)))
-        d = risk_report(panel, spec).to_dict()
+        d = risk_report(panel, spec)
         assert d["levels"] == ["0.95", "0.99"]
         assert d["periods"] == ["full", "late"]
         cell = d["assets"]["AAA"]["late"]
@@ -410,6 +412,16 @@ class TestRiskReport:
                     for sym in ("AAA", "BBB") for lv in ("0.9", "0.95", "0.99")]
         assert rows[1:] == expected
 
+    def test_risk_json_is_the_returned_document(self, make_series, tmp_path):
+        panel = _two_asset_panel(make_series)
+        periods = {"full": None, "late": {"start": panel.dates[60].isoformat()}}
+        _risk_files(tmp_path, panel, (0.9, 0.975, 0.995), periods, amount=1000.0)
+        cfg = load_run_config(str(tmp_path / "c.yaml"))
+        loaded = load_panel([(a.symbol, a.source, a.columns) for a in cfg.assets])
+        spec = RiskSpec(levels=cfg.levels, amount=cfg.amount, periods=cfg.periods)
+        written = (tmp_path / "out" / "risk.json").read_bytes()
+        assert written == _json(risk_report(loaded, spec)).encode("utf-8")
+
     def test_zero_var_is_unsigned(self, make_series, tmp_path):
         # stale prices: 60% of the returns are zero, so the median return is 0
         rng = np.random.default_rng(3)
@@ -420,7 +432,7 @@ class TestRiskReport:
         rows, _ = _risk_files(tmp_path, panel, (0.5, 0.9))
         assert rows[1][:2] == ["S", "0.5"] and rows[1][4] == "0.000"
         rep = risk_report(panel, RiskSpec(levels=(0.5, 0.9)))
-        for v in (rep.var[("S", "full", 0.5)]["empirical"], empirical_var(r, 0.5)):
+        for v in (rep["assets"]["S"]["full"]["var"]["0.5"]["empirical"], empirical_var(r, 0.5)):
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
@@ -521,6 +533,6 @@ class TestBatchedEmpirical:
         assert len(thin) == 2
         assert "level 0.99 " in thin[0] and "level 0.999 " in thin[1]
         for lv in levels:
-            got = rep.var[("TAIL", "full", lv)]["empirical"]
+            got = rep["assets"]["TAIL"]["full"]["var"][f"{lv:g}"]["empirical"]
             assert got == empirical_var(r, lv, 250.0)
             assert got == -float(np.quantile(r.values, 1.0 - lv)) * 250.0

@@ -1,13 +1,13 @@
 """Bitwise oracle of the panel pass behind ``describe`` and ``risk_report``.
 
 The reference below is the per-cell loop the panel pass replaced, kept
-verbatim but for its input rule, a period under 10 returns refused, and
-its error messages, which name the period: for each (asset, period) cell
-it restricts the series by bisection, then runs ``describe``, ``drawdown``
-and the empirical quantiles on the 1-D sample.  On any panel both must give the same
-report to the last bit (``to_dict`` and the repr of every maximum
-drawdown), or raise the same error, after logging the same warnings
-in the same order.
+verbatim but for its input rule, a period under 10 returns refused, its
+error messages, which name the period, and its result, the ``risk.json``
+document: for each (asset, period) cell it restricts the series by
+bisection, then runs ``describe``, ``drawdown`` and the empirical
+quantiles on the 1-D sample.  On any panel both must give the same
+document to the last bit (its repr shows every float by its repr), or
+raise the same error, after logging the same warnings in the same order.
 """
 import logging
 from bisect import bisect_left, bisect_right
@@ -27,7 +27,6 @@ from volrisk.market_data import (
     describe,
 )
 from volrisk.risk import (
-    RiskReport,
     RiskSpec,
     _check_level,
     cf_var,
@@ -102,8 +101,9 @@ def reference_restrict(r, start, end):
 
 
 def reference_risk_report(panel, spec):
-    var, dds, stats = {}, {}, {}
+    assets = {}
     for s in panel.series:
+        per = assets[s.symbol] = {}
         for name, start, end in spec.periods:
             # a cell's error names its period, and a period under 10 returns
             # is refused before its moments are taken
@@ -114,18 +114,23 @@ def reference_risk_report(panel, spec):
                 if len(sub) < 10:
                     raise DataError(f"{s.symbol}: need at least 10 observations, got {len(sub)}")
                 cell_stats = reference_describe(sub)
-                stats[(s.symbol, name)] = cell_stats
-                dds[(s.symbol, name)] = reference_drawdown(sub)[1]
+                max_dd = reference_drawdown(sub)[1]
                 quantiles = reference_empirical_quantiles(sub, spec.levels)
-                for lv, q in zip(spec.levels, quantiles):
-                    var[(s.symbol, name, lv)] = {
+                per[name] = {
+                    "start": None if start is None else start.isoformat(),
+                    "end": None if end is None else end.isoformat(),
+                    "stats": cell_stats.to_dict(),
+                    "var": {f"{lv:g}": {
                         "gaussian": gaussian_var(cell_stats, lv, spec.amount),
                         "cornish_fisher": cf_var(cell_stats, lv, spec.amount),
                         "empirical": 0.0 - q * spec.amount,
-                    }
+                    } for lv, q in zip(spec.levels, quantiles)},
+                    "max_drawdown": max_dd,
+                }
             except DataError as exc:
                 raise type(exc)(f"period {name!r}: {exc}") from exc
-    return RiskReport(spec=spec, symbols=panel.symbols, var=var, max_drawdown=dds, stats=stats)
+    return {"amount": spec.amount, "levels": [f"{lv:g}" for lv in spec.levels],
+            "periods": [p[0] for p in spec.periods], "assets": assets}
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +160,6 @@ def _outcome(fn, *args):
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-    if isinstance(result, RiskReport):
-        max_dd = {key: repr(v) for key, v in result.max_drawdown.items()}
-        return ("ok", repr(result.to_dict()), max_dd, handler.messages)
     return ("ok", repr(result), handler.messages)
 
 

@@ -42,9 +42,11 @@ in-process on workspaces simulated with the ``perfbench`` workloads:
 - ``report`` on copies of the seed-7 price files out of date order:
   SIM1's rows shuffled by ``random.Random(7)`` and SIM2's reversed, under
   their headers, so the loader sorts both; SIM3's is unchanged.  Its
-  output files equal those of ``report-7`` too.
+  output files equal those of ``report-7`` too;
+- ``risk`` alone on the seed-7 workspace with ``portfolio_amount: 1000``
+  and ``levels: [0.9, 0.975, 0.995]``, the one run that scales the VaRs.
 
-That makes 33 runs.
+That makes 34 runs.
 
 It writes one JSON document: the ``python`` and ``numpy`` versions it ran
 under, and ``runs``, mapping each run to the SHA-256 digest of every input
@@ -105,6 +107,13 @@ def _short_period_config(sim_config: Path, name: str) -> Path:
     doc = yaml.safe_load(sim_config.read_text())
     # the first 5 weekdays of returns: simulate's prices start on 2019-01-01
     doc["periods"]["week"] = {"start": "2019-01-02", "end": "2019-01-08"}
+    return _write_config(sim_config, name, doc)
+
+
+def _amount_config(sim_config: Path, name: str) -> Path:
+    doc = yaml.safe_load(sim_config.read_text())
+    doc["portfolio_amount"] = 1000
+    doc["levels"] = [0.9, 0.975, 0.995]
     return _write_config(sim_config, name, doc)
 
 
@@ -203,6 +212,8 @@ def gate(src: Path, work: Path) -> dict:
     seed7 = work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml"
     for name, build in VARIANTS:
         runs[f"{name}-{VARIANT_SEED}"] = _digest_run(cli_main, build(seed7, name))
+    runs[f"amount-{VARIANT_SEED}"] = _digest_run(cli_main, _amount_config(seed7, "amount"),
+                                                 ("risk",))
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands)
     config = make_workspace(cli_main, WORKLOADS["report_wide"], work, WIDE_SEED)
