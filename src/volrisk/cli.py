@@ -215,6 +215,28 @@ _TOP_KEYS = {
 }
 
 
+class _UniqueKeys:
+    """Loader mixin: a key written twice in one mapping is an error naming
+    the key and its line; an explicit key may override a ``<<`` merge."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                again = key in seen
+            except TypeError:  # unhashable: the base constructor reports it
+                continue
+            if again:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunConfig:
     """Parse and validate a YAML run config; ``overrides`` (from CLI flags)
     replace the corresponding config fields."""
@@ -222,7 +244,8 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
         raise ConfigError("--config is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            raw = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, base), {}))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:

@@ -309,8 +309,6 @@ def logpdf(d: InnovationDist, z) -> np.ndarray:
     -inf at a non-finite ``z`` or one whose square overflows."""
     nu, lam = d.shape, d.skew
     with np.errstate(over="ignore"):
-        if lam == 1.0:
-            return _t_logpdf(z, nu)
         mu_x, sig_x = _skew_moments(nu, lam)
         x = sig_x * np.asarray(z, dtype=float) + mu_x
         arg = np.where(x >= 0.0, x / lam, x * lam)
@@ -321,13 +319,12 @@ def cdf(d: InnovationDist, z) -> np.ndarray:
     """Distribution function of the standardized innovation law (vectorized)."""
     nu, lam = d.shape, d.skew
     with np.errstate(over="ignore"):
-        if lam == 1.0:
-            return _t_cdf(z, nu)
         mu_x, sig_x = _skew_moments(nu, lam)
         x = sig_x * np.asarray(z, dtype=float) + mu_x
         l2 = lam * lam
-        neg = 2.0 / (l2 + 1.0) * _t_cdf(x * lam, nu)
-        pos = 1.0 / (l2 + 1.0) + 2.0 * l2 / (l2 + 1.0) * (_t_cdf(x / lam, nu) - 0.5)
+        base = _t_cdf(np.where(x < 0.0, x * lam, x / lam), nu)
+        neg = 2.0 / (l2 + 1.0) * base
+        pos = 1.0 / (l2 + 1.0) + 2.0 * l2 / (l2 + 1.0) * (base - 0.5)
     return np.where(x < 0.0, neg, pos)
 
 
@@ -406,16 +403,13 @@ def _ppf(p, d: InnovationDist) -> np.ndarray:
     """Closed-form inverse cdf (vectorized); exact up to the base t inverse."""
     nu, lam = d.shape, d.skew
     p = np.asarray(p, dtype=float)
-    if lam == 1.0:
-        return _t_ppf(p, nu)
     mu_x, sig_x = _skew_moments(nu, lam)
     l2 = lam * lam
-    p0 = 1.0 / (1.0 + l2)
+    low = p < 1.0 / (1.0 + l2)
     with np.errstate(invalid="ignore"):
-        lo = (1.0 / lam) * _t_ppf(np.minimum(p * (1.0 + l2) / 2.0, 1.0), nu)
-        hi = lam * _t_ppf(np.maximum(0.5 + ((1.0 + l2) * p - 1.0) / (2.0 * l2), 0.0), nu)
-    x = np.where(p < p0, lo, hi)
-    return (x - mu_x) / sig_x
+        q = np.where(low, np.minimum(p * (1.0 + l2) / 2.0, 1.0),
+                     np.maximum(0.5 + ((1.0 + l2) * p - 1.0) / (2.0 * l2), 0.0))
+        return (np.where(low, 1.0 / lam, lam) * _t_ppf(q, nu) - mu_x) / sig_x
 
 
 def quantile(d: InnovationDist, p: float) -> float:

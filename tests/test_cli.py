@@ -271,6 +271,50 @@ class TestConfigParsing:
         assert ("config error: assets[0].mean: ar_order must lie in [0, 5], got 6"
                 in capsys.readouterr().err)
 
+    # a key written twice in one mapping, at the top, in a period mapping
+    # and in an asset, with the line of the repeat; each document is valid
+    # but for the repeat
+    REPEATS = {
+        "portfolio_amount": (3, "assets: [{symbol: A, source: a.csv}]\n"
+                                "portfolio_amount: 1000\nportfolio_amount: 1\n"),
+        "crisis": (4, "assets: [{symbol: A, source: a.csv}]\nperiods:\n"
+                      "  crisis: {start: 2020-02-01, end: 2020-06-30}\n"
+                      "  crisis: {start: 2021-02-01, end: 2021-06-30}\n"),
+        "symbol": (3, "assets:\n  - {symbol: A, source: a.csv}\n"
+                      "  - {symbol: B, source: b.csv, symbol: C}\n"),
+    }
+
+    @pytest.mark.parametrize("python_parser", [False, True], ids=["libyaml", "python"])
+    @pytest.mark.parametrize("argv", [["risk"], ["risk", "--validate"], ["simulate"],
+                                      ["simulate", "--validate"]], ids=" ".join)
+    @pytest.mark.parametrize("key", sorted(REPEATS))
+    def test_repeated_key_is_3_and_named(self, tmp_path, capsys, monkeypatch, key, argv,
+                                         python_parser):
+        if python_parser:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        out = tmp_path / "out"
+        path = tmp_path / "c.yaml"
+        line, doc = self.REPEATS[key]
+        path.write_text(doc + f"output_dir: {out}\n", encoding="utf-8")
+        assert main(argv + ["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config {path}: ")
+        assert f'found duplicate key {key!r}\n  in "{path}", line {line},' in err
+        assert not out.exists()
+
+    def test_unhashable_key_keeps_the_constructor_error(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("assets: [{symbol: A, source: a.csv}]\n? [1, 2]\n: 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="found unhashable key"):
+            load_run_config(str(path))
+
+    def test_explicit_key_overrides_a_merge(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("assets:\n  - &a {symbol: A, source: a.csv}\n  - {<<: *a, symbol: B}\n",
+                        encoding="utf-8")
+        cfg = load_run_config(str(path))
+        assert [(a.symbol, a.source) for a in cfg.assets] == [("A", "a.csv"), ("B", "a.csv")]
+
     def test_overrides_win(self, tmp_path):
         path = _write_cfg(tmp_path / "c.yaml", dict(MINIMAL, seed=1, output_dir="a"))
         cfg = load_run_config(path, {"seed": 9, "out_dir": "b", "levels": (0.5,),

@@ -11,11 +11,15 @@ from scipy import integrate, special, stats
 
 from volrisk.distributions import (
     InnovationDist,
+    _U_HI,
+    _U_LO,
     _ndtri,
+    _ppf,
     _skew_moments,
     _t_cdf,
     _t_const,
     _t_const_dnu,
+    _t_logpdf,
     _t_ppf,
     abs_moment,
     cdf,
@@ -177,6 +181,36 @@ def test_skew_at_unity_reduces_to_symmetric():
     for p in (0.01, 0.3, 0.5, 0.77, 0.99):
         assert quantile(skw, p) == quantile(sym, p)
     assert abs_moment(skw) == abs_moment(sym)
+
+
+_TINY = np.finfo(float).smallest_subnormal
+_EDGE_Z = [0.0, -0.0, np.inf, -np.inf, 1e200, -1e200, np.nan, _TINY, -_TINY, 1e-310, -1e-310]
+_EDGE_P = [2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1e-300, _TINY, np.nan, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("nu", (2.0001, 2.05, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0, 150.0, 500.0))
+def test_student_t_is_the_base_t_bit_for_bit(nu):
+    # the symmetric law runs through the two-piece formulas at skew 1; they
+    # give back the base t exactly, and _ppf's single _t_ppf call is what keeps
+    # that so, since Newton's stopping rule is shared across one array
+    d = InnovationDist("student_t", shape=nu)
+    z = np.concatenate([np.linspace(-40.0, 40.0, 24_997), _EDGE_Z])
+    p = np.concatenate([np.linspace(0.0, 1.0, 20_002)[1:-1], 10.0 ** -np.linspace(1.0, 15.0, 6),
+                        _EDGE_P])
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    # values, not warnings: the base functions square z = 1e200, and near
+    # nu = 2 the base t inverse overflows or takes log 0 at p below 1e-100
+    with np.errstate(all="ignore"):
+        base_logpdf, base_cdf, base_ppf = _t_logpdf(z, nu), _t_cdf(z, nu), _t_ppf(p, nu)
+        got_ppf = _ppf(p, d)
+    np.testing.assert_array_equal(bits(logpdf(d, z)), bits(base_logpdf))
+    np.testing.assert_array_equal(bits(cdf(d, z)), bits(base_cdf))
+    np.testing.assert_array_equal(bits(got_ppf), bits(base_ppf))
+    u = np.clip(np.random.default_rng(3).random(4_000), _U_LO, _U_HI)
+    np.testing.assert_array_equal(bits(sample(d, 4_000, seed=3)), bits(_t_ppf(u, nu)))
 
 
 @pytest.mark.parametrize("law", [InnovationDist("student_t", shape=5.0),
