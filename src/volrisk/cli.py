@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import logging
 import math
@@ -583,15 +582,13 @@ def _simulation_calendar(seed: int, n_assets: int, length: int, start: Date) -> 
     # both --seed and a config's seed arrive here; numpy takes no negative seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    days = map(Date.fromordinal, range(start.toordinal(), Date.max.toordinal() + 1))
-    # a day holds at most one weekday, so the count capped at the days left
-    # takes the same dates and stays within islice's range
+    # at most one weekday a day: the count capped at the days left keeps np.arange in range
     left = Date.max.toordinal() - start.toordinal() + 1
-    iso = [d.isoformat() for d in itertools.islice(
-        (d for d in days if d.weekday() < 5), min(length + 1, left))]
-    if len(iso) <= length:
+    days = np.busday_offset(np.datetime64(start, "D"), np.arange(min(length + 1, left)),
+                            roll="forward")
+    if days.size <= length or days[-1] > np.datetime64(Date.max, "D"):
         raise ConfigError(f"--start {start}: {length + 1} weekdays from it run past {Date.max}")
-    return iso
+    return days.astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ parameter on one Cholesky factor of R_t per date, maximized with stage-1 results
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +34,6 @@ __all__ = [
     "dcc_score",
     "fit_dcc",
     "conditional_covariance",
-    "dynamic_correlation",
     "simulate_dcc_panel",
 ]
 
@@ -77,12 +77,8 @@ class DccFit:
         return self.k_stage1 + self.k_stage2
 
     def to_dict(self) -> dict:
-        k = len(self.symbols)
-        corr = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                key = f"{self.symbols[i]}/{self.symbols[j]}"
-                corr[key] = self.R_path[:, i, j].tolist()
+        corr = {f"{a}/{b}": self.R_path[:, i, j].tolist()
+                for (i, a), (j, b) in itertools.combinations(enumerate(self.symbols), 2)}
         return {
             "symbols": list(self.symbols),
             "params": {
@@ -128,6 +124,8 @@ def unconditional_corr(Z) -> np.ndarray:
     if n < k + 10:
         raise DataError(f"need at least k + 10 = {k + 10} observations, got {n}")
     for i in range(k):
+        if not np.all(np.isfinite(Z[:, i])):
+            raise DataError(f"residual column {i}: not finite")
         if float(Z[:, i].var()) == 0.0:
             raise DegenerateSeriesError(f"residual column {i}: degenerate: zero variance")
     Q = Z.T @ Z / n
@@ -346,16 +344,6 @@ def conditional_covariance(fit: DccFit, h_paths, t: int) -> np.ndarray:
     s = np.sqrt(H_all[t])
     H = fit.R_path[t] * np.outer(s, s)
     return H
-
-
-def dynamic_correlation(fit: DccFit, i: int, j: int) -> list:
-    """Dated series of rho_ij,t extracted from the correlation path."""
-    k = fit.R_path.shape[1]
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"indices ({i}, {j}) out of range for {k} assets")
-    if i == j:
-        raise ValueError("diagonal is identically one; use i != j")
-    return list(zip(fit.dates, fit.R_path[:, i, j].tolist()))
 
 
 def simulate_dcc_panel(

@@ -215,29 +215,6 @@ def mean_filter(r: ReturnSeries, mean: MeanParams) -> np.ndarray:
     return _checked_resid(r, mean)
 
 
-def _egarch_h(eps_list, omega: float, a_mag: float, xi: float, b_pers: float,
-              ez: float, h0: float) -> list:
-    # pure-float recursion; overflow leaves inf in h for the likelihood to reject
-    exp_, log_, sqrt_ = math.exp, math.log, math.sqrt
-    logh = log_(h0)
-    prev = h0
-    h = [h0]
-    push = h.append
-    for e in eps_list[:-1]:
-        try:
-            z = e / sqrt_(prev)
-        except ZeroDivisionError:
-            z = math.copysign(math.inf, e) if e != 0.0 else 0.0
-        az = z if z >= 0.0 else -z
-        logh = omega + a_mag * (az - ez) + xi * z + b_pers * logh
-        try:
-            prev = exp_(logh)
-        except OverflowError:
-            prev = math.inf
-        push(prev)
-    return h
-
-
 def egarch_filter(eps, params: EgarchParams) -> np.ndarray:
     """Conditional-variance path of the log-variance recursion.
 
@@ -253,14 +230,33 @@ def egarch_filter(eps, params: EgarchParams) -> np.ndarray:
     if not h0 > 0.0:
         raise DegenerateSeriesError("degenerate: zero variance")
     ez = dist_mod.abs_moment(params.dist)
-    h = _egarch_h(eps.tolist(), params.omega, params.a_mag, params.xi,
-                  params.b_pers, ez, h0)
+    omega, a_mag, xi, b_pers = params.omega, params.a_mag, params.xi, params.b_pers
+    # pure-float recursion; overflow leaves inf in h for the likelihood to reject
+    exp_, sqrt_ = math.exp, math.sqrt
+    logh = math.log(h0)
+    prev = h0
+    h = [h0]
+    push = h.append
+    for e in eps.tolist()[:-1]:
+        try:
+            z = e / sqrt_(prev)
+        except ZeroDivisionError:
+            z = math.copysign(math.inf, e) if e != 0.0 else 0.0
+        az = z if z >= 0.0 else -z
+        logh = omega + a_mag * (az - ez) + xi * z + b_pers * logh
+        try:
+            prev = exp_(logh)
+        except OverflowError:
+            prev = math.inf
+        push(prev)
     return np.fromiter(h, float, len(h))
 
 
 def garch11_filter(eps, params: Garch11Params) -> np.ndarray:
     """h_t = alpha0 + alpha1 eps_{t-1}^2 + gamma1 h_{t-1}, h_0 = var(eps)."""
     eps = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        return np.full(eps.size, math.inf)
     # a residual past 1e154 squares to inf; the likelihood rejects the path
     with np.errstate(over="ignore"):
         h0 = float(eps.var())

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import datetime
 import io
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ import volrisk.optimize as opt_mod
 from volrisk.cli import (
     ConfigError,
     _parse_levels,
+    _simulation_calendar,
     _stars,
     load_run_config,
     main,
@@ -592,6 +594,32 @@ class TestSimulate:
             assert err.startswith("config error: --start 9999-12-01: ")
             assert err.endswith(" weekdays from it run past 9999-12-31\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("length", [50, 5000, 10**19])
+    @pytest.mark.parametrize("start", ["2021-01-02", "2021-01-03", "2024-02-29", "9999-11-01",
+                                       "9999-12-31", "0001-01-01"])
+    def test_calendar_matches_the_day_walk(self, start, length):
+        start = datetime.date.fromisoformat(start)
+
+        def walk():
+            # reference: step one day at a time up to date.max, keeping weekdays
+            days = map(datetime.date.fromordinal,
+                       range(start.toordinal(), datetime.date.max.toordinal() + 1))
+            left = datetime.date.max.toordinal() - start.toordinal() + 1
+            iso = [d.isoformat() for d in itertools.islice(
+                (d for d in days if d.weekday() < 5), min(length + 1, left))]
+            if len(iso) <= length:
+                raise ConfigError(
+                    f"--start {start}: {length + 1} weekdays from it run past {datetime.date.max}")
+            return iso
+
+        outcomes = []
+        for calendar in (walk, lambda: _simulation_calendar(0, 2, length, start)):
+            try:
+                outcomes.append(calendar())
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_seed_flag_overrides_the_config_seed(self, tmp_path):
         out = tmp_path / "out"

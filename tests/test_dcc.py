@@ -16,7 +16,6 @@ from volrisk.dcc import (
     dcc_filter,
     dcc_loglik,
     dcc_score,
-    dynamic_correlation,
     fit_dcc,
     simulate_dcc_panel,
     unconditional_corr,
@@ -78,6 +77,15 @@ class TestUnconditionalCorr:
         Z[:, 1] = 0.5
         with pytest.raises(Exception, match="degenerate"):
             unconditional_corr(Z)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_named(self, bad):
+        Z = np.random.default_rng(0).standard_normal((100, 3))
+        Z[40, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^residual column 2: not finite$"):
+                unconditional_corr(Z)
 
 
 class TestFilter:
@@ -406,19 +414,6 @@ class TestFitOutputs:
         np.testing.assert_array_equal(H1, H2)
         with pytest.raises(IndexError):
             conditional_covariance(joint, [f.h for f in fits], 200)
-
-    def test_dynamic_correlation_series(self):
-        returns, _ = _panel(n=200, k=2, seed=12)
-        fits = [fit_egarch(_series(returns[:, j], f"A{j}")) for j in range(2)]
-        joint = fit_dcc(fits)
-        series = dynamic_correlation(joint, 0, 1)
-        assert len(series) == 200
-        assert series[0][0] == fits[0].dates[0]
-        with pytest.raises(ValueError):
-            dynamic_correlation(joint, 1, 1)
-        with pytest.raises(IndexError):
-            dynamic_correlation(joint, 0, 5)
-
 
 
 def _panel_oracle(asset_params, dcc_params, Qbar, n, seed, burn=500):

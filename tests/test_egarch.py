@@ -93,6 +93,21 @@ class TestFilters:
         h = egarch_filter(eps, p)
         assert np.isinf(h).any()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("path", [
+        lambda eps: egarch_filter(eps, _egarch()),
+        lambda eps: garch11_filter(
+            eps, Garch11Params(mu=0.0, alpha0=0.1, alpha1=0.1, gamma1=0.5, dist=T7)),
+    ], ids=["egarch", "garch11"])
+    def test_non_finite_residual_gives_inf_path(self, path, bad):
+        # a direct call may pass what a ReturnSeries never holds; the likelihood rejects it
+        eps = np.random.default_rng(6).standard_normal(60)
+        eps[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = path(eps)
+        assert h.shape == (60,) and np.all(h == math.inf)
+
 
 class TestMeanFilter:
     def test_constant_only(self, make_series):
