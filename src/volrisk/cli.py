@@ -91,11 +91,11 @@ class RunConfig:
         object.__setattr__(self, "assets", tuple(self.assets))
         if not self.assets:
             raise ConfigError("at least one asset required")
-        # a symbol is a CSV cell and, slugged, part of the names of its files
+        # a symbol is a CSV cell and, slugged, part of its file names, which may ignore case
         files = {}
         for i, a in enumerate(self.assets):
             _plain_cell(a.symbol, f"assets[{i}]: symbol")
-            j = files.setdefault(_slug(a.symbol), i)
+            j = files.setdefault(_slug(a.symbol).casefold(), i)
             if j != i:
                 raise ConfigError(f"duplicate file fit_{_slug(a.symbol)}.json of assets "
                                   f"{self.assets[j].symbol!r} and {a.symbol!r}")
@@ -280,29 +280,23 @@ def load_run_config(path: "str | None", overrides: "dict | None" = None) -> RunC
 # ---------------------------------------------------------------------------
 # output plumbing
 
-class OutputCollector:
-    """Buffers every file for a command and writes them in one pass."""
-
-    def __init__(self) -> None:
-        self._files: dict = {}
-
-    def add(self, name: str, content: str) -> None:
-        self._files[name] = content
+class OutputCollector(dict):
+    """A command's files, name to text, written in one pass."""
 
     def write(self, out_dir: str) -> list:
-        """Write every added file under ``out_dir``; with none added, write
-        nothing, not even the directory."""
-        if not self._files:
+        """Write every file under ``out_dir``; with none, write nothing, not
+        even the directory."""
+        if not self:
             return []
         root = Path(out_dir)
         try:
             root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {out_dir}: {exc}") from exc
-        names = sorted(self._files)
+        names = sorted(self)
         for name in names:
             try:
-                (root / name).write_text(self._files[name], encoding="utf-8")
+                (root / name).write_text(self[name], encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot write {root / name}: {exc}") from exc
             log.info("wrote %s", root / name)
@@ -395,31 +389,28 @@ def _table(out: OutputCollector, name: str, header: list, rows, doc) -> None:
     """Add ``<name>.csv`` (a header line, then one line per row of cells)
     and ``<name>.json``."""
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    out.add(f"{name}.csv", "\n".join(lines) + "\n")
-    out.add(f"{name}.json", _json(doc))
+    out[f"{name}.csv"] = "\n".join(lines) + "\n"
+    out[f"{name}.json"] = _json(doc)
 
 
 def _test_tables(panel: ReturnPanel, stats: dict) -> list:
     """The Jarque-Bera and unit-root tables, as ``_table`` arguments."""
-    jb = {sym: jarque_bera(stats[sym]) for sym in panel.symbols}
-    jb_rows = []
-    for sym, t in jb.items():
-        crits = t.decision_inputs["critical_values"]
-        jb_rows.append([sym, _fmt(t.statistic), _fmt(crits["0.01"]), _fmt(crits["0.05"]),
-                        _fmt(crits["0.10"]), str(t.reject_null).lower()])
-    ur = {s.symbol: (adf_test(s), kpss_test(s)) for s in panel.series}
-    ur_rows = []
-    for sym, (adf, kpss) in ur.items():
-        ur_rows.append([sym, _fmt(adf.statistic), str(adf.reject_null).lower(),
-                        _fmt(kpss.statistic), str(kpss.reject_null).lower()])
+    jb = {sym: jarque_bera(stats[sym]).to_dict() for sym in panel.symbols}
+    # the critical values at 1, 5 and 10 percent, in that order
+    jb_rows = [[sym, _fmt(t["statistic"]), *(_fmt(v) for v in t["critical_values"].values()),
+                str(t["reject_null"]).lower()] for sym, t in jb.items()]
+    ur = {s.symbol: {"adf": adf_test(s).to_dict(), "kpss": kpss_test(s).to_dict()}
+          for s in panel.series}
+    ur_rows = [[sym, _fmt(t["adf"]["statistic"]), str(t["adf"]["reject_null"]).lower(),
+                _fmt(t["kpss"]["statistic"]), str(t["kpss"]["reject_null"]).lower()]
+               for sym, t in ur.items()]
     return [
         ("jarque_bera",
          ["symbol", "statistic", "crit_0.01", "crit_0.05", "crit_0.10", "reject_0.05"],
-         jb_rows, {sym: t.to_dict() for sym, t in jb.items()}),
+         jb_rows, jb),
         ("unit_root",
          ["symbol", "adf_statistic", "adf_reject_0.05", "kpss_statistic", "kpss_reject_0.05"],
-         ur_rows, {sym: {"adf": adf.to_dict(), "kpss": kpss.to_dict()}
-                   for sym, (adf, kpss) in ur.items()}),
+         ur_rows, ur),
     ]
 
 
@@ -434,16 +425,17 @@ def _test_tables(panel: ReturnPanel, stats: dict) -> list:
 
 def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     stats = _describe_panel(panel, cfg.risk_free)
-    names = ["mean", "std", "min", "max", "skewness", "excess_kurtosis", "q25", "q75",
-             *(["sharpe"] if cfg.risk_free is not None else [])]
-    rows = [[sym, str(d.n), *(_fmt(getattr(d, f)) for f in names)] for sym, d in stats.items()]
+    docs = {sym: st.to_dict() for sym, st in stats.items()}
+    # the count as an integer, every other statistic as a float
+    rows = [[sym] + [str(v) if name == "n" else _fmt(v) for name, v in d.items()]
+            for sym, d in docs.items()]
     symbols = list(panel.symbols)
     C = pearson_correlation(panel) if len(symbols) >= 2 else np.ones((1, 1))
+    corr = {"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]}
     tables = [
-        ("stats", ["symbol", "n", *names], rows, {sym: st.to_dict() for sym, st in stats.items()}),
+        ("stats", ["symbol", *docs[symbols[0]]], rows, docs),
         ("correlation", ["symbol"] + symbols,
-         [[sym] + [_fmt(v) for v in C[i]] for i, sym in enumerate(symbols)],
-         {"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]}),
+         [[sym] + [_fmt(v) for v in row] for sym, row in zip(symbols, corr["matrix"])], corr),
     ]
     for table in tables + _test_tables(panel, stats):
         _table(out, *table)
@@ -478,7 +470,7 @@ def _add_fit(out: OutputCollector, summary: list, doc: dict) -> int:
     else:
         name, end, who = f"fit_{_slug(doc['symbol'])}.json", "", f"{doc['symbol']}: fit"
         title = f"{doc['symbol']}  {doc['model']}-{doc['distribution']}"
-    out.add(name, _json(doc))
+    out[name] = _json(doc)
     summary += ["", f"{title}  n={doc['n_obs']}  converged={'yes' if doc['converged'] else 'NO'}",
                 f"  {'param':<12}{'estimate':>14}{'std.err':>14}"]
     for param, est in doc["params"].items():
@@ -488,7 +480,7 @@ def _add_fit(out: OutputCollector, summary: list, doc: dict) -> int:
         summary.append(f"  {param:<12}{_fmt(est):>14}{se_txt:>14}  {stars}".rstrip())
     summary.append(f"  loglik {_fmt(doc['loglik' + end], 4)}   aic {_fmt(doc['aic' + end], 4)}"
                    f"   aic/obs {_fmt(doc[f'aic{end}_per_obs'])}")
-    out.add("summary.txt", "\n".join(summary) + "\n")
+    out["summary.txt"] = "\n".join(summary) + "\n"
     if doc["converged"]:
         return EXIT_OK
     log.warning("%s did not converge", who)
@@ -523,7 +515,7 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     _table(out, "risk", header, rows, doc)
     write = _drawdown_writer([d.isoformat() for d in panel.dates])
     for s in panel.series:
-        out.add(f"drawdown_{_slug(s.symbol)}.csv", write(_drawdowns(s.values[None])[0]))
+        out[f"drawdown_{_slug(s.symbol)}.csv"] = write(_drawdowns(s.values[None])[0])
     return EXIT_OK
 
 
@@ -582,13 +574,10 @@ def _simulation_calendar(seed: int, n_assets: int, length: int, start: Date) -> 
     # both --seed and a config's seed arrive here; numpy takes no negative seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    # at most one weekday a day: the count capped at the days left keeps np.arange in range
-    left = Date.max.toordinal() - start.toordinal() + 1
-    days = np.busday_offset(np.datetime64(start, "D"), np.arange(min(length + 1, left)),
-                            roll="forward")
-    if days.size <= length or days[-1] > np.datetime64(Date.max, "D"):
+    first = np.datetime64(start, "D")
+    if length + 1 > np.busday_count(first, np.datetime64(Date.max, "D") + 1):
         raise ConfigError(f"--start {start}: {length + 1} weekdays from it run past {Date.max}")
-    return days.astype(str).tolist()
+    return np.busday_offset(first, np.arange(length + 1), roll="forward").astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +674,7 @@ def _simulate(args) -> int:
     rows = "date,close\n" + "".join([f"{d},%.10f\n" for d in iso])
     for j, sym in enumerate(symbols):
         prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(scale * returns[:, j]))))
-        out.add(f"sim_{sym}.csv", rows % tuple(prices.tolist()))
+        out[f"sim_{sym}.csv"] = rows % tuple(prices.tolist())
     root = Path(out_dir).resolve()
     cfg_doc = {
         "seed": seed,
@@ -700,7 +689,7 @@ def _simulate(args) -> int:
             "full": {"start": iso[1], "end": iso[-1]},
         },
     }
-    out.add("sim_config.yaml", yaml.safe_dump(cfg_doc, sort_keys=True))
+    out["sim_config.yaml"] = yaml.safe_dump(cfg_doc, sort_keys=True)
     truth = {
         "seed": seed,
         "length": args.length,
@@ -712,10 +701,10 @@ def _simulate(args) -> int:
             }
             for sym, p in zip(symbols, assets)
         },
-        "dcc": {"alpha": dcc.alpha, "beta": dcc.beta, "joint_shape": dcc.joint_shape},
+        "dcc": dict(vars(dcc)),
         "Qbar": [[float(v) for v in row] for row in Qbar],
     }
-    out.add("sim_truth.json", _json(truth))
+    out["sim_truth.json"] = _json(truth)
     out.write(out_dir)
     return EXIT_OK
 

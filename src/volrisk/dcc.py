@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import _t_const, _t_const_dnu
-from .egarch import _BURN, EgarchFit, EgarchParams, _egarch_shocks, aic
+from .egarch import _BURN, EgarchFit, EgarchParams, _apply_mean, _egarch_shocks, aic
 from .market_data import DataError, DegenerateSeriesError
 from .optimize import ParamSpace, _fit, _objectives, _scan, _std_errors
 
@@ -81,11 +81,7 @@ class DccFit:
                 for (i, a), (j, b) in itertools.combinations(enumerate(self.symbols), 2)}
         return {
             "symbols": list(self.symbols),
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "joint_shape": self.params.joint_shape,
-            },
+            "params": dict(vars(self.params)),
             "std_errors": dict(self.std_errors),
             "converged": self.converged,
             "n_obs": self.n_obs,
@@ -363,9 +359,6 @@ def simulate_dcc_panel(
     k = len(asset_params)
     if k < 2:
         raise ValueError(f"panel simulation needs >= 2 assets, got {k}")
-    for p in asset_params:
-        if p.mean.ar or p.mean.ma:
-            raise NotImplementedError("panel simulation supports constant-mean assets only")
     Qbar = _target(Qbar, k)
     nu = dcc_params.joint_shape
     alpha, beta = dcc_params.alpha, dcc_params.beta
@@ -393,9 +386,9 @@ def simulate_dcc_panel(
         zz += C
         Q *= beta
         Q += zz
-    # the correlation path never sees the returns, so each asset's
-    # log-variance recursion runs on its finished column of innovations
+    # the correlation path never sees the returns, so each asset's log-variance
+    # recursion, then its mean as in simulate_egarch, runs on its column of innovations
     returns = np.empty((total, k))
     for i, p in enumerate(asset_params):
-        returns[:, i] = p.mean.mu + _egarch_shocks(p, Z[:, i])
+        returns[:, i] = _apply_mean(_egarch_shocks(p, Z[:, i]), p.mean.mu, p.mean.ar, p.mean.ma)
     return returns[_BURN:], Z[_BURN:]

@@ -621,6 +621,17 @@ class TestSimulate:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    def test_refused_calendar_builds_nothing(self, monkeypatch):
+        # the weekdays left are counted first, so a refused length builds no date
+        def build(*args, **kwargs):
+            raise AssertionError("np.busday_offset called")
+
+        monkeypatch.setattr(np, "busday_offset", build)
+        with pytest.raises(ConfigError) as exc:
+            _simulation_calendar(0, 2, 10**19, datetime.date(1, 1, 1))
+        assert str(exc.value) == ("--start 0001-01-01: 10000000000000000001 weekdays "
+                                  "from it run past 9999-12-31")
+
     def test_seed_flag_overrides_the_config_seed(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write_cfg(tmp_path / "c.yaml", {**MINIMAL, "seed": 11, "output_dir": str(out)})
@@ -777,6 +788,47 @@ class TestDescribe:
         stats = json.loads((d / "stats.json").read_text())
         for st_ in stats.values():
             assert st_["sharpe"] == pytest.approx((st_["mean"] - 0.0001) / st_["std"])
+
+
+    @pytest.mark.parametrize("risk_free", [None, 0.0001])
+    def test_every_cell_is_its_json_value(self, sim_cfg, tmp_path, risk_free):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        if risk_free is not None:
+            doc["risk_free_rate"] = risk_free
+        d = tmp_path / "out"
+        assert main(["describe", "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                     "--out", str(d)]) == 0
+
+        def fmt(v):
+            # JSON writes a non-finite float as null, the CSV as nan
+            if isinstance(v, bool):
+                return str(v).lower()
+            return "nan" if v is None else cli_mod._fmt(v)
+
+        def rows(name):
+            return [line.split(",") for line in (d / f"{name}.csv").read_text().splitlines()]
+
+        def load(name):
+            return json.loads((d / f"{name}.json").read_text())
+
+        stats = load("stats")
+        names = ["n", "mean", "std", "min", "max", "skewness", "excess_kurtosis", "q25", "q75",
+                 *(["sharpe"] if risk_free is not None else [])]
+        assert rows("stats") == [["symbol", *names]] + [
+            [sym, str(st_["n"]), *(fmt(st_[f]) for f in names[1:])] for sym, st_ in stats.items()]
+        corr = load("correlation")
+        assert rows("correlation") == [["symbol", *corr["symbols"]]] + [
+            [sym, *map(fmt, row)] for sym, row in zip(corr["symbols"], corr["matrix"])]
+        jb = load("jarque_bera")
+        assert rows("jarque_bera")[1:] == [
+            [sym, fmt(t["statistic"]), *(fmt(t["critical_values"][lv])
+                                         for lv in ("0.01", "0.05", "0.10")),
+             fmt(t["reject_null"])] for sym, t in jb.items()]
+        ur = load("unit_root")
+        assert rows("unit_root")[1:] == [
+            [sym, fmt(t["adf"]["statistic"]), fmt(t["adf"]["reject_null"]),
+             fmt(t["kpss"]["statistic"]), fmt(t["kpss"]["reject_null"])]
+            for sym, t in ur.items()]
 
 
 class TestFit:
@@ -1276,6 +1328,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: duplicate file fit_A_B.json")
         assert "'A/B'" in err and "'A_B'" in err
+        assert not d.exists()
+
+    @pytest.mark.parametrize("validate", [[], ["--validate"]])
+    def test_symbols_that_differ_in_case_are_3(self, sim_ws, tmp_path, capsys, validate):
+        # fit_AAPL.json and fit_aapl.json are one file where names ignore case
+        doc = {"assets": [{"symbol": sym, "source": str(sim_ws / f"sim_SIM{i + 1}.csv")}
+                          for i, sym in enumerate(("AAPL", "aapl"))]}
+        d = tmp_path / "out"
+        assert main(["fit", "--config", _write_cfg(tmp_path / "c.yaml", doc),
+                     "--out", str(d), *validate]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: duplicate file fit_aapl.json")
+        assert "'AAPL'" in err and "'aapl'" in err
         assert not d.exists()
 
     @pytest.mark.parametrize("name", ["A,B", 'A"B', "A\nB", "A\rB"])

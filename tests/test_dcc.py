@@ -20,7 +20,7 @@ from volrisk.dcc import (
     simulate_dcc_panel,
     unconditional_corr,
 )
-from volrisk.egarch import EgarchParams, MeanParams, _egarch_shocks, fit_egarch
+from volrisk.egarch import EgarchParams, MeanParams, _egarch_shocks, fit_egarch, mean_filter
 from volrisk.market_data import DataError, ReturnSeries
 from volrisk.optimize import _scan, finite_diff_gradient
 
@@ -479,13 +479,23 @@ class TestSimulate:
         np.testing.assert_allclose(z.var(axis=0), 1.0, atol=0.1)
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=0.05)
 
-    def test_rejects_arma_means(self):
-        bad = EgarchParams(
-            mean=MeanParams(mu=0.0, ar=(0.3,)), omega=-0.005, a_mag=0.15,
-            xi=-0.08, b_pers=0.95, dist=D8,
-        )
-        with pytest.raises(NotImplementedError):
-            simulate_dcc_panel(
-                [bad, _asset()], DccParams(alpha=0.05, beta=0.9, joint_shape=8.0),
-                np.eye(2), n=50, seed=0,
-            )
+    def test_arma_means_keep_the_innovations(self):
+        # the means go on after the shocks: the innovations do not move, and
+        # filtering an ARMA column gives back the constant-mean column minus mu
+        means = [MeanParams(mu=0.05, ar=(0.4,), ma=(0.2,)), MeanParams(mu=-0.02, ar=(0.5, -0.2))]
+
+        def panel(arma):
+            assets = [EgarchParams(mean=m if arma else MeanParams(mu=m.mu), omega=-0.005,
+                                   a_mag=0.15, xi=-0.08, b_pers=0.95 - 0.02 * i, dist=D8)
+                      for i, m in enumerate(means)]
+            Qbar = np.array([[1.0, 0.4], [0.4, 1.0]])
+            truth = DccParams(alpha=0.05, beta=0.9, joint_shape=8.0)
+            return simulate_dcc_panel(assets, truth, Qbar, n=400, seed=3)
+
+        (r_arma, z_arma), (r_const, z_const) = panel(True), panel(False)
+        np.testing.assert_array_equal(z_arma, z_const)
+        for i, m in enumerate(means):
+            resid = mean_filter(_series(r_arma[:, i], f"A{i}"), m)
+            # the filter starts from the sample mean, the simulation from the
+            # stationary one; the gap dies out within 20 rows
+            np.testing.assert_allclose(resid[20:], r_const[20:, i] - m.mu, rtol=0, atol=1e-12)
