@@ -661,11 +661,14 @@ def _simulate(args) -> int:
     out_dir = base.out_dir if args.out is None else args.out
     seed = base.seed if args.seed is None else args.seed
     iso = _simulation_calendar(seed, args.assets, args.length, _as_date(args.start, "--start"))
+    try:
+        assets, dcc, Qbar = _simulation_dgp(args.assets)
+    except ValueError as exc:
+        raise ConfigError(f"--assets {args.assets}: {exc}") from exc
     if args.validate:
         print(f"simulate ok: {args.assets} asset(s), {args.length} return(s) "
               f"from {iso[1]} to {iso[-1]}, seed {seed}, output to {out_dir}")
         return EXIT_OK
-    assets, dcc, Qbar = _simulation_dgp(args.assets)
     returns = simulate_dcc_panel(assets, dcc, Qbar, n=args.length, seed=seed)[0]
     # unit-scale DGP mapped onto a 1%-vol price tape
     scale = 0.01

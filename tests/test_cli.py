@@ -602,16 +602,16 @@ class TestSimulate:
         start = datetime.date.fromisoformat(start)
 
         def walk():
-            # reference: step one day at a time up to date.max, keeping weekdays
-            days = map(datetime.date.fromordinal,
-                       range(start.toordinal(), datetime.date.max.toordinal() + 1))
-            left = datetime.date.max.toordinal() - start.toordinal() + 1
-            iso = [d.isoformat() for d in itertools.islice(
-                (d for d in days if d.weekday() < 5), min(length + 1, left))]
-            if len(iso) <= length:
+            # reference: count the weekdays left to date.max by whole weeks plus
+            # the days after them, then step one day at a time, keeping weekdays
+            weeks, rest = divmod(datetime.date.max.toordinal() - start.toordinal() + 1, 7)
+            left = 5 * weeks + sum((start.weekday() + i) % 7 < 5 for i in range(rest))
+            if left <= length:
                 raise ConfigError(
                     f"--start {start}: {length + 1} weekdays from it run past {datetime.date.max}")
-            return iso
+            days = map(datetime.date.fromordinal, itertools.count(start.toordinal()))
+            return [d.isoformat() for d in itertools.islice(
+                (d for d in days if d.weekday() < 5), length + 1)]
 
         outcomes = []
         for calendar in (walk, lambda: _simulation_calendar(0, 2, length, start)):
@@ -723,6 +723,27 @@ class TestSimulateValidate:
             os.chdir(cwd)
         assert outcomes[0] == outcomes[1]
         assert outcomes[1][0] in (0, 3)
+
+    # each check's edge: one side runs, the other exits 3; the message names
+    # the setting without its dashes, since a config's seed arrives as "seed"
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--assets", "1", 3), ("--assets", "2", 0), ("--assets", "195", 0),
+        ("--assets", "196", 3), ("--length", "49", 3), ("--length", "50", 0),
+        ("--seed", "-1", 3), ("--seed", "0", 0),
+        ("--start", "9999-10-22", 0), ("--start", "9999-10-23", 3),
+    ])
+    def test_validate_exits_3_exactly_when_the_run_does(self, tmp_path, capsys, flag, value,
+                                                         want):
+        out = tmp_path / "out"
+        args = {"--assets": "2", "--length": "50", "--seed": "0", "--start": "2019-01-01",
+                flag: value}
+        argv = ["simulate", "--out", str(out), *itertools.chain(*args.items())]
+        for extra in (["--validate"], []):
+            assert main(argv + extra) == want
+            err = capsys.readouterr().err
+            if want == 3:
+                assert flag.lstrip("-") in err
+            assert out.exists() == (want == 0 and not extra)
 
 
 class TestSimulateEmptyOut:

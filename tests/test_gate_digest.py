@@ -15,17 +15,15 @@ A change that means to move output bytes regenerates the digest with
 Python and numpy versions it was made under; under other versions the test
 skips, since numpy or its BLAS can move the last bits of an estimate.
 """
-import importlib.util
 import json
 import pathlib
 import sys
 
 import pytest
 
+import gate_trees
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("gate_trees", ROOT / "tools" / "gate_trees.py")
-gate_trees = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate_trees)
 
 
 def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
@@ -35,7 +33,8 @@ def test_outputs_match_the_committed_digest(tmp_path, monkeypatch):
     if made != here:
         pytest.skip(f"digest made under Python {made['python']}, numpy {made['numpy']}; "
                     f"this is Python {here['python']}, numpy {here['numpy']}")
-    # gate() puts src/ and perfbench/ on the path; keep that to this test
+    # perfbench/ is on the path for the whole session, but gate() still
+    # inserts its src/ argument; keep that to this test
     monkeypatch.setattr(sys, "path", list(sys.path))
     runs = gate_trees.gate(ROOT / "src", tmp_path)
     diffs = gate_trees.compare(committed["runs"], runs)

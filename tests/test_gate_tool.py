@@ -2,16 +2,12 @@
 (``tools/gate_trees.py``) on small hand-built digests, and of the format of
 the committed ``tests/gate_digest.json``."""
 import copy
-import importlib.util
 import json
 import pathlib
 
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gate_trees.py"
-_spec = importlib.util.spec_from_file_location("gate_trees", _PATH)
-gate_trees = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate_trees)
+import gate_trees
 
 
 def _run(converged=True, params=None, loglik=-10.0):
@@ -108,7 +104,7 @@ def test_drift_is_split_by_the_converged_flag_of_b():
 
 def test_the_committed_digest_compares_identical_to_itself(capsys):
     # one format: versions and runs, each run with the estimates of every fit file it lists
-    path = _PATH.parent.parent / "tests" / "gate_digest.json"
+    path = pathlib.Path(__file__).with_name("gate_digest.json")
     committed = json.loads(path.read_text())
     assert sorted(committed) == ["numpy", "python", "runs"]
     for run in committed["runs"].values():

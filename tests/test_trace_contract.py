@@ -1,15 +1,8 @@
 """The span tracer of the benchmark (``perfbench/tracer.py``) wraps volrisk's
 public functions by name from outside the package.  A traced ``report``
 must still run and yield its per-layer counts."""
-import importlib.util
-import pathlib
-
+import tracer
 from volrisk.cli import main
-
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("tracer", _PATH)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
 
 
 def test_traced_report_counts_its_layers(tmp_path):

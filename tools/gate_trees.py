@@ -69,7 +69,6 @@ import platform
 import random
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import yaml
@@ -83,52 +82,46 @@ VARIANT_SEED = 7
 FIELDS = ("params", "std_errors", "loglik", "loglik_joint")
 
 
-def _write_config(sim_config: Path, name: str, doc: dict) -> Path:
-    """Write ``doc`` beside ``sim_config`` as ``<name>_config.yaml``, its
-    outputs going to ``<name>_results``."""
-    doc["output_dir"] = str(sim_config.parent / f"{name}_results")
-    path = sim_config.parent / f"{name}_config.yaml"
+def _variant(sim_config: Path, name: str, edit=None, rewrite=None) -> Path:
+    """``sim_config`` after ``edit(doc)``, written as ``<name>_config.yaml``
+    with its outputs going to ``<name>_results``.  Given ``rewrite(asset,
+    text)``, each price file's text passes through it into the directory
+    ``name``, which then holds the config; ``rewrite`` may also edit the
+    asset's config entry."""
+    doc = yaml.safe_load(sim_config.read_text())
+    ws = sim_config.parent
+    if edit:
+        edit(doc)
+    if rewrite:
+        ws = ws / name
+        ws.mkdir()
+        for asset in doc["assets"]:
+            source = Path(asset["source"])
+            (ws / source.name).write_text(rewrite(asset, source.read_text()))
+            asset["source"] = str(ws / source.name)
+    doc["output_dir"] = str(ws / f"{name}_results")
+    path = ws / f"{name}_config.yaml"
     path.write_text(yaml.safe_dump(doc, sort_keys=True))
     return path
 
 
-def _variant_config(sim_config: Path, name: str) -> Path:
-    doc = yaml.safe_load(sim_config.read_text())
+def _arma_skew(doc: dict) -> None:
     doc["distribution"] = "skew_student_t"
     doc["risk_free_rate"] = 0.0001
     doc["assets"][0]["mean"] = {"ar": 1, "ma": 1}
     doc["assets"][1]["mean"] = {"ar": 2, "constant": False}
     full = doc["periods"]["full"]
     doc["periods"]["first"] = {"start": full["start"], "end": "2020-06-30"}
-    return _write_config(sim_config, name, doc)
 
 
-def _short_period_config(sim_config: Path, name: str) -> Path:
-    doc = yaml.safe_load(sim_config.read_text())
+def _short_period(doc: dict) -> None:
     # the first 5 weekdays of returns: simulate's prices start on 2019-01-01
     doc["periods"]["week"] = {"start": "2019-01-02", "end": "2019-01-08"}
-    return _write_config(sim_config, name, doc)
 
 
-def _amount_config(sim_config: Path, name: str) -> Path:
-    doc = yaml.safe_load(sim_config.read_text())
+def _amount(doc: dict) -> None:
     doc["portfolio_amount"] = 1000
     doc["levels"] = [0.9, 0.975, 0.995]
-    return _write_config(sim_config, name, doc)
-
-
-def _rewritten(sim_config: Path, name: str, rewrite) -> Path:
-    """The workspace of ``sim_config`` in its own directory ``name``, each
-    price file's text passed through ``rewrite(asset, text)``, which may
-    also edit the asset's config entry."""
-    ws = sim_config.parent / name
-    ws.mkdir()
-    doc = yaml.safe_load(sim_config.read_text())
-    for asset in doc["assets"]:
-        source = Path(asset["source"])
-        (ws / source.name).write_text(rewrite(asset, source.read_text()))
-        asset["source"] = str(ws / source.name)
-    return _write_config(ws / sim_config.name, name, doc)
 
 
 def _calendars(asset: dict, text: str) -> str:
@@ -173,14 +166,15 @@ def _reordered(asset: dict, text: str) -> str:
     return header + "".join(rows)
 
 
-# the seed-7 variants, each built by build(sim_config, name)
+# the seed-7 variants: name, edit, rewrite and the commands run
 VARIANTS = (
-    ("variant", _variant_config),
-    ("short_period", _short_period_config),
-    ("calendars", partial(_rewritten, rewrite=_calendars)),
-    ("vendor", partial(_rewritten, rewrite=_vendor)),
-    ("csvpath", partial(_rewritten, rewrite=_csvpath)),
-    ("reordered", partial(_rewritten, rewrite=_reordered)),
+    ("variant", _arma_skew, None, ("report",)),
+    ("short_period", _short_period, None, ("report",)),
+    ("calendars", None, _calendars, ("report",)),
+    ("vendor", None, _vendor, ("report",)),
+    ("csvpath", None, _csvpath, ("report",)),
+    ("reordered", None, _reordered, ("report",)),
+    ("amount", _amount, None, ("risk",)),
 )
 
 
@@ -210,10 +204,9 @@ def gate(src: Path, work: Path) -> dict:
     runs = {f"report-{seed}": _digest_run(cli_main, make_workspace(cli_main, small, work, seed))
             for seed in REPORT_SEEDS}
     seed7 = work / f"report_small-{VARIANT_SEED}" / "sim_config.yaml"
-    for name, build in VARIANTS:
-        runs[f"{name}-{VARIANT_SEED}"] = _digest_run(cli_main, build(seed7, name))
-    runs[f"amount-{VARIANT_SEED}"] = _digest_run(cli_main, _amount_config(seed7, "amount"),
-                                                 ("risk",))
+    for name, edit, rewrite, commands in VARIANTS:
+        config = _variant(seed7, name, edit, rewrite)
+        runs[f"{name}-{VARIANT_SEED}"] = _digest_run(cli_main, config, commands)
     config = make_workspace(cli_main, ingest, work, INGEST_SEED)
     runs[f"ingest_risk-{INGEST_SEED}"] = _digest_run(cli_main, config, ingest.commands)
     config = make_workspace(cli_main, WORKLOADS["report_wide"], work, WIDE_SEED)

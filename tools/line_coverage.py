@@ -3,20 +3,19 @@
     python3 tools/line_coverage.py [pytest arguments]
 
 Run from the repository root.  It runs pytest in this process, with the
-arguments given, under a line tracer set by ``sys.settrace`` and
-``threading.settrace``, and prints every executable line of
-``src/volrisk/*.py`` that no traced frame reached, as ``file:line: source``,
-then a count on stderr.  A line is executable when an instruction of the
-module's compiled code objects carries it (``co_lines()``).  Lines run
-only in child processes, such as ``python -m volrisk.cli``, are not seen.
-The exit status is pytest's.  Tracing makes the tests several times
-slower; tier-1 takes about 100 s on a 2-core machine.
+arguments given, under a line tracer set by ``sys.settrace``, and prints
+every executable line of ``src/volrisk/*.py`` that no traced frame
+reached, as ``file:line: source``, then a count on stderr.  A line is
+executable when an instruction of the module's compiled code objects
+carries it (``co_lines()``).  Lines run only on other threads, or only in
+child processes such as ``python -m volrisk.cli``, are not seen.  The exit
+status is pytest's.  Tracing makes the tests several times slower; tier-1
+takes 100–125 s on a 2-core machine.
 """
 from __future__ import annotations
 
 import os
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -62,13 +61,11 @@ def main(argv=None) -> int:
         return local
 
     sys.path.insert(0, str(ROOT / "src"))
-    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         status = pytest.main(sys.argv[1:] if argv is None else argv)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     missed = total = 0
     for path in files:
         lines = executable_lines(path)
