@@ -377,8 +377,6 @@ def _drawdown_writer(iso: list):
 
 
 def _fmt(v: float, places: int = 6) -> str:
-    if not math.isfinite(v):
-        return "nan"
     return f"{v:.{places}f}"
 
 
@@ -430,7 +428,7 @@ def _describe(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     rows = [[sym] + [str(v) if name == "n" else _fmt(v) for name, v in d.items()]
             for sym, d in docs.items()]
     symbols = list(panel.symbols)
-    C = pearson_correlation(panel) if len(symbols) >= 2 else np.ones((1, 1))
+    C = pearson_correlation(panel)
     corr = {"symbols": symbols, "matrix": [[float(v) for v in row] for row in C]}
     tables = [
         ("stats", ["symbol", *docs[symbols[0]]], rows, docs),
@@ -508,8 +506,7 @@ def _risk(cfg: RunConfig, panel: ReturnPanel, out: OutputCollector) -> int:
     doc = risk_report(panel, spec)
     header = ["symbol", "level"] + [f"{p}_{kind}" for p in doc["periods"]
                                     for kind in ("var", "cfvar", "empvar")]
-    # a row per asset and level; the f-string writes an overflowed VaR as inf, _fmt as nan
-    rows = [[sym, lv] + [f"{per[p]['var'][lv][kind]:.3f}" for p in doc["periods"]
+    rows = [[sym, lv] + [_fmt(per[p]["var"][lv][kind], 3) for p in doc["periods"]
                          for kind in ("gaussian", "cornish_fisher", "empirical")]
             for sym, per in doc["assets"].items() for lv in doc["levels"]]
     _table(out, "risk", header, rows, doc)

@@ -309,9 +309,8 @@ def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
     """The log-return panel of the price files ``assets``, (symbol,
     source, columns) triples in panel order: each file's dates and closes
     as ``load_price_series`` reads them, turned into log returns on the
-    later date as ``log_returns`` does, and aligned by ``align_panel``
-    when there are several.  A DataError names the asset before the
-    file's own text.
+    later date as ``log_returns`` does, and aligned by ``align_panel``.
+    A DataError names the asset before the file's own text.
 
     A file whose date cells equal those of the file read before it, when
     that file's dates were strictly increasing in file order, shares its
@@ -333,8 +332,6 @@ def load_panel(assets: Sequence[tuple]) -> ReturnPanel:
         calendar = own
         series.append(r)
         log.info("loaded %s: %d returns", symbol, len(r))
-    if len(series) == 1:
-        return ReturnPanel(series=tuple(series), dates=series[0].dates)
     return align_panel(series)
 
 
@@ -421,18 +418,19 @@ def align_panel(series: Sequence[ReturnSeries]) -> ReturnPanel:
 
     Every series of the panel holds the panel's own ``dates`` tuple.
     """
-    if len(series) < 2:
-        raise DataError("alignment needs at least 2 series")
+    if not series:
+        raise DataError("alignment needs at least one series")
     dates = series[0].dates
     if all(s.dates is dates or s.dates == dates for s in series[1:]):
         aligned = [s if s.dates is dates else ReturnSeries(symbol=s.symbol, dates=dates, values=s.values)
                    for s in series]
         return ReturnPanel(series=tuple(aligned), dates=dates)
     common = set(dates)
-    for s in series[1:]:
+    for i, s in enumerate(series[1:], 1):
         common &= set(s.dates)
-    if not common:
-        raise DataError("empty calendar intersection")
+        if not common:
+            raise DataError(f"{s.symbol}: empty calendar intersection with "
+                            + ", ".join(t.symbol for t in series[:i]))
     dates = tuple(sorted(common))
     aligned = []
     for s in series:
@@ -625,8 +623,6 @@ def kpss_test(r: ReturnSeries, bandwidth: "int | None" = None) -> TestResult:
 def pearson_correlation(panel: ReturnPanel) -> np.ndarray:
     """Sample Pearson correlation matrix of the panel (exactly symmetric,
     unit diagonal)."""
-    if len(panel.series) < 2:
-        raise DataError("correlation needs at least 2 series")
     X = np.column_stack([s.values for s in panel.series])
     X = X - X.mean(axis=0)
     cov = X.T @ X

@@ -97,9 +97,6 @@ class ParamSpace:
     def dimension(self) -> int:
         return len(self.params)
 
-    def _index(self, name: str) -> int:
-        return self.names.index(name)
-
     def to_unconstrained(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -119,7 +116,7 @@ class ParamSpace:
                     raise ValueError(f"{name!r} must lie in ({lo}, {hi}), got {v}")
                 y[i] = _logit((v - lo) / (hi - lo))
             else:  # pair_sum_lt_one
-                j = self._index(kind[1])
+                j = self.names.index(kind[1])
                 if i < j:
                     a, b = x[i], x[j]
                     s = a + b
@@ -162,7 +159,7 @@ class ParamSpace:
                 x[i] = lo + (hi - lo) * p
                 J[i, i] = (hi - lo) * p * (1.0 - p)
             else:  # pair_sum_lt_one: x_i = s f, x_j = s (1 - f)
-                j = self._index(kind[1])
+                j = self.names.index(kind[1])
                 if i < j:
                     s = _clip01(_expit(y[i]))
                     frac = _clip01(_expit(y[j]))

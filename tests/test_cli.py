@@ -495,9 +495,9 @@ class TestHelpers:
         assert _stars(-3.0, 1.0) == "***"
         assert _stars(5.0, 0.0) == ""
         assert _stars(5.0, math.nan) == ""
-        # the summary's other cell writer prints a non-finite value as nan
+        # the CSV cell writer prints a non-finite value as Python's format does
         assert [cli_mod._fmt(v) for v in (1.0, math.nan, math.inf, -math.inf)] == [
-            "1.000000", "nan", "nan", "nan"]
+            "1.000000", "nan", "inf", "-inf"]
 
     def test_parse_levels(self):
         assert _parse_levels("0.95,0.99") == (0.95, 0.99)
@@ -810,10 +810,23 @@ class TestDescribe:
         for st_ in stats.values():
             assert st_["sharpe"] == pytest.approx((st_["mean"] - 0.0001) / st_["std"])
 
-
-    @pytest.mark.parametrize("risk_free", [None, 0.0001])
-    def test_every_cell_is_its_json_value(self, sim_cfg, tmp_path, risk_free):
+    def test_overflowed_sharpe_is_minus_inf_in_csv_and_null_in_json(self, sim_cfg, tmp_path):
         doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["risk_free_rate"] = 1e308
+        d = tmp_path / "out"
+        assert main(["describe", "--config", _write_cfg(tmp_path / "rf.yaml", doc),
+                     "--out", str(d)]) == 0
+        rows = [line.split(",") for line in (d / "stats.csv").read_text().splitlines()]
+        assert rows[0][-1] == "sharpe"
+        assert [row[-1] for row in rows[1:]] == ["-inf", "-inf"]
+        stats = json.loads((d / "stats.json").read_text())
+        assert [st_["sharpe"] for st_ in stats.values()] == [None, None]
+
+    @pytest.mark.parametrize("risk_free, n_assets", [(None, 2), (0.0001, 2), (None, 1)],
+                             ids=["None", "0.0001", "one_asset"])
+    def test_every_cell_is_its_json_value(self, sim_cfg, tmp_path, risk_free, n_assets):
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["assets"] = doc["assets"][:n_assets]
         if risk_free is not None:
             doc["risk_free_rate"] = risk_free
         d = tmp_path / "out"
@@ -821,7 +834,8 @@ class TestDescribe:
                      "--out", str(d)]) == 0
 
         def fmt(v):
-            # JSON writes a non-finite float as null, the CSV as nan
+            # JSON writes a non-finite float as null; no cell here is infinite,
+            # so a null is a NaN, which the CSV writes as nan
             if isinstance(v, bool):
                 return str(v).lower()
             return "nan" if v is None else cli_mod._fmt(v)
@@ -838,6 +852,8 @@ class TestDescribe:
         assert rows("stats") == [["symbol", *names]] + [
             [sym, str(st_["n"]), *(fmt(st_[f]) for f in names[1:])] for sym, st_ in stats.items()]
         corr = load("correlation")
+        assert corr["symbols"] == [a["symbol"] for a in doc["assets"]]
+        assert [row[i] for i, row in enumerate(corr["matrix"])] == [1.0] * n_assets
         assert rows("correlation") == [["symbol", *corr["symbols"]]] + [
             [sym, *map(fmt, row)] for sym, row in zip(corr["symbols"], corr["matrix"])]
         jb = load("jarque_bera")
@@ -1154,6 +1170,17 @@ class TestExitCodes:
         assert main(["describe", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "X" in err
+
+    def test_files_sharing_no_date_are_2(self, sim_ws, sim_cfg, tmp_path, capsys):
+        # the message names the asset whose dates empty the intersection, then those before it
+        moved = tmp_path / "sim_SIM2.csv"
+        moved.write_text((sim_ws / "sim_SIM2.csv").read_text().replace("2019-", "2030-"))
+        doc = yaml.safe_load(open(sim_cfg, encoding="utf-8"))
+        doc["assets"][1]["source"] = str(moved)
+        cfg = _write_cfg(tmp_path / "c.yaml", doc)
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: SIM2: empty calendar intersection with SIM1\n"
 
     def test_one_row_price_file_is_2(self, tmp_path, capsys):
         # the file's own error, prefixed once by the asset

@@ -206,9 +206,20 @@ class TestAlign:
         with pytest.raises(DataError, match="empty"):
             align_panel([a, b])
 
-    def test_needs_two(self, make_series):
+    def test_empty_intersection_names_the_assets(self, make_series):
+        # the series that empties the intersection, then those before it
+        a = make_series([0.01, 0.02, 0.03], start=date(2020, 1, 1), symbol="a")
+        b = make_series([0.01, 0.02], start=date(2020, 1, 2), symbol="b")
+        c = make_series([0.01, 0.02], start=date(2021, 1, 1), symbol="c")
+        with pytest.raises(DataError, match="^c: empty calendar intersection with a, b$"):
+            align_panel([a, b, c])
+
+    def test_one_series_is_its_own_panel(self, make_series):
+        s = make_series([0.01, 0.02])
+        panel = align_panel([s])
+        assert panel.series[0] is s and panel.dates is s.dates
         with pytest.raises(DataError):
-            align_panel([make_series([0.01, 0.02])])
+            align_panel([])
 
     def test_series_share_the_panel_calendar(self, make_series):
         # equal calendars skip the intersection; every series keeps one tuple
@@ -503,10 +514,10 @@ class TestPearson:
         assert np.all(np.diagonal(C) == 1.0)
         assert np.all(np.abs(C) <= 1.0)
 
-    def test_needs_two_series(self, make_series):
+    def test_one_series(self, make_series):
         s = make_series([0.01, 0.02, 0.03])
-        with pytest.raises(DataError):
-            pearson_correlation(ReturnPanel(series=(s,), dates=s.dates))
+        C = pearson_correlation(ReturnPanel(series=(s,), dates=s.dates))
+        assert C.tolist() == [[1.0]]
 
 
 def test_return_series_rejects_non_finite():
